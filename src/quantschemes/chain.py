@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InputError, NumericError, ParseError
-from .grids import Grid, SampleSource, StopCriteria, assign, lloyd, scale_grid
+from .grids import Grid, SampleSource, StopCriteria, assign, cell_sums, lloyd
 
 _ROW_TOL = 1e-12
 
@@ -43,6 +43,37 @@ class DiffusionModel:
             raise InputError("drift must map (M, d) -> (M, d)")
         if s.shape != (2, self.dim_x, self.dim_w):
             raise InputError("diffusion must map (M, d) -> (M, d, q)")
+
+
+# ---------------------------------------------------------------------------
+# builtin models, keyed by name in MODELS
+# ---------------------------------------------------------------------------
+
+def gbm(mu: float = 0.05, sigma: float = 0.2,
+        x0: float = 100.0) -> DiffusionModel:
+    """Geometric Brownian motion dX = mu X dt + sigma X dW."""
+    return DiffusionModel(1, 1, lambda t, x: mu * x,
+                          lambda t, x: sigma * x[..., None], [x0],
+                          lip_b=abs(mu), lip_sigma=abs(sigma))
+
+
+def ou(kappa: float = 1.0, sigma: float = 1.0,
+       x0: float = 0.0) -> DiffusionModel:
+    """Ornstein-Uhlenbeck process dX = -kappa X dt + sigma dW."""
+    return DiffusionModel(1, 1, lambda t, x: -kappa * x,
+                          lambda t, x: sigma * np.ones(x.shape + (1,)), [x0],
+                          lip_b=abs(kappa), lip_sigma=0.0)
+
+
+def brownian(dim: int = 1) -> DiffusionModel:
+    """Standard Brownian motion in R^dim started at the origin."""
+    return DiffusionModel(
+        dim, dim, lambda t, x: np.zeros_like(x),
+        lambda t, x: np.broadcast_to(np.eye(dim), x.shape + (dim,)),
+        np.zeros(dim))
+
+
+MODELS = {"gbm": gbm, "ou": ou, "brownian": brownian}
 
 
 @dataclass(frozen=True)
@@ -240,7 +271,6 @@ def estimate_companions(model: DiffusionModel, mesh: TimeMesh,
     if len(layers) != n + 1:
         raise InputError("need n+1 layer grids")
     paths, incr = euler_paths(model, mesh, num_paths, seed)
-    q = model.dim_w
     idx = [assign(layers[k], paths[:, k, :])[0] for k in range(n + 1)]
     marginals, transitions, companions, dead = [], [], [], []
     for k in range(n + 1):
@@ -248,25 +278,11 @@ def estimate_companions(model: DiffusionModel, mesh: TimeMesh,
         marginals.append(counts / num_paths)
         if k == n:
             break
-        nk, nk1 = layers[k].size, layers[k + 1].size
-        flat = idx[k] * nk1 + idx[k + 1]
-        joint = np.bincount(flat, minlength=nk * nk1).reshape(nk, nk1)
-        pi = np.empty((nk, nk1, q))
-        for j in range(q):
-            pi[:, :, j] = np.bincount(flat, weights=incr[:, k, j],
-                                      minlength=nk * nk1).reshape(nk, nk1)
-        row = counts.astype(float)
-        deadk = np.flatnonzero(counts == 0)
-        trans = np.divide(joint, row[:, None], where=row[:, None] > 0,
-                          out=np.zeros((nk, nk1)))
-        pi = np.divide(pi, row[:, None, None], where=row[:, None, None] > 0,
-                       out=pi)
-        if deadk.size:
-            trans[deadk] = 1.0 / nk1
-            pi[deadk] = 0.0
+        trans, pi, deadk = joint_transitions(idx[k], idx[k + 1], counts,
+                                             layers[k + 1].size, incr[:, k, :])
         if center:
-            alive = np.setdiff1d(np.arange(nk), deadk)
-            pi[alive] -= pi[alive].sum(axis=1, keepdims=True) / nk1
+            alive = np.setdiff1d(np.arange(layers[k].size), deadk)
+            pi[alive] -= pi[alive].sum(axis=1, keepdims=True) / pi.shape[1]
         transitions.append(trans)
         companions.append(pi)
         dead.append(deadk)
@@ -274,6 +290,34 @@ def estimate_companions(model: DiffusionModel, mesh: TimeMesh,
                           transitions=transitions, companions=companions,
                           mc_paths=num_paths, seed=seed, centered=center,
                           dead_rows=dead)
+
+
+def joint_transitions(idx_prev: np.ndarray, idx_next: np.ndarray,
+                      counts: np.ndarray, size_next: int,
+                      increments: np.ndarray):
+    """Transition rows p_ij = #(i -> j) / #i and companion means
+    sum(dW 1_{i -> j}) / #i from the cells that the same M paths visit at
+    two consecutive layers.
+
+    counts[i] = #i is the number of paths in cell i of the earlier layer;
+    increments is the paths' (M, q) block of Brownian increments (q may be
+    0). Returns (rows, companions (N_prev, N_next, q), dead rows): a cell no
+    path visits gets a uniform row and zero companions.
+    """
+    size_prev = counts.shape[0]
+    joint, sums = cell_sums(idx_prev * size_next + idx_next,
+                            size_prev * size_next, increments)
+    joint = joint.reshape(size_prev, size_next)
+    pi = sums.reshape(size_prev, size_next, increments.shape[1])
+    row = counts.astype(float)
+    alive = row > 0
+    rows = np.divide(joint, row[:, None], where=alive[:, None],
+                     out=np.zeros((size_prev, size_next)))
+    pi = np.divide(pi, row[:, None, None], where=alive[:, None, None], out=pi)
+    dead = np.flatnonzero(~alive)
+    rows[dead] = 1.0 / size_next
+    pi[dead] = 0.0
+    return rows, pi, dead
 
 
 # ---------------------------------------------------------------------------
@@ -328,20 +372,30 @@ def load_chain(path) -> QuantizedChain:
             nl.append(raw.index(b"\n", nl[-1] + 1))
     except ValueError:
         raise ParseError("truncated chain header", line=1)
-    magic = raw[:nl[0]].decode().split()
+    header = []
+    for line, (lo, hi) in enumerate(zip([0] + [i + 1 for i in nl], nl), 1):
+        try:
+            header.append(raw[lo:hi].decode().split())
+        except UnicodeDecodeError:
+            raise ParseError("chain header is not UTF-8 text", line=line)
+    magic, meta = header[0], header[1]
     if len(magic) != 2 or magic[0] != _MAGIC:
         raise ParseError("not a chain file", line=1)
     binary = magic[1] == "bin"
-    meta = raw[nl[0] + 1:nl[1]].decode().split()
     if len(meta) != 7:
         raise ParseError("bad chain metadata", line=2)
-    d, q, n = int(meta[0]), int(meta[1]), int(meta[2])
-    horizon, seed, mc_paths = float(meta[3]), int(meta[4]), int(meta[5])
-    centered = bool(int(meta[6]))
-    sizes = [int(s) for s in raw[nl[1] + 1:nl[2]].decode().split()]
+    try:
+        d, q, n, seed, mc_paths, centered = (int(meta[i])
+                                              for i in (0, 1, 2, 4, 5, 6))
+        horizon = float(meta[3])
+    except ValueError:
+        raise ParseError("non-numeric chain metadata", line=2)
+    if d < 1 or q < 1:
+        raise ParseError("state and noise dimensions must be positive", line=2)
+    sizes = _counts(header[2], 3, "layer size", minimum=1)
     if len(sizes) != n + 1:
         raise ParseError("layer size list length mismatch", line=3)
-    dead_counts = [int(s) for s in raw[nl[2] + 1:nl[3]].decode().split()]
+    dead_counts = _counts(header[3], 4, "dead-row count", minimum=0)
     if len(dead_counts) != n:
         raise ParseError("dead-row count list length mismatch", line=4)
     shapes = []
@@ -354,6 +408,9 @@ def load_chain(path) -> QuantizedChain:
         shapes.append((dead_counts[k],))
     body = raw[nl[3] + 1:]
     if binary:
+        if len(body) % 8:
+            raise ParseError(f"binary body of {len(body)} bytes is not a "
+                             "whole number of float64 values", line=5)
         vals = np.frombuffer(body, dtype="<f8")
         total = sum(int(np.prod(s)) for s in shapes)
         if vals.size != total:
@@ -364,14 +421,16 @@ def load_chain(path) -> QuantizedChain:
             arrays.append(vals[pos:pos + cnt].reshape(s).copy())
             pos += cnt
     else:
-        lines = body.decode().split("\n")
+        lines = body.split(b"\n")
         arrays = []
         for li, s in enumerate(shapes):
             cnt = int(np.prod(s))
             try:
-                parts = lines[li].split()
+                parts = lines[li].decode().split()
             except IndexError:
                 raise ParseError("truncated chain file", line=5 + li)
+            except UnicodeDecodeError:
+                raise ParseError("chain body is not UTF-8 text", line=5 + li)
             if len(parts) != cnt:
                 raise ParseError(f"expected {cnt} values, got {len(parts)}",
                                  line=5 + li)
@@ -390,8 +449,18 @@ def load_chain(path) -> QuantizedChain:
         dr.append(arrays[base + 3 * k + 2].astype(np.int64))
     return QuantizedChain(mesh=TimeMesh(horizon, n), layers=layers,
                           marginals=marginals, transitions=tr, companions=co,
-                          mc_paths=mc_paths, seed=seed, centered=centered,
+                          mc_paths=mc_paths, seed=seed, centered=bool(centered),
                           dead_rows=dr)
+
+
+def _counts(fields, line, what, minimum):
+    try:
+        values = [int(v) for v in fields]
+    except ValueError:
+        raise ParseError(f"non-integer {what}", line=line)
+    if any(v < minimum for v in values):
+        raise ParseError(f"{what} below {minimum}", line=line)
+    return values
 
 
 def _weights_or_none(w):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 from dataclasses import asdict
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import (DiffusionModel, TimeMesh, build_layer_grids,
+from .chain import (MODELS, DiffusionModel, TimeMesh, build_layer_grids,
                     estimate_companions, save_chain)
 from .errors import InputError, NumericError, QuantError
 from .experiments import (ExperimentConfig, fit_rate, run_bidask,
@@ -28,16 +29,33 @@ from .grids import (Grid, Law1D, SampleSource, StopCriteria, clvq,
                     save_grid)
 
 
+def _int_list(values, what: str) -> list[int]:
+    try:
+        return [int(v) for v in values]
+    except (TypeError, ValueError):
+        raise InputError(f"{what} must list integers, got {values!r}")
+
+
+def _option(cfg: dict, key: str, kind, default):
+    """Config value `key` converted by `kind`, or `default` when absent."""
+    value = cfg.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise InputError(f"config {key!r} must be a {kind.__name__}, "
+                         f"got {value!r}")
+
+
 def _parse_sweep(text: str) -> list[int]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise InputError("sweep must be start:stop:step or a,b,c")
-        a, b, c = (int(p) for p in parts)
+        a, b, c = _int_list(parts, "sweep")
         if c < 1 or b < a:
             raise InputError("sweep needs stop >= start and step >= 1")
         return list(range(a, b + 1, c))
-    return [int(p) for p in text.split(",") if p]
+    return _int_list([p for p in text.split(",") if p], "sweep")
 
 
 def _load_config(path) -> dict:
@@ -55,28 +73,21 @@ def _load_config(path) -> dict:
     return cfg
 
 
+_EXPERIMENT_KEYS = {"n", "grid_size", "sizes", "mc_paths", "seed", "sweep",
+                    "out", "dim", "model", "base_batch", "workers"}
+
+
 def _experiment_config(name: str, cfg: dict, args,
                        default_n: int) -> ExperimentConfig:
-    known = {"n", "grid_size", "sizes", "mc_paths", "seed", "sweep", "out",
-             "dim", "model", "base_batch", "workers"}
-    extra = {k: v for k, v in cfg.items() if k in known}
-    ec = ExperimentConfig(name=name, n=int(cfg.get("n", default_n)),
-                          **{k: v for k, v in extra.items() if k != "n"})
-    if args.seed is not None:
-        ec.seed = args.seed
-    if args.mc_paths is not None:
-        ec.mc_paths = args.mc_paths
-    if args.grid_size is not None:
-        ec.grid_size = args.grid_size
-    if args.sizes is not None:
-        ec.sizes = [int(v) for v in args.sizes.split(",")]
-    if args.sweep is not None:
-        ec.sweep = _parse_sweep(args.sweep)
-    if args.out is not None:
-        ec.out = args.out
-    # re-validate after overrides
-    ec.__post_init__()
-    return ec
+    """Config file values, overridden by the command-line flags."""
+    flags = {"seed": args.seed, "mc_paths": args.mc_paths,
+             "grid_size": args.grid_size, "out": args.out,
+             "sizes": None if args.sizes is None else args.sizes.split(","),
+             "sweep": None if args.sweep is None else _parse_sweep(args.sweep)}
+    merged = {"n": default_n,
+              **{k: v for k, v in cfg.items() if k in _EXPERIMENT_KEYS},
+              **{k: v for k, v in flags.items() if v is not None}}
+    return ExperimentConfig(name=name, **merged)
 
 
 def _cmd_grid(args) -> int:
@@ -87,11 +98,11 @@ def _cmd_grid(args) -> int:
                           "has_weights": grid.weights is not None}))
         return 0
     law = cfg.get("law", "gaussian")
-    dim = int(cfg.get("dim", 1))
-    size = args.grid_size or int(cfg.get("size", 100))
+    dim = _option(cfg, "dim", int, 1)
+    size = args.grid_size or _option(cfg, "size", int, 100)
     method = cfg.get("method", "newton" if dim == 1 else "lloyd")
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    batch_size = int(cfg.get("batch_size", 1_000_000))
+    seed = args.seed if args.seed is not None else _option(cfg, "seed", int, 0)
+    batch_size = _option(cfg, "batch_size", int, 1_000_000)
     if method == "newton":
         if dim != 1:
             raise InputError("newton method is one-dimensional")
@@ -107,7 +118,7 @@ def _cmd_grid(args) -> int:
             frozen = SampleSource.from_batch(source.draw(batch_size))
             grid, _, _ = lloyd(init, frozen, StopCriteria())
         else:
-            grid = clvq(init, source, steps=int(cfg.get("steps", 500_000)))
+            grid = clvq(init, source, steps=_option(cfg, "steps", int, 500_000))
     else:
         raise InputError(f"unknown method {method!r}")
     outdir = Path(args.out or ".")
@@ -121,52 +132,36 @@ def _cmd_grid(args) -> int:
     return 0
 
 
-_CHAIN_MODELS = {"gbm", "brownian", "ou"}
-
-
 def _chain_model(cfg: dict) -> tuple[DiffusionModel, TimeMesh]:
+    """The MODELS entry named by cfg["model"], with its parameters taken
+    from the config where given."""
     name = cfg.get("model", "brownian")
-    if name not in _CHAIN_MODELS:
-        raise InputError(f"model must be one of {sorted(_CHAIN_MODELS)}")
-    T = float(cfg.get("T", 1.0))
-    n = int(cfg.get("n", 10))
-    if name == "gbm":
-        mu, sig = float(cfg.get("mu", 0.05)), float(cfg.get("sigma", 0.2))
-        x0 = [float(cfg.get("x0", 100.0))]
-        model = DiffusionModel(1, 1, lambda t, x: mu * x,
-                               lambda t, x: sig * x[..., None], x0,
-                               lip_b=abs(mu), lip_sigma=abs(sig))
-    elif name == "ou":
-        kap, sig = float(cfg.get("kappa", 1.0)), float(cfg.get("sigma", 1.0))
-        x0 = [float(cfg.get("x0", 0.0))]
-        model = DiffusionModel(1, 1, lambda t, x: -kap * x,
-                               lambda t, x: sig * np.ones(x.shape + (1,)), x0,
-                               lip_b=abs(kap), lip_sigma=0.0)
-    else:
-        d = int(cfg.get("dim", 1))
-        model = DiffusionModel(
-            d, d, lambda t, x: np.zeros_like(x),
-            lambda t, x: np.broadcast_to(np.eye(d), x.shape + (d,)),
-            np.zeros(d))
-    return model, TimeMesh(T, n)
+    build = MODELS.get(name) if isinstance(name, str) else None
+    if build is None:
+        raise InputError(f"model must be one of {sorted(MODELS)}")
+    params = inspect.signature(build).parameters.values()
+    model = build(**{p.name: _option(cfg, p.name, type(p.default), p.default)
+                     for p in params if p.name in cfg})
+    return model, TimeMesh(_option(cfg, "T", float, 1.0),
+                           _option(cfg, "n", int, 10))
 
 
 def _cmd_chain(args) -> int:
     cfg = _load_config(args.config)
     model, mesh = _chain_model(cfg)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else _option(cfg, "seed", int, 0)
     mc = args.mc_paths if args.mc_paths is not None \
-        else int(cfg.get("mc_paths", 1_000_000))
+        else _option(cfg, "mc_paths", int, 1_000_000)
     if args.sizes is not None:
-        sizes = [int(v) for v in args.sizes.split(",")]
+        sizes = _int_list(args.sizes.split(","), "sizes")
     elif "sizes" in cfg:
-        sizes = [int(v) for v in cfg["sizes"]]
+        sizes = _int_list(cfg["sizes"], "sizes")
     else:
-        size = args.grid_size or int(cfg.get("grid_size", 50))
+        size = args.grid_size or _option(cfg, "grid_size", int, 50)
         sizes = [1] + [size] * mesh.steps
     layers = build_layer_grids(model, mesh, sizes, method="lloyd-on-samples",
-                               sample_budget=int(cfg.get("sample_budget",
-                                                         100_000)),
+                               sample_budget=_option(cfg, "sample_budget",
+                                                     int, 100_000),
                                seed=seed)
     chain = estimate_companions(model, mesh, layers, mc, seed,
                                 center=bool(cfg.get("center", True)))
@@ -183,9 +178,12 @@ def _cmd_chain(args) -> int:
 
 def _cmd_rate_fit(args) -> int:
     cfg = _load_config(args.config)
-    exponent = float(cfg.get("exponent", -1.0))
+    exponent = _option(cfg, "exponent", float, -1.0)
     if "pairs" in cfg:
-        pairs = [(float(a), float(b)) for a, b in cfg["pairs"]]
+        try:
+            pairs = [(float(a), float(b)) for a, b in cfg["pairs"]]
+        except (TypeError, ValueError):
+            raise InputError("pairs must be a list of [N, error] pairs")
     elif "csv" in cfg:
         ncol, ecol = cfg.get("n_column", "N"), cfg.get("error_column", "error")
         try:

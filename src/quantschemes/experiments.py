@@ -22,7 +22,8 @@ import numpy as np
 
 from . import __version__
 from .bsde import DriverSpec, solve_bsde
-from .chain import DiffusionModel, TimeMesh, build_layer_grids, estimate_companions
+from .chain import (TimeMesh, brownian, build_layer_grids, estimate_companions,
+                    gbm)
 from .errors import InputError
 from .filtering import builtin_models, forward_filter, kalman_posterior
 from .grids import Grid, Law1D, SampleSource, StopCriteria, lloyd, newton_1d
@@ -51,16 +52,37 @@ class ExperimentConfig:
     workers: int = 0                        # 0 = one process per sweep point
 
     def __post_init__(self):
+        for key in ("n", "grid_size", "mc_paths", "seed", "dim", "base_batch",
+                    "workers"):
+            setattr(self, key, _integer(getattr(self, key), key))
+        for key in ("sizes", "sweep"):
+            values = getattr(self, key)
+            if values is not None:
+                if isinstance(values, str) or not isinstance(values, Sequence):
+                    raise InputError(f"{key} must be a list of integers, "
+                                     f"got {values!r}")
+                setattr(self, key, [_integer(v, key) for v in values])
         if self.n < 1:
             raise InputError("n must be >= 1")
         if self.mc_paths < 1:
             raise InputError("mc_paths must be >= 1")
+        if self.seed < 0 or self.workers < 0:
+            raise InputError("seed and workers must be >= 0")
+        if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
+            raise InputError(f"out must be a directory path, got {self.out!r}")
         for v in ([self.grid_size] + (self.sizes or []) + (self.sweep or [])):
-            if int(v) < 1:
+            if v < 1:
                 raise InputError("grid sizes must be >= 1")
 
     def sweep_sizes(self) -> list[int]:
         return [int(v) for v in (self.sweep or [self.grid_size])]
+
+
+def _integer(value, key: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{key} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -127,11 +149,7 @@ def _bidask_driver(t, x, y, z):
 def _bidask_point(args):
     size, n, mc_paths, seed = args
     p = _BIDASK
-    model = DiffusionModel(
-        dim_x=1, dim_w=1,
-        drift=lambda t, x: p["mu"] * x,
-        diffusion=lambda t, x: p["sigma"] * x[..., None],
-        x0=[p["x0"]], lip_b=p["mu"], lip_sigma=p["sigma"])
+    model = gbm(p["mu"], p["sigma"], p["x0"])
     mesh = TimeMesh(p["T"], n)
     base = newton_1d(Law1D.gaussian(), size)
     times = mesh.times
@@ -174,11 +192,7 @@ def run_bidask(config: ExperimentConfig) -> dict:
 def _multidim_point(args):
     size, d, n, mc_paths, seed, base_batch = args
     T = 0.5
-    model = DiffusionModel(
-        dim_x=d, dim_w=d,
-        drift=lambda t, x: np.zeros_like(x),
-        diffusion=lambda t, x: np.broadcast_to(np.eye(d), x.shape + (d,)),
-        x0=np.zeros(d))
+    model = brownian(d)
     mesh = TimeMesh(T, n)
     if d == 1:
         base = newton_1d(Law1D.gaussian(), size)

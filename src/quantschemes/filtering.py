@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.stats import norm
 
-from .chain import QuantizedChain
+from .chain import QuantizedChain, joint_transitions
 from .errors import DegenerateObservationError, InputError
 from .grids import Grid, Law1D, assign, newton_1d, scale_grid
 
@@ -257,20 +257,18 @@ class ScalarFilterModel:
             rng = np.random.default_rng(seed)
             x = means[0] + stds[0] * rng.standard_normal(mc_paths)
             idx_prev, _ = assign(layers[0], x[:, None])
-            initial = np.bincount(idx_prev, minlength=sizes[0]) / mc_paths
+            counts = np.bincount(idx_prev, minlength=sizes[0])
+            initial = counts / mc_paths
+            no_noise = np.empty((mc_paths, 0))  # no companion weights
             transitions = []
             for k in range(self.steps):
                 x = self.ar_coeff * x + self.ar_noise * rng.standard_normal(mc_paths)
                 idx, _ = assign(layers[k + 1], x[:, None])
-                joint = np.bincount(idx_prev * sizes[k + 1] + idx,
-                                    minlength=sizes[k] * sizes[k + 1])
-                joint = joint.reshape(sizes[k], sizes[k + 1]).astype(float)
-                rows = joint.sum(axis=1)
-                dead = rows == 0
-                joint[dead] = 1.0 / sizes[k + 1]
-                rows[dead] = 1.0
-                transitions.append(joint / rows[:, None])
+                rows, _, _ = joint_transitions(idx_prev, idx, counts,
+                                               sizes[k + 1], no_noise)
+                transitions.append(rows)
                 idx_prev = idx
+                counts = np.bincount(idx, minlength=sizes[k + 1])
         else:
             raise InputError(f"unknown method {method!r}")
         return FilterModel(layers=layers, initial=initial,

@@ -39,13 +39,16 @@ class Grid:
         object.__setattr__(self, "points", pts)
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise InputError("grid needs an (N, d) array with N >= 1")
+        if not np.all(np.isfinite(pts)):
+            raise InputError("grid points must be finite")
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
             object.__setattr__(self, "weights", w)
             if w.shape != (pts.shape[0],):
                 raise InputError("weights must have one entry per grid point")
-            if np.any(w < -_WEIGHT_TOL) or abs(w.sum() - 1.0) > 1e-12:
-                raise InputError("weights must be >= 0 and sum to 1")
+            if (not np.all(np.isfinite(w)) or np.any(w < -_WEIGHT_TOL)
+                    or abs(w.sum() - 1.0) > 1e-12):
+                raise InputError("weights must be finite, >= 0 and sum to 1")
 
     @property
     def size(self) -> int:
@@ -152,10 +155,6 @@ class SampleSource:
             return rng.standard_normal((size, self.dim))
         return rng.random((size, self.dim))
 
-    def materialize(self, default_size=1_000_000) -> np.ndarray:
-        """Frozen batch view: the batch itself, or one seeded draw."""
-        return self.batch if self.is_batch else self.draw(default_size)
-
 
 # ---------------------------------------------------------------------------
 # projection and distortion
@@ -199,6 +198,19 @@ def assign(grid: Grid, points: np.ndarray, chunk: int = _ASSIGN_CHUNK):
     return idx, d2
 
 
+def cell_sums(index: np.ndarray, size: int, values: np.ndarray):
+    """Per-cell sample counts and column sums of an (M, c) value block.
+
+    Returns (counts (size,) ints, sums (size, c)), where cell i collects the
+    rows m with index[m] == i.
+    """
+    counts = np.bincount(index, minlength=size)
+    sums = np.zeros((size, values.shape[1]))
+    for j in range(values.shape[1]):
+        sums[:, j] = np.bincount(index, weights=values[:, j], minlength=size)
+    return counts, sums
+
+
 def distortion_and_gradient(grid: Grid, source: SampleSource,
                             batch_size: int = 1_000_000) -> DistortionReport:
     """Empirical quadratic distortion D_{N,2} with gradient and occupancies.
@@ -211,11 +223,7 @@ def distortion_and_gradient(grid: Grid, source: SampleSource,
     if batch.shape[0] == 0:
         raise InputError("empty sample batch")
     idx, d2 = assign(grid, batch)
-    n, d = grid.size, grid.dim
-    counts = np.bincount(idx, minlength=n)
-    sums = np.zeros((n, d))
-    for j in range(d):
-        sums[:, j] = np.bincount(idx, weights=batch[:, j], minlength=n)
+    counts, sums = cell_sums(idx, grid.size, batch)
     grad = 2.0 * (counts[:, None] * grid.points - sums) / batch.shape[0]
     grad[counts == 0] = 0.0
     return DistortionReport(value=float(d2.mean()), gradient=grad, cell_counts=counts)
@@ -279,15 +287,13 @@ def lloyd(initial: Grid, source: SampleSource, stop: StopCriteria = StopCriteria
     for it in range(1, stop.max_iterations + 1):
         grid = Grid(pts)
         idx, d2 = assign(grid, batch)
-        counts = np.bincount(idx, minlength=n)
+        counts, sums = cell_sums(idx, n, batch)
         value = float(d2.mean())
         if prev is not None and value > prev * (1.0 + 1e-12):
             raise ConvergenceError("distortion increased during Lloyd sweep",
                                    residual=value - prev)
         means = pts.copy()
-        for j in range(pts.shape[1]):
-            sums = np.bincount(idx, weights=batch[:, j], minlength=n)
-            np.divide(sums, counts, out=means[:, j], where=counts > 0)
+        np.divide(sums, counts[:, None], out=means, where=counts[:, None] > 0)
         dead = np.flatnonzero(counts == 0)
         if dead.size:
             donor = int(np.argmax(counts))
@@ -528,4 +534,6 @@ def _parse_rows(rows, width, offset):
             out[i] = [float(p) for p in parts]
         except ValueError:
             raise ParseError("non-numeric entry", line=offset + i)
+        if not np.all(np.isfinite(out[i])):
+            raise ParseError("non-finite entry", line=offset + i)
     return out

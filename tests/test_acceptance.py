@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from quantschemes.bsde import DriverSpec, bound_constants, solve_bsde
-from quantschemes.chain import (DiffusionModel, QuantizedChain, TimeMesh,
+from quantschemes.chain import (QuantizedChain, TimeMesh, brownian,
                                 build_layer_grids, estimate_companions)
 from quantschemes.experiments import (BIDASK_REFERENCE, MULTIDIM_Y0,
                                       ExperimentConfig, loglog_slope,
@@ -79,9 +79,7 @@ def gaussian_batch():
 
 
 def _brownian_chain(mc_paths, center, seed=0, n=5, size=20):
-    model = DiffusionModel(
-        1, 1, lambda t, x: np.zeros_like(x),
-        lambda t, x: np.ones(x.shape + (1,)), np.zeros(1))
+    model = brownian(1)
     mesh = TimeMesh(1.0, n)
     base = newton_1d(Law1D.gaussian(), size)
     maps = [None] + [(lambda s: lambda p: math.sqrt(s) * p)(t)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from quantschemes.bsde import (BoundConstants, DriverSpec, allocate_grid_sizes,
                                bound_constants, export_solution, solve_bsde,
                                zeta_centered)
-from quantschemes.chain import (DiffusionModel, QuantizedChain, TimeMesh,
+from quantschemes.chain import (QuantizedChain, TimeMesh, brownian,
                                 build_layer_grids, estimate_companions)
 from quantschemes.errors import InputError, NumericError
 from quantschemes.grids import Grid
@@ -262,9 +262,7 @@ def test_allocation_properties(c, total, d):
 def test_bound_dominates_measured_error():
     # scalar Brownian state with known solution y0 = 0.5
     d, T, n = 1, 0.5, 5
-    model = DiffusionModel(
-        d, d, lambda t, x: np.zeros_like(x),
-        lambda t, x: np.ones(x.shape + (1,)), np.zeros(d))
+    model = brownian(d)
     mesh = TimeMesh(T, n)
     from quantschemes.grids import Law1D, newton_1d
     base = newton_1d(Law1D.gaussian(), 30)

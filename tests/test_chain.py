@@ -3,22 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from quantschemes.chain import (DiffusionModel, QuantizedChain, TimeMesh,
-                                build_layer_grids, estimate_companions,
-                                euler_paths, load_chain, save_chain)
+from quantschemes.chain import (MODELS, DiffusionModel, QuantizedChain,
+                                TimeMesh, brownian, build_layer_grids,
+                                estimate_companions, euler_paths, gbm,
+                                joint_transitions, load_chain, ou, save_chain)
 from quantschemes.errors import InputError, NumericError, ParseError
 from quantschemes.grids import Grid, SampleSource, distortion_and_gradient
-
-
-def brownian(d=1):
-    return DiffusionModel(
-        d, d, lambda t, x: np.zeros_like(x),
-        lambda t, x: np.broadcast_to(np.eye(d), x.shape + (d,)), np.zeros(d))
-
-
-def ou(kappa=1.0, sigma=1.0, x0=0.0):
-    return DiffusionModel(1, 1, lambda t, x: -kappa * x,
-                          lambda t, x: sigma * np.ones(x.shape + (1,)), [x0])
 
 
 # ---------------------------------------------------------------------------
@@ -35,6 +25,22 @@ def test_model_shape_validation():
     with pytest.raises(InputError):
         DiffusionModel(2, 1, lambda t, x: x,
                        lambda t, x: np.ones(x.shape + (1,)), [0.0])
+
+
+def test_model_registry():
+    assert MODELS == {"gbm": gbm, "ou": ou, "brownian": brownian}
+    x = np.array([[2.0], [-1.0]])
+    g = gbm()
+    assert g.x0.tolist() == [100.0] and (g.lip_b, g.lip_sigma) == (0.05, 0.2)
+    assert np.allclose(g.drift(0.0, x), 0.05 * x)
+    assert np.allclose(g.diffusion(0.0, x)[:, :, 0], 0.2 * x)
+    o = ou(kappa=2.0, sigma=0.5, x0=1.0)
+    assert o.x0.tolist() == [1.0]
+    assert np.allclose(o.drift(0.0, x), -2.0 * x)
+    assert np.allclose(o.diffusion(0.0, x), 0.5)
+    b = brownian(3)
+    assert (b.dim_x, b.dim_w) == (3, 3) and np.all(b.x0 == 0.0)
+    assert np.array_equal(b.diffusion(0.0, np.ones((2, 3)))[1], np.eye(3))
 
 
 def test_time_mesh():
@@ -237,6 +243,27 @@ def test_estimate_dead_rows():
     assert abs(ch.companions[0][0].sum()) <= 1e-12
 
 
+def test_joint_transitions_match_path_loop():
+    rng = np.random.default_rng(4)
+    M, n_prev, n_next = 200, 4, 3
+    idx_prev = rng.integers(0, n_prev - 1, M)  # cell n_prev - 1 stays empty
+    idx_next = rng.integers(0, n_next, M)
+    incr = rng.normal(size=(M, 2))
+    counts = np.bincount(idx_prev, minlength=n_prev)
+    rows, pi, dead = joint_transitions(idx_prev, idx_next, counts, n_next,
+                                       incr)
+    assert dead.tolist() == [n_prev - 1]
+    for i in range(n_prev - 1):
+        for j in range(n_next):
+            hit = (idx_prev == i) & (idx_next == j)
+            assert rows[i, j] == pytest.approx(hit.sum() / counts[i])
+            assert np.allclose(pi[i, j], incr[hit].sum(axis=0) / counts[i])
+    assert np.all(rows[dead] == 1.0 / n_next) and np.all(pi[dead] == 0.0)
+    rows0, pi0, _ = joint_transitions(idx_prev, idx_next, counts, n_next,
+                                      np.empty((M, 0)))
+    assert np.array_equal(rows0, rows) and pi0.shape == (n_prev, n_next, 0)
+
+
 # ---------------------------------------------------------------------------
 # chain I/O
 # ---------------------------------------------------------------------------
@@ -297,6 +324,34 @@ def test_chain_load_rejects_garbage(tmp_path):
     path.write_text(txt[:len(txt) // 2].rsplit("\n", 1)[0])
     with pytest.raises(ParseError):
         load_chain(path)
+
+
+def _edit_line(number, edit):
+    def apply(raw):
+        lines = raw.split(b"\n")
+        lines[number - 1] = edit(lines[number - 1])
+        return b"\n".join(lines)
+    return apply
+
+
+@pytest.mark.parametrize("binary, corrupt, line", [
+    (False, _edit_line(2, lambda ln: b"x" + ln), 2),
+    (False, _edit_line(3, lambda ln: ln + b"x"), 3),
+    (True, _edit_line(3, lambda ln: ln.replace(b" ", b" -", 1)), 3),
+    (True, _edit_line(4, lambda ln: b"-1" + ln[1:]), 4),
+    (False, _edit_line(1, lambda ln: b"\xff" + ln), 1),
+    (True, lambda raw: raw + b"\x00", 5),
+], ids=["metadata-not-integer", "layer-size-not-integer",
+        "negative-layer-size", "negative-dead-row-count", "header-not-utf8",
+        "binary-body-not-whole-floats"])
+def test_chain_load_rejects_malformed_header_and_body(tmp_path, binary,
+                                                      corrupt, line):
+    path = tmp_path / "chain.dat"
+    save_chain(_small_chain(), path, binary=binary)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(ParseError) as exc:
+        load_chain(path)
+    assert exc.value.line == line
 
 
 def test_chain_shape_validation():

@@ -192,6 +192,51 @@ def test_cli_chain(tmp_path, capsys):
     assert chain.sizes == [1, 6, 6]
 
 
+def test_cli_chain_ou_and_unknown_model(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "ou", "kappa": 2.0, "T": 0.5, "n": 2,
+                               "sample_budget": 3_000}))
+    rc = main(["chain", "--config", str(cfg), "--grid-size", "4",
+               "--mc-paths", "3000", "--out", str(tmp_path)])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["sizes"] == [1, 4, 4]
+    from quantschemes.chain import load_chain
+    assert load_chain(tmp_path / "chain.txt").sizes == [1, 4, 4]
+    cfg.write_text(json.dumps({"model": "heston"}))
+    assert main(["chain", "--config", str(cfg)]) == 2
+    assert "model must be one of" in capsys.readouterr().err
+
+
+def test_cli_bsde_bidask(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 3}))
+    rc = main(["bsde-bidask", "--config", str(cfg), "--grid-size", "10",
+               "--mc-paths", "2000", "--out", str(tmp_path)])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [r["N"] for r in out["rows"]] == [10]
+    assert out["provenance"]["config"]["n"] == 3
+    with open(tmp_path / "bidask.csv") as fh:
+        assert [r["N"] for r in csv.DictReader(fh)] == ["10"]
+    saved = json.loads((tmp_path / "bidask.json").read_text())
+    assert saved["y0_hat"] == out["y0_hat"]
+
+
+def test_cli_bsde_multidim(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dim": 2, "n": 3, "base_batch": 2000,
+                               "workers": 1}))
+    rc = main(["bsde-multidim", "--config", str(cfg), "--grid-size", "10",
+               "--mc-paths", "2000", "--out", str(tmp_path)])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert set(out["rows"][0]) == {"N", "y0", "y0_err", "z0_1", "z0_2"}
+    assert out["provenance"]["config"]["base_batch"] == 2000
+    with open(tmp_path / "multidim.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == 1
+    assert (tmp_path / "multidim.json").exists()
+
+
 def test_cli_rate_fit(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(
@@ -239,7 +284,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["rate-fit", "--config", str(cfg)]) == 2
     cfg.write_text(json.dumps({"method": "bogus"}))
     assert main(["grid", "--config", str(cfg)]) == 2
-    capsys.readouterr()
+    assert main(["bsde-bidask", "--sweep", "10,x"]) == 2
+    assert main(["bsde-bidask", "--sizes", "1,a"]) == 2
+    for bad in ({"n": "ten"}, {"sizes": 5}):
+        cfg.write_text(json.dumps(bad))
+        assert main(["bsde-bidask", "--config", str(cfg)]) == 2
+    cfg.write_text(json.dumps({"model": "gbm", "T": "x"}))
+    assert main(["chain", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 8 and "Traceback" not in err
 
 
 def test_cli_sweep_override(tmp_path, capsys):

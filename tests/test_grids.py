@@ -36,6 +36,23 @@ def test_grid_validation():
         Grid([[0.0], [1.0]], weights=[-0.5, 1.5])
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_grid_rejects_non_finite_points_and_weights(tmp_path, bad):
+    with pytest.raises(InputError):
+        Grid([[0.0, 1.0], [bad, 2.0]])
+    with pytest.raises(InputError):
+        Grid([[0.0], [1.0]], weights=[bad, 0.5])
+    path = tmp_path / "g.txt"
+    path.write_text(f"2 2\n0 1 0.5\n{bad} 2 0.5\n")
+    with pytest.raises(ParseError) as exc:
+        load_grid(path)
+    assert exc.value.line == 3
+    path.write_text(f"1 2\n0\n{bad}\n0.5\n0.5\n")
+    with pytest.raises(ParseError) as exc:
+        load_grid(path, legacy_layout=True)
+    assert exc.value.line == 3
+
+
 def test_stop_criteria_validation():
     with pytest.raises(InputError):
         StopCriteria(max_iterations=0)

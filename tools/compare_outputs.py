@@ -1,0 +1,138 @@
+#!/usr/bin/env python3
+"""Check that two source trees of quantschemes give byte-identical outputs.
+
+    python3 tools/compare_outputs.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are `src` directories, e.g. of a `git archive` of the
+parent commit and of the working tree. Each is imported in its own process,
+which computes the outputs below at fixed seeds; every array must agree in
+dtype, shape and bytes:
+
+- estimate_companions, with and without centering, with dead rows, in 1-D
+  and 2-D;
+- lloyd grids, weights and final reports, including a dead-cell re-seed;
+- ScalarFilterModel.build_filter("mc") rows, with dead rows;
+- the bid-ask and multidim points' y0 and z0 at small sizes;
+- chain files written by the `chain` subcommand for each builtin model.
+
+Only public names that both trees share are used. Exits 1 on a mismatch.
+"""
+
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+
+def _outputs(workdir) -> dict:
+    from quantschemes import cli, experiments
+    from quantschemes.chain import DiffusionModel, TimeMesh, estimate_companions
+    from quantschemes.filtering import builtin_models
+    from quantschemes.grids import Grid, SampleSource, lloyd
+
+    out = {}
+    ou = DiffusionModel(1, 1, lambda t, x: -x,
+                        lambda t, x: 0.7 * np.ones(x.shape + (1,)), [0.3])
+    bm2 = DiffusionModel(2, 2, lambda t, x: np.zeros_like(x),
+                         lambda t, x: np.broadcast_to(np.eye(2), x.shape + (2,)),
+                         np.zeros(2))
+    rng = np.random.default_rng(7)
+    cases = {
+        "ou": (ou, TimeMesh(1.0, 3),
+               [Grid([[0.3]])] + [Grid(np.sort(rng.normal(size=(6, 1)), 0))
+                                  for _ in range(3)]),
+        # far points are never visited: dead rows
+        "ou-dead": (ou, TimeMesh(1.0, 2),
+                    [Grid([[0.3], [50.0]]), Grid([[-1.0], [0.0], [1.0], [60.0]]),
+                     Grid([[-0.5], [0.5]])]),
+        "bm2": (bm2, TimeMesh(0.5, 2),
+                [Grid([[0.0, 0.0]])] + [Grid(rng.normal(size=(5, 2)))
+                                        for _ in range(2)]),
+    }
+    for name, (model, mesh, layers) in cases.items():
+        for center in (True, False):
+            ch = estimate_companions(model, mesh, layers, 20_000, 3, center)
+            for key in ("marginals", "transitions", "companions", "dead_rows"):
+                for k, a in enumerate(getattr(ch, key)):
+                    out[f"estimate/{name}/center={center}/{key}/{k}"] = a
+
+    batch = np.random.default_rng(11).standard_normal((4000, 2))
+    inits = {"plain": batch[:8] * 0.5,
+             "dead-cell": np.vstack([batch[:7] * 0.5, [[40.0, 40.0]]])}
+    for name, init in inits.items():
+        grid, report, it = lloyd(Grid(init), SampleSource.from_batch(batch))
+        out.update({f"lloyd/{name}/points": grid.points,
+                    f"lloyd/{name}/weights": grid.weights,
+                    f"lloyd/{name}/value": np.array(report.value),
+                    f"lloyd/{name}/gradient": report.gradient,
+                    f"lloyd/{name}/counts": report.cell_counts,
+                    f"lloyd/{name}/iterations": np.array(it)})
+
+    for model in ("linear-gaussian", "sin-cube"):
+        spec = builtin_models(model, steps=4)
+        # 300 paths over 40 cells leave tail cells unvisited
+        fm = spec.build_filter([5, 40, 40, 12, 40], method="mc",
+                               mc_paths=300, seed=5)
+        out[f"filter-mc/{model}/initial"] = fm.initial
+        for k, rows in enumerate(fm.transitions):
+            out[f"filter-mc/{model}/rows/{k}"] = rows
+
+    for row_name, row in (
+            ("bidask", experiments._bidask_point((20, 5, 20_000, 1))),
+            ("multidim-d1", experiments._multidim_point((15, 1, 4, 20_000, 2, 0))),
+            ("multidim-d2", experiments._multidim_point(
+                (12, 2, 3, 20_000, 2, 5_000)))):
+        for key, value in row.items():
+            out[f"{row_name}/{key}"] = np.array(value)
+
+    for model in ("gbm", "ou", "brownian"):
+        cfg = os.path.join(workdir, f"{model}.json")
+        with open(cfg, "w") as fh:
+            fh.write(f'{{"model": "{model}", "T": 0.5, "n": 3, '
+                     f'"sample_budget": 3000}}')
+        target = os.path.join(workdir, model)
+        code = cli.main(["chain", "--config", cfg, "--grid-size", "7",
+                         "--mc-paths", "5000", "--seed", "4", "--out", target])
+        with open(os.path.join(target, "chain.txt"), "rb") as fh:
+            out[f"cli-chain/{model}"] = np.frombuffer(fh.read(), np.uint8)
+        out[f"cli-chain/{model}/exit"] = np.array(code)
+    return out
+
+
+def _dump(src: str) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "outputs.pkl")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        subprocess.run([sys.executable, __file__, "--dump", path],
+                       env=env, check=True, stdout=subprocess.DEVNULL)
+        with open(path, "rb") as fh:
+            return pickle.load(fh)
+
+
+def main(argv) -> int:
+    if argv[:1] == ["--dump"]:
+        with tempfile.TemporaryDirectory() as workdir:
+            outputs = _outputs(workdir)
+        with open(argv[1], "wb") as fh:
+            pickle.dump(outputs, fh)
+        return 0
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    old, new = _dump(argv[0]), _dump(argv[1])
+    differ = sorted(k for k in old.keys() | new.keys()
+                    if k not in old or k not in new
+                    or old[k].dtype != new[k].dtype
+                    or old[k].shape != new[k].shape
+                    or old[k].tobytes() != new[k].tobytes())
+    for key in differ:
+        print(f"differs: {key}")
+    print(f"{len(old)} outputs compared, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
