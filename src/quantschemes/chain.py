@@ -82,8 +82,8 @@ class TimeMesh:
     steps: int
 
     def __post_init__(self):
-        if self.horizon <= 0 or self.steps < 1:
-            raise InputError("need horizon > 0 and steps >= 1")
+        if not (np.isfinite(self.horizon) and self.horizon > 0) or self.steps < 1:
+            raise InputError("need a finite horizon > 0 and steps >= 1")
 
     @property
     def dt(self) -> float:
@@ -364,8 +364,11 @@ def save_chain(chain: QuantizedChain, path, binary: bool = False) -> None:
 
 
 def load_chain(path) -> QuantizedChain:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read chain file: {exc}") from exc
     try:
         nl = [raw.index(b"\n")]
         for _ in range(3):
@@ -390,6 +393,8 @@ def load_chain(path) -> QuantizedChain:
         horizon = float(meta[3])
     except ValueError:
         raise ParseError("non-numeric chain metadata", line=2)
+    if not (np.isfinite(horizon) and horizon > 0):
+        raise ParseError("horizon must be finite and > 0", line=2)
     if d < 1 or q < 1:
         raise ParseError("state and noise dimensions must be positive", line=2)
     sizes = _counts(header[2], 3, "layer size", minimum=1)

@@ -73,6 +73,14 @@ def _load_config(path) -> dict:
     return cfg
 
 
+def _seed(args, cfg: dict) -> int:
+    """The --seed flag, else the config's seed, else 0; never negative."""
+    seed = args.seed if args.seed is not None else _option(cfg, "seed", int, 0)
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 _EXPERIMENT_KEYS = {"n", "grid_size", "sizes", "mc_paths", "seed", "sweep",
                     "out", "dim", "model", "base_batch", "workers"}
 
@@ -101,7 +109,7 @@ def _cmd_grid(args) -> int:
     dim = _option(cfg, "dim", int, 1)
     size = args.grid_size or _option(cfg, "size", int, 100)
     method = cfg.get("method", "newton" if dim == 1 else "lloyd")
-    seed = args.seed if args.seed is not None else _option(cfg, "seed", int, 0)
+    seed = _seed(args, cfg)
     batch_size = _option(cfg, "batch_size", int, 1_000_000)
     if method == "newton":
         if dim != 1:
@@ -149,7 +157,7 @@ def _chain_model(cfg: dict) -> tuple[DiffusionModel, TimeMesh]:
 def _cmd_chain(args) -> int:
     cfg = _load_config(args.config)
     model, mesh = _chain_model(cfg)
-    seed = args.seed if args.seed is not None else _option(cfg, "seed", int, 0)
+    seed = _seed(args, cfg)
     mc = args.mc_paths if args.mc_paths is not None \
         else _option(cfg, "mc_paths", int, 1_000_000)
     if args.sizes is not None:

@@ -19,7 +19,8 @@ from scipy.stats import norm
 
 from .chain import QuantizedChain, joint_transitions
 from .errors import DegenerateObservationError, InputError
-from .grids import Grid, Law1D, assign, newton_1d, scale_grid
+from .grids import (Grid, Law1D, _voronoi_edges, assign, newton_1d,
+                    scale_grid)
 
 # likelihood(k, x_prev, y_prev, x_next, y_next) -> nonnegative array, where
 # x_prev is (Ni, 1, d), x_next is (1, Nj, d) and the result broadcasts to
@@ -276,15 +277,8 @@ class ScalarFilterModel:
                            likelihood=self.likelihood)
 
 
-def _voronoi_edges(points: np.ndarray) -> np.ndarray:
-    x = points[:, 0]
-    if np.any(np.diff(x) <= 0):
-        raise InputError("scalar grid points must be strictly increasing")
-    return np.concatenate(([-np.inf], 0.5 * (x[:-1] + x[1:]), [np.inf]))
-
-
 def _gaussian_cell_masses(grid: Grid, mean: float, std: float) -> np.ndarray:
-    edges = _voronoi_edges(grid.points)
+    edges = _voronoi_edges(grid.points[:, 0])
     cdf = norm.cdf((edges - mean) / std)
     w = np.diff(cdf)
     return w / w.sum()
@@ -292,7 +286,7 @@ def _gaussian_cell_masses(grid: Grid, mean: float, std: float) -> np.ndarray:
 
 def _gaussian_ar1_rows(prev: Grid, nxt: Grid, a: float, b: float) -> np.ndarray:
     """Row i = exact law of a x_i + b eps over the Voronoi cells of `nxt`."""
-    edges = _voronoi_edges(nxt.points)
+    edges = _voronoi_edges(nxt.points[:, 0])
     centers = a * prev.points[:, 0]
     cdf = norm.cdf((edges[None, :] - centers[:, None]) / b)
     rows = np.diff(cdf, axis=1)

@@ -4,6 +4,11 @@ grid-search algorithms (Lloyd's I, CLVQ, 1D Newton) and grid file I/O.
 A grid is a finite codebook of N points in R^d; nearest-neighbor projection
 onto it defines the Voronoi cells. Point order is a stable identity: index i
 names cell i, and ties always resolve to the smallest index.
+
+`assign` is the one projection entry point. It searches by the grid's
+dimension (bisection on the sorted Voronoi midpoints in 1-D, a kd-tree in
+d >= 2) and sends near-ties to the exact linear scan, which stays as the
+reference its results are checked against.
 """
 
 from __future__ import annotations
@@ -18,9 +23,11 @@ from .errors import ConvergenceError, InputError, ParseError
 
 _WEIGHT_TOL = 1e-12
 
-# Chunk size (rows) for batched nearest-neighbor assignment; keeps the
+# Chunk size (rows) for the scan in nearest-neighbor assignment; keeps the
 # M x N squared-distance block below ~100 MB for the grid sizes we use.
 _ASSIGN_CHUNK = 65536
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 # ---------------------------------------------------------------------------
@@ -165,19 +172,21 @@ def nearest_neighbor(grid: Grid, point) -> tuple[int, float]:
 
     Ties resolve to the smallest index.
     """
-    p = np.asarray(point, dtype=float).reshape(-1)
-    if p.shape[0] != grid.dim:
-        raise InputError(f"point has dim {p.shape[0]}, grid has dim {grid.dim}")
-    d2 = np.sum((grid.points - p) ** 2, axis=1)
-    i = int(np.argmin(d2))
-    return i, float(math.sqrt(d2[i]))
+    idx, d2 = assign(grid, np.asarray(point, dtype=float).reshape(1, -1))
+    return int(idx[0]), math.sqrt(d2[0])
 
 
-def assign(grid: Grid, points: np.ndarray, chunk: int = _ASSIGN_CHUNK):
+def assign(grid: Grid, points: np.ndarray):
     """Vectorized nearest-neighbor assignment of an (M, d) batch.
 
-    Returns (indices, squared distances). Exact linear scan per point,
-    chunked to bound memory; argmin keeps the smallest-index tie rule.
+    Returns (indices, squared distances), equal to those of the exact
+    linear scan `_scan_assign`, ties to the smallest index included. A 1-D
+    grid is searched by bisection on its sorted Voronoi midpoints, a grid in
+    d >= 2 by a kd-tree query for the two nearest points. A row whose two
+    nearest points lie within the scan's rounding error of each other (exact
+    ties among them, which neither search breaks by index), or that is not
+    finite, takes the scan's index. Squared distances come from the scan's
+    own expression, so they equal the scan's to the bit.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -185,17 +194,86 @@ def assign(grid: Grid, points: np.ndarray, chunk: int = _ASSIGN_CHUNK):
     if pts.shape[1] != grid.dim:
         raise InputError("batch dimension mismatch")
     c = grid.points
-    c2 = np.sum(c * c, axis=1)
-    idx = np.empty(pts.shape[0], dtype=np.int64)
-    d2 = np.empty(pts.shape[0])
-    for lo in range(0, pts.shape[0], chunk):
-        hi = min(lo + chunk, pts.shape[0])
-        block = pts[lo:hi]
-        dist2 = np.sum(block * block, axis=1)[:, None] - 2.0 * block @ c.T + c2[None, :]
+    search = _sorted_search if grid.dim == 1 else _tree_search
+    idx, gap = search(c, pts)
+    # The scan's |x|^2 - 2 x.c + |c|^2 and the kd-tree's distances are each
+    # off by less than (d + 3) * eps * (|x| + |c|)^2 plus an underflow
+    # floor; a gap between the two nearest points of over four times that
+    # (two errors, with a margin) fixes the scan's argmin.
+    radius = math.sqrt(np.max(np.sum(c * c, axis=1)))
+    scale = (np.sqrt(np.sum(pts * pts, axis=1)) + radius) ** 2
+    tol = 4 * (grid.dim + 3) * _EPS * scale + _TINY
+    near = np.flatnonzero(~(gap > tol))
+    if near.size:
+        idx[near] = _scan_assign(grid, pts[near])[0]
+    d2 = np.maximum(_sq_dist(pts, c[idx]), 0.0)
+    return idx, d2
+
+
+def _sq_dist(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """|x|^2 - 2 x.c + |c|^2 over the last axis of broadcastable x and c.
+
+    Each sum runs over the coordinates in order, so a value depends only on
+    its own x and c, never on the batch around them (a BLAS product can
+    round a row differently in a batch of one).
+    """
+    xx, cc = x[..., 0] * x[..., 0], c[..., 0] * c[..., 0]
+    xc = (2.0 * x[..., 0]) * c[..., 0]
+    for j in range(1, x.shape[-1]):
+        xx = xx + x[..., j] * x[..., j]
+        xc = xc + (2.0 * x[..., j]) * c[..., j]
+        cc = cc + c[..., j] * c[..., j]
+    return xx - xc + cc
+
+
+def _sorted_search(c: np.ndarray, pts: np.ndarray):
+    """Candidate indices of 1-D points, and the squared-distance gap to each
+    candidate's nearer sorted neighbour (inf where there is none)."""
+    order = np.argsort(c[:, 0], kind="stable")
+    s = c[order]
+    last = s.shape[0] - 1
+    pos = np.searchsorted(_voronoi_edges(s[:, 0])[1:-1], pts[:, 0])
+    own = _sq_dist(pts, s[pos])
+    below = np.where(pos > 0, _sq_dist(pts, s[pos - 1]), np.inf)
+    above = np.where(pos < last, _sq_dist(pts, s[np.minimum(pos + 1, last)]),
+                     np.inf)
+    return order[pos], np.minimum(below, above) - own
+
+
+def _tree_search(c: np.ndarray, pts: np.ndarray):
+    """Candidate indices from a kd-tree, and the squared-distance gap to the
+    second nearest point (nan for rows that are not finite)."""
+    from scipy.spatial import cKDTree
+    finite = np.all(np.isfinite(pts), axis=1)
+    idx = np.zeros(pts.shape[0], dtype=np.int64)
+    gap = np.full(pts.shape[0], np.nan)
+    dist, ii = cKDTree(c).query(pts[finite], k=2)
+    idx[finite] = ii[:, 0]
+    gap[finite] = dist[:, 1] ** 2 - dist[:, 0] ** 2
+    return idx, gap
+
+
+def _scan_assign(grid: Grid, points: np.ndarray):
+    """Exact linear scan behind `assign`, and the oracle its tests compare
+    against: chunked to bound memory; argmin keeps the smallest-index tie
+    rule."""
+    c = grid.points[None, :, :]
+    idx = np.empty(points.shape[0], dtype=np.int64)
+    d2 = np.empty(points.shape[0])
+    for lo in range(0, points.shape[0], _ASSIGN_CHUNK):
+        hi = min(lo + _ASSIGN_CHUNK, points.shape[0])
+        dist2 = _sq_dist(points[lo:hi, None, :], c)
         ii = np.argmin(dist2, axis=1)
         idx[lo:hi] = ii
         d2[lo:hi] = np.maximum(dist2[np.arange(hi - lo), ii], 0.0)
     return idx, d2
+
+
+def _voronoi_edges(x: np.ndarray) -> np.ndarray:
+    """Cell edges of sorted scalar points: -inf, the N-1 midpoints, +inf."""
+    if np.any(np.diff(x) < 0):
+        raise InputError("scalar grid points must be sorted")
+    return np.concatenate(([-np.inf], 0.5 * (x[:-1] + x[1:]), [np.inf]))
 
 
 def cell_sums(index: np.ndarray, size: int, values: np.ndarray):
@@ -484,8 +562,11 @@ def save_grid(grid: Grid, path) -> None:
 def load_grid(path, legacy_layout: bool = False) -> Grid:
     """Read a grid file; `legacy_layout` accepts the public Gaussian-grid
     layout (all point rows first, then all weight rows, no interleaving)."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh]
+    try:
+        with open(path) as fh:
+            lines = [ln.strip() for ln in fh]
+    except OSError as exc:
+        raise InputError(f"cannot read grid file: {exc}") from exc
     lines = [ln for ln in lines if ln]
     if not lines:
         raise ParseError("empty grid file", line=1)

@@ -51,6 +51,9 @@ def test_time_mesh():
         TimeMesh(0.0, 4)
     with pytest.raises(InputError):
         TimeMesh(1.0, 0)
+    for horizon in (float("nan"), float("inf")):
+        with pytest.raises(InputError):
+            TimeMesh(horizon, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +316,11 @@ def test_chain_load_rejects_bad_row_sum(tmp_path):
         load_chain(path)
 
 
+def test_chain_load_missing_file(tmp_path):
+    with pytest.raises(InputError):
+        load_chain(tmp_path / "missing.txt")
+
+
 def test_chain_load_rejects_garbage(tmp_path):
     path = tmp_path / "chain.txt"
     path.write_text("not a chain\n")
@@ -324,6 +332,12 @@ def test_chain_load_rejects_garbage(tmp_path):
     path.write_text(txt[:len(txt) // 2].rsplit("\n", 1)[0])
     with pytest.raises(ParseError):
         load_chain(path)
+
+
+def _set_field(line, i, value):
+    fields = line.split()
+    fields[i] = value
+    return b" ".join(fields)
 
 
 def _edit_line(number, edit):
@@ -341,9 +355,11 @@ def _edit_line(number, edit):
     (True, _edit_line(4, lambda ln: b"-1" + ln[1:]), 4),
     (False, _edit_line(1, lambda ln: b"\xff" + ln), 1),
     (True, lambda raw: raw + b"\x00", 5),
+    (False, _edit_line(2, lambda ln: _set_field(ln, 3, b"nan")), 2),
+    (True, _edit_line(2, lambda ln: _set_field(ln, 3, b"inf")), 2),
 ], ids=["metadata-not-integer", "layer-size-not-integer",
         "negative-layer-size", "negative-dead-row-count", "header-not-utf8",
-        "binary-body-not-whole-floats"])
+        "binary-body-not-whole-floats", "nan-horizon", "inf-horizon"])
 def test_chain_load_rejects_malformed_header_and_body(tmp_path, binary,
                                                       corrupt, line):
     path = tmp_path / "chain.dat"

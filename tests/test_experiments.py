@@ -291,8 +291,20 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(["bsde-bidask", "--config", str(cfg)]) == 2
     cfg.write_text(json.dumps({"model": "gbm", "T": "x"}))
     assert main(["chain", "--config", str(cfg)]) == 2
+    assert main(["chain", "--seed", "-1"]) == 2
+    assert main(["grid", "--seed", "-1"]) == 2
+    cfg.write_text(json.dumps({"seed": -3}))
+    assert main(["chain", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.count("error: ") == 8 and "Traceback" not in err
+    assert err.count("error: ") == 11 and "Traceback" not in err
+
+
+def test_cli_grid_missing_input_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input": str(tmp_path / "missing.txt")}))
+    assert main(["grid", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_cli_sweep_override(tmp_path, capsys):

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from quantschemes.errors import ConvergenceError, InputError, ParseError
 from quantschemes.grids import (Grid, Law1D, SampleSource, StopCriteria,
-                                assign, clvq, distortion_and_gradient, lloyd,
-                                load_grid, ls_error, nearest_neighbor,
-                                newton_1d, save_grid, scale_grid)
+                                _scan_assign, assign, clvq,
+                                distortion_and_gradient, lloyd, load_grid,
+                                ls_error, nearest_neighbor, newton_1d,
+                                save_grid, scale_grid)
 
 GAUSS_2PT = 0.7978845608028654  # sqrt(2/pi)
 
@@ -114,6 +115,43 @@ def test_assign_matches_pointwise(seed, n, d):
 def test_assign_tie_smallest_index():
     idx, _ = assign(Grid([[0.0], [1.0]]), np.array([[0.5], [0.5]]))
     assert list(idx) == [0, 0]
+
+
+def test_assign_unsorted_midpoint_tie():
+    # bisection alone would pick the sorted position, i.e. index 1
+    idx, d2 = assign(Grid([[1.0], [0.0]]), np.array([[0.5]]))
+    assert list(idx) == [0] and list(d2) == [0.25]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30), st.integers(1, 3),
+       st.sampled_from(["gaussian", "lattice"]), st.booleans(), st.booleans())
+def test_assign_matches_scan_oracle(seed, n, d, kind, ordered, duplicate):
+    """The fast searches give the scan's index on every row, ties included:
+    points on lattice midpoints and cell centres (equidistant from 2-4 grid
+    points), on grid points and on midpoints of grid pairs, with sorted or
+    unsorted grids and duplicate grid points."""
+    rng = np.random.default_rng(seed)
+    if kind == "lattice":
+        cells = rng.permutation(np.stack(np.meshgrid(
+            *[np.arange(-3.0, 4.0)] * d, indexing="ij"), -1).reshape(-1, d))
+        c = cells[:n]
+    else:
+        c = rng.normal(size=(n, d))
+    if ordered:
+        c = c[np.lexsort(c.T[::-1])]
+    if duplicate and len(c) > 1:
+        c[rng.integers(1, len(c))] = c[0]
+    pts = np.vstack([rng.normal(scale=2.0, size=(200, d)), c,
+                     0.5 * (c[:-1] + c[1:]),
+                     rng.integers(-4, 4, size=(100, d)) + 0.5,
+                     rng.integers(-4, 4, size=(100, d))
+                     + 0.5 * (np.arange(d) == rng.integers(d))])
+    grid = Grid(c)
+    idx, d2 = assign(grid, pts)
+    ref_idx, ref_d2 = _scan_assign(grid, pts)
+    assert np.array_equal(idx, ref_idx)
+    assert d2.tobytes() == ref_d2.tobytes()
 
 
 # ---------------------------------------------------------------------------

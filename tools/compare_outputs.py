@@ -13,7 +13,11 @@ dtype, shape and bytes:
 - lloyd grids, weights and final reports, including a dead-cell re-seed;
 - ScalarFilterModel.build_filter("mc") rows, with dead rows;
 - the bid-ask and multidim points' y0 and z0 at small sizes;
-- chain files written by the `chain` subcommand for each builtin model.
+- chain files written by the `chain` subcommand for each builtin model;
+- assign indices and squared distances on the bid-ask layer grids (N=150,
+  n=20), on an unsorted 1-D Lloyd grid at its Voronoi midpoints and its
+  own points, and on a d=3 grid with points on its points and on the
+  midpoints of pairs.
 
 Only public names that both trees share are used. Exits 1 on a mismatch.
 """
@@ -28,10 +32,10 @@ import numpy as np
 
 
 def _outputs(workdir) -> dict:
-    from quantschemes import cli, experiments
+    from quantschemes import chain, cli, experiments
     from quantschemes.chain import DiffusionModel, TimeMesh, estimate_companions
     from quantschemes.filtering import builtin_models
-    from quantschemes.grids import Grid, SampleSource, lloyd
+    from quantschemes.grids import Grid, SampleSource, assign, lloyd
 
     out = {}
     ou = DiffusionModel(1, 1, lambda t, x: -x,
@@ -99,6 +103,37 @@ def _outputs(workdir) -> dict:
         with open(os.path.join(target, "chain.txt"), "rb") as fh:
             out[f"cli-chain/{model}"] = np.frombuffer(fh.read(), np.uint8)
         out[f"cli-chain/{model}/exit"] = np.array(code)
+
+    # every assign call of one bid-ask point: its layer grids and paths
+    layer = []
+    def recording(grid, points):
+        result = assign(grid, points)
+        layer.append(result)
+        return result
+    chain.assign = recording
+    try:
+        experiments._bidask_point((150, 20, 50_000, 3))
+    finally:
+        chain.assign = assign
+    for k, (idx, d2) in enumerate(layer):
+        out[f"assign/bidask/{k}/index"] = idx
+        out[f"assign/bidask/{k}/d2"] = d2
+
+    rng = np.random.default_rng(13)
+    batch1 = rng.standard_normal((5000, 1))
+    grid1, _, _ = lloyd(Grid(batch1[:30]), SampleSource.from_batch(batch1))
+    s = np.sort(grid1.points[:, 0])
+    ties1 = np.concatenate([0.5 * (s[:-1] + s[1:]), s,
+                            rng.standard_normal(5000)])[:, None]
+    grid3 = Grid(rng.standard_normal((40, 3)))
+    c3 = grid3.points
+    ties3 = np.vstack([c3, 0.5 * (c3[:-1] + c3[1:]),
+                       rng.standard_normal((20_000, 3))])
+    for name, grid, pts in (("lloyd-1d-unsorted", grid1, ties1),
+                            ("d3", grid3, ties3)):
+        idx, d2 = assign(grid, pts)
+        out[f"assign/{name}/index"] = idx
+        out[f"assign/{name}/d2"] = d2
     return out
 
 
