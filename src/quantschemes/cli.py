@@ -81,6 +81,16 @@ def _seed(args, cfg: dict) -> int:
     return seed
 
 
+def _grid_size(args, cfg: dict, key: str, default: int) -> int:
+    """The --grid-size flag, else the config's `key`, else `default`; at
+    least 1."""
+    size = args.grid_size if args.grid_size is not None \
+        else _option(cfg, key, int, default)
+    if size < 1:
+        raise InputError(f"grid size must be >= 1, got {size}")
+    return size
+
+
 _EXPERIMENT_KEYS = {"n", "grid_size", "sizes", "mc_paths", "seed", "sweep",
                     "out", "dim", "model", "base_batch", "workers"}
 
@@ -107,7 +117,7 @@ def _cmd_grid(args) -> int:
         return 0
     law = cfg.get("law", "gaussian")
     dim = _option(cfg, "dim", int, 1)
-    size = args.grid_size or _option(cfg, "size", int, 100)
+    size = _grid_size(args, cfg, "size", 100)
     method = cfg.get("method", "newton" if dim == 1 else "lloyd")
     seed = _seed(args, cfg)
     batch_size = _option(cfg, "batch_size", int, 1_000_000)
@@ -165,7 +175,7 @@ def _cmd_chain(args) -> int:
     elif "sizes" in cfg:
         sizes = _int_list(cfg["sizes"], "sizes")
     else:
-        size = args.grid_size or _option(cfg, "grid_size", int, 50)
+        size = _grid_size(args, cfg, "grid_size", 50)
         sizes = [1] + [size] * mesh.steps
     layers = build_layer_grids(model, mesh, sizes, method="lloyd-on-samples",
                                sample_budget=_option(cfg, "sample_budget",

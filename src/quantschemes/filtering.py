@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from .chain import QuantizedChain, joint_transitions
@@ -96,30 +97,36 @@ def _check_observations(observations, steps):
     return y
 
 
+def _kernel(model: FilterModel, y: np.ndarray, k: int) -> np.ndarray:
+    """H_k[i, j] = g_k(x_i, y_{k-1}, x_j, y_k) p_k[i, j] for step k >= 1,
+    with `y` already checked by `_check_observations`."""
+    xp = model.layers[k - 1].points[:, None, :]
+    xn = model.layers[k].points[None, :, :]
+    g = np.asarray(model.likelihood(k, xp, y[k - 1], xn, y[k]), dtype=float)
+    g = np.broadcast_to(g, model.transitions[k - 1].shape)
+    if np.any(g < 0) or not np.all(np.isfinite(g)):
+        raise InputError(f"likelihood at step {k} must be finite and >= 0")
+    return g * model.transitions[k - 1]
+
+
 def quantized_kernels(model: FilterModel, observations) -> list[np.ndarray]:
     """Observation-weighted transition kernels H_k[i, j] = g_k p_k[i, j],
     one (N_{k-1}, N_k) matrix per step k = 1..n."""
     y = _check_observations(observations, model.steps)
-    kernels = []
-    for k in range(1, model.steps + 1):
-        xp = model.layers[k - 1].points[:, None, :]
-        xn = model.layers[k].points[None, :, :]
-        g = np.asarray(model.likelihood(k, xp, y[k - 1], xn, y[k]), dtype=float)
-        g = np.broadcast_to(g, model.transitions[k - 1].shape)
-        if np.any(g < 0) or not np.all(np.isfinite(g)):
-            raise InputError(f"likelihood at step {k} must be finite and >= 0")
-        kernels.append(g * model.transitions[k - 1])
-    return kernels
+    return [_kernel(model, y, k) for k in range(1, model.steps + 1)]
 
 
 def forward_filter(model: FilterModel, observations,
                    kernels: Optional[list[np.ndarray]] = None) -> FilterState:
     """Forward recursion pi_k = pi_{k-1} H_k with per-step renormalization.
 
-    Raises DegenerateObservationError when the un-normalized mass vanishes.
+    Without `kernels`, H_k is built one step at a time and dropped after
+    use. Raises DegenerateObservationError when the un-normalized mass
+    vanishes.
     """
     if kernels is None:
-        kernels = quantized_kernels(model, observations)
+        y = _check_observations(observations, model.steps)
+        kernels = (_kernel(model, y, k) for k in range(1, model.steps + 1))
     pi = model.initial.copy()
     weights = [pi]
     log_masses = [0.0]
@@ -142,15 +149,19 @@ def backward_value(model: FilterModel, observations, terminal,
     Returns (u0, log_scale, log_u_minus_1): u0 on the initial grid scaled so
     that the true vector is u0 * exp(log_scale), and the signed log of
     u_{-1} = initial . u0, i.e. the un-normalized filter applied to the
-    terminal function. log_u_minus_1 is (sign, log|value|).
+    terminal function. log_u_minus_1 is (sign, log|value|). Without
+    `kernels`, H_k is built one step at a time, last step first.
     """
     if kernels is None:
-        kernels = quantized_kernels(model, observations)
+        y = _check_observations(observations, model.steps)
+        backward = (_kernel(model, y, k) for k in range(model.steps, 0, -1))
+    else:
+        backward = reversed(kernels)
     u = np.asarray(terminal, dtype=float)
     if u.shape != (model.layers[-1].size,):
         raise InputError("terminal values must live on the last grid")
     log_scale = 0.0
-    for H in reversed(kernels):
+    for H in backward:
         u = H @ u
         peak = np.abs(u).max()
         if peak > 0.0 and (peak > 1e100 or peak < 1e-100):
@@ -279,7 +290,7 @@ class ScalarFilterModel:
 
 def _gaussian_cell_masses(grid: Grid, mean: float, std: float) -> np.ndarray:
     edges = _voronoi_edges(grid.points[:, 0])
-    cdf = norm.cdf((edges - mean) / std)
+    cdf = ndtr((edges - mean) / std)
     w = np.diff(cdf)
     return w / w.sum()
 
@@ -288,7 +299,7 @@ def _gaussian_ar1_rows(prev: Grid, nxt: Grid, a: float, b: float) -> np.ndarray:
     """Row i = exact law of a x_i + b eps over the Voronoi cells of `nxt`."""
     edges = _voronoi_edges(nxt.points[:, 0])
     centers = a * prev.points[:, 0]
-    cdf = norm.cdf((edges[None, :] - centers[:, None]) / b)
+    cdf = ndtr((edges[None, :] - centers[:, None]) / b)
     rows = np.diff(cdf, axis=1)
     return rows / rows.sum(axis=1, keepdims=True)
 

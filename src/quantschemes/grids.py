@@ -485,13 +485,37 @@ def _newton_residual(x, law):
     return grad, mass, m
 
 
+def _newton_band(x, mass, m, law):
+    """Jacobian of the gradient in the point coordinates, in the (3, N)
+    diagonal-ordered form of `scipy.linalg.solve_banded((1, 1), ...)`.
+
+    The Jacobian is tridiagonal and symmetric. d grad_i / d x_i picks up the
+    moving midpoints,
+      2 mass_i + phi(m_{i+1})(x_i - m_{i+1}) - phi(m_i)(x_i - m_i),
+    and both neighbours of a midpoint m share -phi(m)(x_{i+1} - x_i) / 2.
+    """
+    phi_m = law.density(m)
+    move = np.zeros(x.size)
+    move[:-1] += phi_m * (x[:-1] - m)
+    move[1:] -= phi_m * (x[1:] - m)
+    off = -0.5 * phi_m * np.diff(x)
+    band = np.zeros((3, x.size))
+    band[0, 1:] = off
+    band[1] = 2.0 * mass + move
+    band[2, :-1] = off
+    return band
+
+
 def newton_1d(law: Law1D, N: int, tol: float = 1e-10,
               max_iter: int = 200) -> Grid:
-    """Stationary L2-optimal grid for a scalar law via damped Newton.
+    """Stationary L2-optimal grid for a scalar law via damped tridiagonal
+    Newton, O(N) per step.
 
     Solves grad D_{N,2} = 0, i.e. x_i = (K(m_{i+1}) - K(m_i)) / (F(m_{i+1}) - F(m_i))
     with midpoints m_i = (x_{i-1} + x_i)/2. Weights are the cell masses.
     """
+    from scipy.linalg import solve_banded
+
     if N < 1:
         raise InputError("N must be >= 1")
     if law.ppf is not None:
@@ -504,22 +528,9 @@ def newton_1d(law: Law1D, N: int, tol: float = 1e-10,
     for _ in range(max_iter):
         if res <= tol:
             break
-        # tridiagonal Jacobian of the gradient in the point coordinates;
-        # d grad_i / d x_i picks up the moving midpoints:
-        #   2 mass_i + phi(m_{i+1})(x_i - m_{i+1}) - phi(m_i)(x_i - m_i)
-        if N > 1:
-            phi_m = law.density(m)
-            move = np.zeros(N)
-            move[:-1] += phi_m * (x[:-1] - m)
-            move[1:] -= phi_m * (x[1:] - m)
-            off = -0.5 * phi_m * np.diff(x)
-            jac = np.diag(2.0 * mass + move)
-            jac[np.arange(N - 1), np.arange(1, N)] = off
-            jac[np.arange(1, N), np.arange(N - 1)] = off
-        else:
-            jac = np.diag(2.0 * mass)
         try:
-            step = np.linalg.solve(jac, grad)
+            step = solve_banded((1, 1), _newton_band(x, mass, m, law), grad,
+                                overwrite_ab=True, check_finite=False)
         except np.linalg.LinAlgError:
             raise ConvergenceError("singular Newton system", residual=res)
         # damped update: halve while the residual does not decrease
@@ -567,6 +578,8 @@ def load_grid(path, legacy_layout: bool = False) -> Grid:
             lines = [ln.strip() for ln in fh]
     except OSError as exc:
         raise InputError(f"cannot read grid file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"grid file is not UTF-8 text: {exc.reason}") from exc
     lines = [ln for ln in lines if ln]
     if not lines:
         raise ParseError("empty grid file", line=1)

@@ -295,8 +295,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["grid", "--seed", "-1"]) == 2
     cfg.write_text(json.dumps({"seed": -3}))
     assert main(["chain", "--config", str(cfg)]) == 2
+    assert main(["grid", "--grid-size", "0"]) == 2
+    assert main(["chain", "--grid-size", "0"]) == 2
     err = capsys.readouterr().err
-    assert err.count("error: ") == 11 and "Traceback" not in err
+    assert err.count("error: ") == 13 and "Traceback" not in err
+    assert err.count("grid size must be >= 1, got 0") == 2
 
 
 def test_cli_grid_missing_input_file(tmp_path, capsys):
@@ -305,6 +308,17 @@ def test_cli_grid_missing_input_file(tmp_path, capsys):
     assert main(["grid", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_cli_grid_non_utf8_input_file(tmp_path, capsys):
+    grid = tmp_path / "g.txt"
+    grid.write_bytes(b"1 2\n-0.8 0.5\n0.8 \xff0.5\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input": str(grid)}))
+    assert main(["grid", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "not UTF-8" in err
 
 
 def test_cli_sweep_override(tmp_path, capsys):

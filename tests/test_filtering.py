@@ -291,6 +291,50 @@ def test_build_filter_mc_close_to_exact():
         marg = marg @ pe
 
 
+def test_exact_rows_and_masses_equal_norm_cdf_expression():
+    from scipy.stats import norm
+    from quantschemes.filtering import (_gaussian_ar1_rows,
+                                        _gaussian_cell_masses)
+    from quantschemes.grids import _voronoi_edges, scale_grid
+
+    def rows_oracle(prev, nxt, a, b):
+        edges = _voronoi_edges(nxt.points[:, 0])
+        centers = a * prev.points[:, 0]
+        cdf = norm.cdf((edges[None, :] - centers[:, None]) / b)
+        rows = np.diff(cdf, axis=1)
+        return rows / rows.sum(axis=1, keepdims=True)
+
+    fm = builtin_models("sin-cube", steps=2).build_filter([7, 40, 150])
+    # a shifted previous layer puts mass in the edge cells only, and a row
+    # far in the tail underflows to zero in the inner cells
+    far = scale_grid(fm.layers[1], [4.0], 2.0)
+    for prev, nxt in ((fm.layers[0], fm.layers[1]),
+                      (fm.layers[1], fm.layers[2]), (far, fm.layers[2])):
+        rows = _gaussian_ar1_rows(prev, nxt, 0.9, 0.4)
+        assert rows.tobytes() == rows_oracle(prev, nxt, 0.9, 0.4).tobytes()
+    grid = fm.layers[2]
+    cdf = norm.cdf((_voronoi_edges(grid.points[:, 0]) - 0.3) / 1.7)
+    oracle = np.diff(cdf) / np.diff(cdf).sum()
+    assert _gaussian_cell_masses(grid, 0.3, 1.7).tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("name", ["linear-gaussian", "sin-cube"])
+def test_step_kernels_equal_precomputed_kernels(name):
+    spec = builtin_models(name, steps=5)
+    fm = spec.build_filter([12, 30, 30, 25, 40, 30])
+    _, y = spec.simulate(seed=4)
+    kernels = quantized_kernels(fm, y)
+    lazy, eager = forward_filter(fm, y), forward_filter(fm, y, kernels=kernels)
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(lazy.weights, eager.weights))
+    assert lazy.log_masses == eager.log_masses
+    terminal = fm.layers[-1].points[:, 0] ** 2
+    u, log_scale, signed = backward_value(fm, y, terminal)
+    u2, log_scale2, signed2 = backward_value(fm, y, terminal, kernels=kernels)
+    assert u.tobytes() == u2.tobytes()
+    assert (log_scale, signed) == (log_scale2, signed2)
+
+
 def test_huge_observation_noise_recovers_prior():
     # sigma_obs -> infinity: observations carry no information, posterior
     # equals the quantized prior marginal

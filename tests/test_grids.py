@@ -361,6 +361,80 @@ def test_newton_convergence_error_carries_residual():
     assert exc.value.residual is not None and exc.value.residual > 0
 
 
+def test_newton_singular_system():
+    # no mass below the last midpoint and a flat density: the Jacobian has
+    # zero rows, and the residual 2 (x_N - mean) is not zero
+    zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
+    law = Law1D(density=zero, cdf=zero, first_moment=zero, mean=3.0)
+    with pytest.raises(ConvergenceError, match="singular Newton system"):
+        newton_1d(law, 3)
+
+
+def _dense_newton(law, N, tol=1e-10):
+    """Reference damped Newton on the dense N x N Jacobian, assembled
+    entry by entry and solved by LU."""
+    from quantschemes.grids import _newton_residual
+    x = np.asarray(law.ppf((2.0 * np.arange(1, N + 1) - 1.0) / (2.0 * N)),
+                   dtype=float)
+    grad, mass, m = _newton_residual(x, law)
+    res = float(np.max(np.abs(grad)))
+    for _ in range(200):
+        if res <= tol:
+            return x
+        jac = np.diag(2.0 * mass)
+        phi = law.density(m)
+        for i in range(N - 1):
+            jac[i, i] += phi[i] * (x[i] - m[i])
+            jac[i + 1, i + 1] -= phi[i] * (x[i + 1] - m[i])
+            jac[i, i + 1] = jac[i + 1, i] = -0.5 * phi[i] * (x[i + 1] - x[i])
+        step = np.linalg.solve(jac, grad)
+        t = 1.0
+        for _ in range(30):
+            cand = x - t * step
+            if N == 1 or np.all(np.diff(cand) > 0):
+                g2, mass2, m2 = _newton_residual(cand, law)
+                if np.max(np.abs(g2)) < res:
+                    break
+            t *= 0.5
+        else:
+            raise AssertionError("reference Newton damping exhausted")
+        x, grad, mass, m = cand, g2, mass2, m2
+        res = float(np.max(np.abs(grad)))
+    raise AssertionError("reference Newton did not converge")
+
+
+@pytest.mark.parametrize("law", ["gaussian", "uniform01"])
+@pytest.mark.parametrize("N", [1, 2, 3, 150, 2000])
+def test_newton_band_grid_and_dense_reference(law, N):
+    from quantschemes.grids import _newton_band, _newton_residual
+    law = getattr(Law1D, law)()
+    # the band against a central finite-difference Jacobian, at a perturbed
+    # starting grid
+    rng = np.random.default_rng(N)
+    x = np.asarray(law.ppf((2.0 * np.arange(1, N + 1) - 1.0) / (2.0 * N)))
+    if N > 1:
+        x = x + 0.1 * np.diff(x).min() * rng.uniform(-1.0, 1.0, N)
+    _, mass, m = _newton_residual(x, law)
+    band = _newton_band(x, mass, m, law)
+    dense = np.diag(band[1]) + np.diag(band[0, 1:], 1) + np.diag(band[2, :-1], -1)
+    h = 1e-5  # about eps^(1/3) on unit-scale residual terms
+    fd = np.empty((N, N))
+    for j in range(N):
+        e = np.zeros(N)
+        e[j] = h
+        fd[:, j] = (_newton_residual(x + e, law)[0]
+                    - _newton_residual(x - e, law)[0]) / (2.0 * h)
+    assert np.abs(dense - fd).max() <= 1e-6 * np.abs(fd).max()
+
+    g = newton_1d(law, N)
+    pts = g.points[:, 0]
+    assert np.all(np.diff(pts) > 0)
+    grad, _, _ = _newton_residual(pts, law)
+    assert np.abs(grad).max() <= 1e-10
+    assert abs(g.weights.sum() - 1.0) <= 1e-12
+    assert np.abs(pts - _dense_newton(law, N)).max() <= 1e-6
+
+
 # ---------------------------------------------------------------------------
 # Ls error
 # ---------------------------------------------------------------------------
@@ -470,6 +544,9 @@ def test_grid_file_errors(tmp_path):
         load_grid(path)
     path.write_text("")
     with pytest.raises(ParseError):
+        load_grid(path)
+    path.write_bytes(b"1 1\n0 \xff1\n")
+    with pytest.raises(ParseError, match="not UTF-8"):
         load_grid(path)
 
 

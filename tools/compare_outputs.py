@@ -12,14 +12,20 @@ dtype, shape and bytes:
   and 2-D;
 - lloyd grids, weights and final reports, including a dead-cell re-seed;
 - ScalarFilterModel.build_filter("mc") rows, with dead rows;
+- newton_1d grids and weights at N = 10, 150 and 2000;
+- ScalarFilterModel.build_filter("exact") initial weights and rows, and
+  forward_filter weights on one sin-cube observation path;
 - the bid-ask and multidim points' y0 and z0 at small sizes;
 - chain files written by the `chain` subcommand for each builtin model;
 - assign indices and squared distances on the bid-ask layer grids (N=150,
-  n=20), on an unsorted 1-D Lloyd grid at its Voronoi midpoints and its
-  own points, and on a d=3 grid with points on its points and on the
+  n=20), and the marginals, transitions, companions and dead rows of its
+  chain; on an unsorted 1-D Lloyd grid at its Voronoi midpoints and its
+  own points; and on a d=3 grid with points on its points and on the
   midpoints of pairs.
 
-Only public names that both trees share are used. Exits 1 on a mismatch.
+Only public names that both trees share are used. Each differing output
+is listed with the number of differing entries and their largest absolute
+difference. Exits 1 on a mismatch.
 """
 
 import os
@@ -34,8 +40,9 @@ import numpy as np
 def _outputs(workdir) -> dict:
     from quantschemes import chain, cli, experiments
     from quantschemes.chain import DiffusionModel, TimeMesh, estimate_companions
-    from quantschemes.filtering import builtin_models
-    from quantschemes.grids import Grid, SampleSource, assign, lloyd
+    from quantschemes.filtering import builtin_models, forward_filter
+    from quantschemes.grids import (Grid, Law1D, SampleSource, assign, lloyd,
+                                    newton_1d)
 
     out = {}
     ou = DiffusionModel(1, 1, lambda t, x: -x,
@@ -84,6 +91,23 @@ def _outputs(workdir) -> dict:
         for k, rows in enumerate(fm.transitions):
             out[f"filter-mc/{model}/rows/{k}"] = rows
 
+    for N in (10, 150, 2000):
+        grid = newton_1d(Law1D.gaussian(), N)
+        out[f"newton/{N}/points"] = grid.points
+        out[f"newton/{N}/weights"] = grid.weights
+
+    for model in ("linear-gaussian", "sin-cube"):
+        spec = builtin_models(model, steps=3)
+        fm = spec.build_filter([10, 150, 2000, 40], method="exact")
+        out[f"filter-exact/{model}/initial"] = fm.initial
+        for k, rows in enumerate(fm.transitions):
+            out[f"filter-exact/{model}/rows/{k}"] = rows
+    spec = builtin_models("sin-cube", steps=10)
+    _, y = spec.simulate(6)
+    state = forward_filter(spec.build_filter([150] * 11, method="exact"), y)
+    for k, w in enumerate(state.weights):
+        out[f"filter-exact/sin-cube/weights/{k}"] = w
+
     for row_name, row in (
             ("bidask", experiments._bidask_point((20, 5, 20_000, 1))),
             ("multidim-d1", experiments._multidim_point((15, 1, 4, 20_000, 2, 0))),
@@ -104,20 +128,30 @@ def _outputs(workdir) -> dict:
             out[f"cli-chain/{model}"] = np.frombuffer(fh.read(), np.uint8)
         out[f"cli-chain/{model}/exit"] = np.array(code)
 
-    # every assign call of one bid-ask point: its layer grids and paths
-    layer = []
+    # every assign call of one bid-ask point: its layer grids and paths;
+    # and the chain estimated from them
+    layer, chains = [], []
     def recording(grid, points):
         result = assign(grid, points)
         layer.append(result)
         return result
+    estimate = experiments.estimate_companions
+    def recording_chain(*args):
+        chains.append(estimate(*args))
+        return chains[-1]
     chain.assign = recording
+    experiments.estimate_companions = recording_chain
     try:
         experiments._bidask_point((150, 20, 50_000, 3))
     finally:
         chain.assign = assign
+        experiments.estimate_companions = estimate
     for k, (idx, d2) in enumerate(layer):
         out[f"assign/bidask/{k}/index"] = idx
         out[f"assign/bidask/{k}/d2"] = d2
+    for key in ("marginals", "transitions", "companions", "dead_rows"):
+        for k, a in enumerate(getattr(chains[0], key)):
+            out[f"bidask-chain/{key}/{k}"] = a
 
     rng = np.random.default_rng(13)
     batch1 = rng.standard_normal((5000, 1))
@@ -147,6 +181,15 @@ def _dump(src: str) -> dict:
             return pickle.load(fh)
 
 
+def _difference(a, b) -> str:
+    if a is None or b is None or a.shape != b.shape or a.dtype != b.dtype:
+        return " (missing, or shape or dtype differ)"
+    a, b = a.astype(float).ravel(), b.astype(float).ravel()
+    diff = a != b
+    return (f" ({diff.sum()} of {a.size} entries, "
+            f"max |diff| {np.abs(a[diff] - b[diff]).max():.3g})")
+
+
 def main(argv) -> int:
     if argv[:1] == ["--dump"]:
         with tempfile.TemporaryDirectory() as workdir:
@@ -164,7 +207,7 @@ def main(argv) -> int:
                     or old[k].shape != new[k].shape
                     or old[k].tobytes() != new[k].tobytes())
     for key in differ:
-        print(f"differs: {key}")
+        print(f"differs: {key}{_difference(old.get(key), new.get(key))}")
     print(f"{len(old)} outputs compared, {len(differ)} differ")
     return 1 if differ else 0
 
