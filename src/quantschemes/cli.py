@@ -168,6 +168,10 @@ def _cmd_chain(args) -> int:
     cfg = _load_config(args.config)
     model, mesh = _chain_model(cfg)
     seed = _seed(args, cfg)
+    center = cfg.get("center", True)
+    if not isinstance(center, bool):
+        raise InputError(f"config 'center' must be true or false, "
+                         f"got {center!r}")
     mc = args.mc_paths if args.mc_paths is not None \
         else _option(cfg, "mc_paths", int, 1_000_000)
     if args.sizes is not None:
@@ -181,8 +185,7 @@ def _cmd_chain(args) -> int:
                                sample_budget=_option(cfg, "sample_budget",
                                                      int, 100_000),
                                seed=seed)
-    chain = estimate_companions(model, mesh, layers, mc, seed,
-                                center=bool(cfg.get("center", True)))
+    chain = estimate_companions(model, mesh, layers, mc, seed, center=center)
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / ("chain.bin" if args.binary else "chain.txt")

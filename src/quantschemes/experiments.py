@@ -99,11 +99,16 @@ class RateFit:
 
 def fit_rate(pairs: Sequence[tuple[float, float]], exponent: float) -> RateFit:
     """Regress error against (N^exponent, 1). Needs >= 3 pairs with
-    distinct N; a rank-deficient design is an input error."""
+    distinct positive N and finite values; a rank-deficient design is an
+    input error."""
     pts = np.asarray(pairs, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
         raise InputError("need at least 3 (N, error) pairs")
+    if not (np.all(np.isfinite(pts)) and math.isfinite(exponent)):
+        raise InputError("N, error and exponent must be finite")
     N, err = pts[:, 0], pts[:, 1]
+    if np.any(N <= 0):
+        raise InputError("N values must be positive")
     if len(np.unique(N)) != len(N):
         raise InputError("N values must be distinct")
     design = np.column_stack([N ** exponent, np.ones_like(N)])

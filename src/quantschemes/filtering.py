@@ -16,12 +16,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtr
-from scipy.stats import norm
 
 from .chain import QuantizedChain, joint_transitions
 from .errors import DegenerateObservationError, InputError
-from .grids import (Grid, Law1D, _voronoi_edges, assign, newton_1d,
-                    scale_grid)
+from .grids import (Grid, Law1D, _norm_pdf, _voronoi_edges, assign,
+                    newton_1d, scale_grid)
 
 # likelihood(k, x_prev, y_prev, x_next, y_next) -> nonnegative array, where
 # x_prev is (Ni, 1, d), x_next is (1, Nj, d) and the result broadcasts to
@@ -229,7 +228,7 @@ class ScalarFilterModel:
 
     def likelihood(self, k, x_prev, y_prev, x_next, y_next):
         z = (y_next[0] - y_prev[0] - self.link(x_prev[..., 0])) / self.sigma_obs
-        return norm.pdf(z) / self.sigma_obs
+        return _norm_pdf(z) / self.sigma_obs
 
     def layer_moments(self):
         """Exact mean and std of X_k for k = 0..n."""

@@ -18,6 +18,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.linalg import solve_banded
+from scipy.spatial import cKDTree
+from scipy.special import ndtr, ndtri
 
 from .errors import ConvergenceError, InputError, ParseError
 
@@ -196,18 +199,24 @@ def assign(grid: Grid, points: np.ndarray):
     c = grid.points
     search = _sorted_search if grid.dim == 1 else _tree_search
     idx, gap = search(c, pts)
-    # The scan's |x|^2 - 2 x.c + |c|^2 and the kd-tree's distances are each
-    # off by less than (d + 3) * eps * (|x| + |c|)^2 plus an underflow
-    # floor; a gap between the two nearest points of over four times that
-    # (two errors, with a margin) fixes the scan's argmin.
-    radius = math.sqrt(np.max(np.sum(c * c, axis=1)))
-    scale = (np.sqrt(np.sum(pts * pts, axis=1)) + radius) ** 2
-    tol = 4 * (grid.dim + 3) * _EPS * scale + _TINY
-    near = np.flatnonzero(~(gap > tol))
+    near = np.flatnonzero(~(gap > _tie_tol(c, pts)))
     if near.size:
         idx[near] = _scan_assign(grid, pts[near])[0]
     d2 = np.maximum(_sq_dist(pts, c[idx]), 0.0)
     return idx, d2
+
+
+def _tie_tol(c: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Per-row squared-distance gap above which the scan's argmin is fixed.
+
+    The scan's |x|^2 - 2 x.c + |c|^2 and the kd-tree's distances are each
+    off by less than (d + 3) * eps * (|x| + |c|)^2 plus an underflow floor;
+    a gap between the two nearest points of over four times that (two
+    errors, with a margin) fixes the scan's argmin.
+    """
+    radius = math.sqrt(np.max(_sq_norm(c)))
+    scale = (np.sqrt(_sq_norm(pts)) + radius) ** 2
+    return 4 * (c.shape[1] + 3) * _EPS * scale + _TINY
 
 
 def _sq_dist(x: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -217,13 +226,18 @@ def _sq_dist(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     its own x and c, never on the batch around them (a BLAS product can
     round a row differently in a batch of one).
     """
-    xx, cc = x[..., 0] * x[..., 0], c[..., 0] * c[..., 0]
     xc = (2.0 * x[..., 0]) * c[..., 0]
     for j in range(1, x.shape[-1]):
-        xx = xx + x[..., j] * x[..., j]
         xc = xc + (2.0 * x[..., j]) * c[..., j]
-        cc = cc + c[..., j] * c[..., j]
-    return xx - xc + cc
+    return _sq_norm(x) - xc + _sq_norm(c)
+
+
+def _sq_norm(x: np.ndarray) -> np.ndarray:
+    """|x|^2 over the last axis, summed over the coordinates in order."""
+    xx = x[..., 0] * x[..., 0]
+    for j in range(1, x.shape[-1]):
+        xx = xx + x[..., j] * x[..., j]
+    return xx
 
 
 def _sorted_search(c: np.ndarray, pts: np.ndarray):
@@ -243,7 +257,6 @@ def _sorted_search(c: np.ndarray, pts: np.ndarray):
 def _tree_search(c: np.ndarray, pts: np.ndarray):
     """Candidate indices from a kd-tree, and the squared-distance gap to the
     second nearest point (nan for rows that are not finite)."""
-    from scipy.spatial import cKDTree
     finite = np.all(np.isfinite(pts), axis=1)
     idx = np.zeros(pts.shape[0], dtype=np.int64)
     gap = np.full(pts.shape[0], np.nan)
@@ -347,6 +360,9 @@ def lloyd(initial: Grid, source: SampleSource, stop: StopCriteria = StopCriteria
     Each sweep replaces every nonempty cell point by its sample mean; dead
     cells are re-seeded near a sample of the most populated cell. Returns
     (grid with empirical weights, final DistortionReport, iterations).
+    After the first sweep only the samples whose cell can have changed are
+    searched again (`_bounded_assign`); every sweep's cells, and so the
+    results, are those of a full `assign`.
     """
     if not source.is_batch:
         raise InputError("Lloyd needs a fixed-batch source")
@@ -361,10 +377,9 @@ def lloyd(initial: Grid, source: SampleSource, stop: StopCriteria = StopCriteria
     rng = np.random.default_rng(0)
     prev = None
     it = 0
-    counts = None
+    idx = None
     for it in range(1, stop.max_iterations + 1):
-        grid = Grid(pts)
-        idx, d2 = assign(grid, batch)
+        idx, d2 = _bounded_assign(Grid(pts), batch, idx)
         counts, sums = cell_sums(idx, n, batch)
         value = float(d2.mean())
         if prev is not None and value > prev * (1.0 + 1e-12):
@@ -395,6 +410,39 @@ def lloyd(initial: Grid, source: SampleSource, stop: StopCriteria = StopCriteria
     report = distortion_and_gradient(grid, source)
     weights = report.cell_counts / batch.shape[0]
     return grid.with_weights(weights), report, it
+
+
+def _bounded_assign(grid: Grid, batch: np.ndarray, idx):
+    """`assign(grid, batch)`, searching only the rows that may not lie in
+    their candidate cells `idx` (None: search every row).
+
+    A row keeps its cell a when its distance u to point a is below half the
+    distance s from a to the nearest other grid point (Hamerly 2010): every
+    other point is then at least s - u > u away, and its squared distance
+    exceeds u^2 by at least s (s - 2u). The test asks s (s - 2u) to exceed
+    `assign`'s near-tie tolerance, with u taken from d2 plus that tolerance,
+    which also covers the rounding of d2 and s. A kept index is thus the
+    scan's unique argmin, and d2 is the scan's own expression for it.
+    """
+    if idx is None:
+        return assign(grid, batch)
+    c = grid.points
+    d2 = np.maximum(_sq_dist(batch, c.take(idx, axis=0)), 0.0)
+    tol = _tie_tol(c, batch)
+    u = np.sqrt(d2 + tol)
+    s = _separation(c)[idx]
+    search = np.flatnonzero(~(s * (s - 2.0 * u) > tol))
+    if search.size:
+        idx[search], d2[search] = assign(grid, batch.take(search, axis=0))
+    return idx, d2
+
+
+def _separation(c: np.ndarray) -> np.ndarray:
+    """Distance from each grid point to the nearest other one (0 for a
+    duplicated point, inf on a one-point grid)."""
+    if c.shape[0] == 1:
+        return np.array([np.inf])
+    return cKDTree(c).query(c, k=2)[0][:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +490,12 @@ def clvq(initial: Grid, source: SampleSource, steps: int,
 # grid search: Newton in one dimension
 # ---------------------------------------------------------------------------
 
+def _norm_pdf(x):
+    """Standard normal density, the expression `scipy.stats.norm.pdf`
+    evaluates (importing `scipy.stats` costs most of a second)."""
+    return np.exp(-x ** 2 / 2.0) / np.sqrt(2 * np.pi)
+
+
 @dataclass
 class Law1D:
     """Scalar law descriptor for the 1D Newton search.
@@ -458,9 +512,8 @@ class Law1D:
 
     @classmethod
     def gaussian(cls) -> "Law1D":
-        from scipy.stats import norm
-        return cls(density=norm.pdf, cdf=norm.cdf,
-                   first_moment=lambda t: -norm.pdf(t), ppf=norm.ppf, mean=0.0)
+        return cls(density=_norm_pdf, cdf=ndtr,
+                   first_moment=lambda t: -_norm_pdf(t), ppf=ndtri, mean=0.0)
 
     @classmethod
     def uniform01(cls) -> "Law1D":
@@ -514,8 +567,6 @@ def newton_1d(law: Law1D, N: int, tol: float = 1e-10,
     Solves grad D_{N,2} = 0, i.e. x_i = (K(m_{i+1}) - K(m_i)) / (F(m_{i+1}) - F(m_i))
     with midpoints m_i = (x_{i-1} + x_i)/2. Weights are the cell masses.
     """
-    from scipy.linalg import solve_banded
-
     if N < 1:
         raise InputError("N must be >= 1")
     if law.ppf is not None:

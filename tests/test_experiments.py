@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import quantschemes
 from quantschemes.cli import _parse_sweep, main
 from quantschemes.errors import InputError
 from quantschemes.experiments import (BIDASK_REFERENCE, MULTIDIM_Y0,
@@ -42,6 +46,12 @@ def test_fit_rate_validation():
         fit_rate([(10, 1.0), (10, 0.5), (20, 0.2)], -1.0)
     with pytest.raises(InputError):
         fit_rate([(10, 1.0), (20, 0.5), (40, 0.2)], 0.0)  # rank deficient
+    for pairs, exponent in (([(10, 1.0), (20, 0.5), (40, 0.2)], math.nan),
+                            ([(10, 1.0), (20, math.nan), (40, 0.2)], -1.0),
+                            ([(10, 1.0), (20, 0.5), (-40, 0.2)], -1.0),
+                            ([(0, 1.0), (20, 0.5), (40, 0.2)], -1.0)):
+        with pytest.raises(InputError):
+            fit_rate(pairs, exponent)
 
 
 def test_loglog_slope():
@@ -207,6 +217,21 @@ def test_cli_chain_ou_and_unknown_model(tmp_path, capsys):
     assert "model must be one of" in capsys.readouterr().err
 
 
+def test_cli_chain_center_must_be_boolean(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for bad in ("false", 0, None):
+        cfg.write_text(json.dumps({"model": "brownian", "center": bad}))
+        assert main(["chain", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: config 'center' must be true or false") == 3
+    cfg.write_text(json.dumps({"model": "brownian", "T": 0.5, "n": 2,
+                               "sample_budget": 3_000, "center": False}))
+    rc = main(["chain", "--config", str(cfg), "--grid-size", "4",
+               "--mc-paths", "3000", "--out", str(tmp_path)])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["centered"] is False
+
+
 def test_cli_bsde_bidask(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 3}))
@@ -297,9 +322,27 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["chain", "--config", str(cfg)]) == 2
     assert main(["grid", "--grid-size", "0"]) == 2
     assert main(["chain", "--grid-size", "0"]) == 2
+    good = [[10, 0.1], [20, 0.05], [40, 0.02]]
+    for bad in ({"pairs": good, "exponent": math.nan},
+                {"pairs": [[10, 0.1], [20, math.nan], [40, 0.02]]},
+                {"pairs": [[10, 0.1], [math.inf, 0.05], [40, 0.02]]},
+                {"pairs": [[-10, 0.1], [20, 0.05], [40, 0.02]]}):
+        cfg.write_text(json.dumps(bad))
+        assert main(["rate-fit", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.count("error: ") == 13 and "Traceback" not in err
+    assert err.count("error: ") == 17 and "Traceback" not in err
     assert err.count("grid size must be >= 1, got 0") == 2
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs most of a second to import, in every process
+    src = os.path.dirname(os.path.dirname(quantschemes.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, quantschemes.cli; "
+            "sys.exit(int('scipy.stats' in sys.modules))")
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=120).returncode == 0
 
 
 def test_cli_grid_missing_input_file(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from quantschemes.errors import ConvergenceError, InputError, ParseError
 from quantschemes.grids import (Grid, Law1D, SampleSource, StopCriteria,
-                                _scan_assign, assign, clvq,
+                                _scan_assign, assign, cell_sums, clvq,
                                 distortion_and_gradient, lloyd, load_grid,
                                 ls_error, nearest_neighbor, newton_1d,
                                 save_grid, scale_grid)
@@ -284,6 +284,137 @@ def test_lloyd_reseeds_dead_cells():
                       SampleSource.from_batch(batch))
     assert np.all(rep.cell_counts > 0)
     assert np.all(np.abs(g.points) <= 1.5)
+
+
+def _lloyd_reference(initial, batch, stop):
+    """Lloyd's loop with the exact scan on every sweep and one more full
+    pass at the end: the oracle for `lloyd`'s bounded sweeps."""
+    n = initial.shape[0]
+    pts = initial.copy()
+    jitter = 1e-6 * batch.std(axis=0)
+    rng = np.random.default_rng(0)
+    prev = None
+    it = 0
+    for it in range(1, stop.max_iterations + 1):
+        grid = Grid(pts)
+        idx, d2 = _scan_assign(grid, batch)
+        counts, sums = cell_sums(idx, n, batch)
+        value = float(d2.mean())
+        if prev is not None and value > prev * (1.0 + 1e-12):
+            raise ConvergenceError("distortion increased during Lloyd sweep",
+                                   residual=value - prev)
+        means = pts.copy()
+        np.divide(sums, counts[:, None], out=means, where=counts[:, None] > 0)
+        dead = np.flatnonzero(counts == 0)
+        if dead.size:
+            donor = int(np.argmax(counts))
+            donors = np.flatnonzero(idx == donor)
+            for i in dead:
+                pick = batch[rng.choice(donors)]
+                means[i] = pick + jitter * rng.standard_normal(pts.shape[1])
+        else:
+            moved = np.linalg.norm(means - pts, axis=1)
+            allowed = stop.stationarity_tolerance * (
+                1.0 + np.linalg.norm(pts, axis=1))
+            if (prev is not None
+                    and prev - value < stop.relative_distortion_tolerance * prev
+                    and np.all(moved <= allowed)):
+                break
+        pts = means
+        prev = value
+    grid = Grid(pts)
+    idx, d2 = _scan_assign(grid, batch)
+    counts, sums = cell_sums(idx, n, batch)
+    grad = 2.0 * (counts[:, None] * grid.points - sums) / batch.shape[0]
+    grad[counts == 0] = 0.0
+    return (grid.points, counts / batch.shape[0], float(d2.mean()), grad,
+            counts, it)
+
+
+def _balanced_lattice(d):
+    """Integer lattice points in C order, each with samples at itself, at
+    its midpoints towards the next points along the axes and the diagonals
+    of coordinate pairs, and twice at minus half of each of those offsets.
+    Every midpoint is an exact tie whose smallest index is the point
+    itself, so the lattice is a Lloyd fixed point in exact arithmetic."""
+    side = {1: 8, 2: 4, 3: 3}[d]
+    points = np.stack(np.meshgrid(*[np.arange(side, dtype=float)] * d,
+                                  indexing="ij"), -1).reshape(-1, d)
+    eye = np.eye(d)
+    steps = list(eye) + [eye[i] + eye[j] for i in range(d)
+                         for j in range(i + 1, d)]
+    offsets = [np.zeros(d)] + [f * s for s in steps
+                               for f in (0.5, -0.25, -0.25)]
+    return points, np.vstack([points + o for o in offsets])
+
+
+def _with_sweep_two_ties(init, batch):
+    """The batch plus the midpoints of each pair of its first-sweep cell
+    means, each with its mirror image through the mean of the first-sweep
+    cell it falls in, where that image falls in the same cell: the first
+    sweep's means then move by rounding only, and the midpoints are
+    near-ties at the second sweep."""
+    grid = Grid(init)
+    idx, _ = _scan_assign(grid, batch)
+    counts, sums = cell_sums(idx, len(init), batch)
+    means = init.copy()
+    np.divide(sums, counts[:, None], out=means, where=counts[:, None] > 0)
+    i, j = np.triu_indices(len(means), 1)
+    mids = 0.5 * (means[i] + means[j])
+    cell = _scan_assign(grid, mids)[0]
+    mirrors = 2.0 * means[cell] - mids
+    same = _scan_assign(grid, mirrors)[0] == cell
+    return np.vstack([batch, mids[same], mirrors[same]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3),
+       st.sampled_from(["gaussian", "lattice"]),
+       st.sampled_from([1.0, 0.1, 1.0 / 3.0, 2.7]),
+       st.sampled_from([0.0, 0.3, -1.7, 1e3]),
+       st.booleans(), st.booleans(), st.sampled_from([1, 2, 3, 500]))
+def test_lloyd_matches_unbounded_reference(seed, d, kind, scale, shift,
+                                           duplicate, dead, max_iterations):
+    """Bounded sweeps give the bytes of the full-scan loop: grids, weights,
+    report and iterations, on exact ties at lattice midpoints (scale 1,
+    shift 0), near-ties at the second sweep's midpoints, duplicated rows
+    and a dead far point, for runs that converge and runs that use up
+    their iterations."""
+    rng = np.random.default_rng(seed)
+    if kind == "lattice":
+        init, batch = _balanced_lattice(d)
+    else:
+        batch = rng.normal(size=(300, d))
+        init = rng.normal(size=(int(rng.integers(2, 13)), d))
+    if duplicate:
+        batch = np.vstack([batch, batch[rng.integers(len(batch),
+                                                     size=len(batch) // 2)]])
+    batch = _with_sweep_two_ties(init, batch)
+    if dead:
+        init = np.vstack([init, np.full((1, d), 50.0)])
+    init, batch = scale * init + shift, scale * batch + shift
+    stop = StopCriteria(max_iterations=max_iterations)
+
+    def outcome(run):
+        try:
+            return run()
+        except ConvergenceError as exc:
+            return str(exc)
+
+    expect = outcome(lambda: _lloyd_reference(init, batch, stop))
+    got = outcome(lambda: lloyd(Grid(init), SampleSource.from_batch(batch),
+                                stop))
+    if isinstance(expect, str) or isinstance(got, str):
+        assert got == expect
+        return
+    grid, report, it = got
+    points, weights, value, gradient, counts, ref_it = expect
+    assert grid.points.tobytes() == points.tobytes()
+    assert grid.weights.tobytes() == weights.tobytes()
+    assert report.value == value
+    assert report.gradient.tobytes() == gradient.tobytes()
+    assert np.array_equal(report.cell_counts, counts)
+    assert it == ref_it
 
 
 # ---------------------------------------------------------------------------

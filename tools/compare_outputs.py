@@ -10,7 +10,10 @@ dtype, shape and bytes:
 
 - estimate_companions, with and without centering, with dead rows, in 1-D
   and 2-D;
-- lloyd grids, weights and final reports, including a dead-cell re-seed;
+- lloyd grids, weights, final reports and iteration counts, including a
+  dead-cell re-seed; the multidim base grid (d=2, N=150, a 5e4 batch from
+  seed 12345, the experiment's stop criteria); and the ten layer grids of
+  a `chain` build on gbm (T=0.25, n=10, N=50, sample budget 2e4);
 - ScalarFilterModel.build_filter("mc") rows, with dead rows;
 - newton_1d grids and weights at N = 10, 150 and 2000;
 - ScalarFilterModel.build_filter("exact") initial weights and rows, and
@@ -41,8 +44,8 @@ def _outputs(workdir) -> dict:
     from quantschemes import chain, cli, experiments
     from quantschemes.chain import DiffusionModel, TimeMesh, estimate_companions
     from quantschemes.filtering import builtin_models, forward_filter
-    from quantschemes.grids import (Grid, Law1D, SampleSource, assign, lloyd,
-                                    newton_1d)
+    from quantschemes.grids import (Grid, Law1D, SampleSource, StopCriteria,
+                                    assign, lloyd, newton_1d)
 
     out = {}
     ou = DiffusionModel(1, 1, lambda t, x: -x,
@@ -70,17 +73,39 @@ def _outputs(workdir) -> dict:
                 for k, a in enumerate(getattr(ch, key)):
                     out[f"estimate/{name}/center={center}/{key}/{k}"] = a
 
+    def record_lloyd(name, result):
+        grid, report, it = result
+        out.update({f"{name}/points": grid.points,
+                    f"{name}/weights": grid.weights,
+                    f"{name}/value": np.array(report.value),
+                    f"{name}/gradient": report.gradient,
+                    f"{name}/counts": report.cell_counts,
+                    f"{name}/iterations": np.array(it)})
+
     batch = np.random.default_rng(11).standard_normal((4000, 2))
     inits = {"plain": batch[:8] * 0.5,
              "dead-cell": np.vstack([batch[:7] * 0.5, [[40.0, 40.0]]])}
     for name, init in inits.items():
-        grid, report, it = lloyd(Grid(init), SampleSource.from_batch(batch))
-        out.update({f"lloyd/{name}/points": grid.points,
-                    f"lloyd/{name}/weights": grid.weights,
-                    f"lloyd/{name}/value": np.array(report.value),
-                    f"lloyd/{name}/gradient": report.gradient,
-                    f"lloyd/{name}/counts": report.cell_counts,
-                    f"lloyd/{name}/iterations": np.array(it)})
+        record_lloyd(f"lloyd/{name}",
+                     lloyd(Grid(init), SampleSource.from_batch(batch)))
+
+    batch = np.random.default_rng(12345).standard_normal((50_000, 2))
+    record_lloyd("lloyd/multidim-base", lloyd(
+        Grid(batch[:150] * 0.5), SampleSource.from_batch(batch),
+        StopCriteria(max_iterations=60, relative_distortion_tolerance=1e-6,
+                     stationarity_tolerance=1e-6)))
+    runs = []
+    def recording_lloyd(*args):
+        runs.append(lloyd(*args))
+        return runs[-1]
+    chain.lloyd = recording_lloyd
+    try:
+        chain.build_layer_grids(chain.MODELS["gbm"](), TimeMesh(0.25, 10),
+                                [1] + [50] * 10, sample_budget=20_000, seed=1)
+    finally:
+        chain.lloyd = lloyd
+    for k, result in enumerate(runs):
+        record_lloyd(f"lloyd/cli-chain/{k + 1}", result)
 
     for model in ("linear-gaussian", "sin-cube"):
         spec = builtin_models(model, steps=4)
