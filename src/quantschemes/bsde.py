@@ -54,14 +54,15 @@ class QuantizedBsdeSolution:
 
 
 def solve_bsde(chain: QuantizedChain, driver: DriverSpec,
-               terminal: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-               centered_control: bool = False) -> QuantizedBsdeSolution:
+               terminal: Optional[Callable[[np.ndarray], np.ndarray]] = None
+               ) -> QuantizedBsdeSolution:
     """Explicit backward dynamic programming on the quantized chain.
 
     Layer n starts from the terminal function; each step computes the
     conditional mean alpha_i = sum_j p_ij y_{k+1,j}, the control
-    zeta_i = (1/dt) sum_j pi^W_ij y_{k+1,j} (or its centered variant), and
-    y_{k,i} = alpha_i + dt f(t_k, x_i, alpha_i, zeta_i).
+    zeta_i = (1/dt) sum_j pi^W_ij y_{k+1,j}, and
+    y_{k,i} = alpha_i + dt f(t_k, x_i, alpha_i, zeta_i). Centering of the
+    companion weights, if any, is done once by `estimate_companions`.
     """
     if terminal is None:
         terminal = driver.terminal
@@ -84,10 +85,7 @@ def solve_bsde(chain: QuantizedChain, driver: DriverSpec,
             warned = True
         p = chain.transitions[k]
         alpha = p @ values[k + 1]
-        if centered_control:
-            zeta = zeta_centered(chain, k, values[k + 1], alpha)
-        else:
-            zeta = np.einsum("ijq,j->iq", chain.companions[k], values[k + 1]) / dt
+        zeta = np.einsum("ijq,j->iq", chain.companions[k], values[k + 1]) / dt
         fv = np.asarray(driver.f(times[k], chain.layers[k].points, alpha, zeta),
                         dtype=float)
         if fv.shape != alpha.shape:
@@ -100,22 +98,6 @@ def solve_bsde(chain: QuantizedChain, driver: DriverSpec,
         values[k] = yk
         controls[k] = zeta
     return QuantizedBsdeSolution._from_layers(chain, values, controls)
-
-
-def zeta_centered(chain: QuantizedChain, k: int, y_next: np.ndarray,
-                  y_curr: np.ndarray) -> np.ndarray:
-    """Control estimate (1/dt) sum_j pi^W_ij (y_{k+1,j} - y_{k,i}).
-
-    Identical to the raw estimate whenever the companion rows sum to zero;
-    on un-centered chains it removes the systematic part carried by the
-    nonzero row sums.
-    """
-    pi = chain.companions[k]
-    if y_next.shape != (pi.shape[1],) or y_curr.shape != (pi.shape[0],):
-        raise InputError("value vector shapes do not match layer sizes")
-    raw = np.einsum("ijq,j->iq", pi, y_next)
-    rowsum = pi.sum(axis=1)
-    return (raw - rowsum * y_curr[:, None]) / chain.mesh.dt
 
 
 # ---------------------------------------------------------------------------
@@ -191,33 +173,3 @@ def allocate_grid_sizes(coefficients: Sequence[float], total: int,
     sizes = np.maximum(1, np.floor(w / w.sum() * total)).astype(int)
     factor = float(np.sum(c * sizes ** (-2.0 / dim)))
     return [int(v) for v in sizes], factor
-
-
-def export_solution(solution: QuantizedBsdeSolution, chain: QuantizedChain,
-                    outdir, warnings_list: Sequence[str] = ()) -> None:
-    """Write the per-layer table (k, i, x-coordinates, y, z-components) as
-    CSV plus a JSON summary {y0, z0, n, sizes, seed, warnings}."""
-    import csv
-    import json
-    from pathlib import Path
-
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    n = chain.mesh.steps
-    q = chain.dim_w
-    with open(outdir / "solution.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "i"]
-                        + [f"x{j + 1}" for j in range(chain.dim_x)]
-                        + ["y"] + [f"z{j + 1}" for j in range(q)])
-        for k in range(n + 1):
-            pts = chain.layers[k].points
-            for i in range(pts.shape[0]):
-                z = (list(solution.controls[k][i]) if k < n
-                     else [float("nan")] * q)
-                writer.writerow([k, i] + list(pts[i])
-                                + [solution.values[k][i]] + z)
-    with open(outdir / "solution.json", "w") as fh:
-        json.dump({"y0": solution.y0, "z0": list(solution.z0), "n": n,
-                   "sizes": chain.sizes, "seed": chain.seed,
-                   "warnings": list(warnings_list)}, fh, indent=2)

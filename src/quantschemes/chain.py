@@ -14,9 +14,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InputError, NumericError, ParseError
-from .grids import Grid, SampleSource, StopCriteria, assign, cell_sums, lloyd
-
-_ROW_TOL = 1e-12
+from .grids import (_PROB_TOL, Grid, SampleSource, StopCriteria, assign,
+                    cell_sums, lloyd)
 
 
 @dataclass
@@ -98,10 +97,12 @@ class TimeMesh:
 class QuantizedChain:
     """Time mesh, per-layer grids, and the Monte Carlo weight estimates.
 
-    transitions[k] is the N_k x N_{k+1} row-stochastic matrix p^k_{ij};
-    companions[k] is the N_k x N_{k+1} x q tensor of Brownian companion
-    weights. dead_rows[k] lists cells never visited at layer k (their rows
-    fall back to uniform with zero companions).
+    layers[k] holds the points of layer k only; marginals[k] is the one
+    home of its weights p^k. transitions[k] is the N_k x N_{k+1}
+    row-stochastic matrix p^k_{ij}; companions[k] is the N_k x N_{k+1} x q
+    tensor of Brownian companion weights. dead_rows[k] lists cells never
+    visited at layer k (their rows fall back to uniform with zero
+    companions).
     """
 
     mesh: TimeMesh
@@ -126,8 +127,9 @@ class QuantizedChain:
             p = self.transitions[k]
             if p.shape != (self.layers[k].size, self.layers[k + 1].size):
                 raise InputError(f"transition {k} shape mismatch")
-            if np.any(np.abs(p.sum(axis=1) - 1.0) > _ROW_TOL):
-                raise InputError(f"transition {k} rows must sum to 1")
+            if (np.any(p < 0)
+                    or not np.all(np.abs(p.sum(axis=1) - 1.0) <= _PROB_TOL)):
+                raise InputError(f"transition {k} must be row-stochastic")
             c = self.companions[k]
             if c.shape[:2] != p.shape:
                 raise InputError(f"companion {k} shape mismatch")
@@ -213,14 +215,13 @@ def build_layer_grids(model: DiffusionModel, mesh: TimeMesh,
             if layer_maps[k] is None:
                 if nk != 1:
                     raise InputError(f"layer {k} has no map but size {nk}")
-                out.append(Grid(det[k][None, :], np.array([1.0])))
+                out.append(Grid(det[k][None, :]))
                 continue
             if nk not in base_grids:
                 raise InputError(f"missing base grid of size {nk}")
             base = base_grids[nk]
             pts = np.asarray(layer_maps[k](base.points), dtype=float)
-            w = None if base.weights is None else base.weights.copy()
-            out.append(Grid(pts, w))
+            out.append(Grid(pts))
         return out
     if method == "lloyd-on-samples":
         paths, _ = euler_paths(model, mesh, sample_budget, seed)
@@ -228,18 +229,25 @@ def build_layer_grids(model: DiffusionModel, mesh: TimeMesh,
         out = []
         for k, nk in enumerate(sizes):
             layer = paths[:, k, :]
-            uniq = np.unique(layer, axis=0)
-            if uniq.shape[0] <= nk:
+            if _distinct_rows(layer) <= nk:
                 # degenerate support (e.g. sigma = 0): the support itself
-                out.append(Grid(uniq[:nk] if nk <= uniq.shape[0] else uniq))
+                out.append(Grid(np.unique(layer, axis=0)))
                 continue
             init = layer[rng.choice(layer.shape[0], size=nk, replace=False)]
-            while np.unique(init, axis=0).shape[0] != nk:
+            while _distinct_rows(init) != nk:
                 init = layer[rng.choice(layer.shape[0], size=nk, replace=False)]
             g, _, _ = lloyd(Grid(init), SampleSource.from_batch(layer), stop)
-            out.append(g)
+            out.append(Grid(g.points))
         return out
     raise InputError(f"unknown method {method!r}")
+
+
+def _distinct_rows(x: np.ndarray) -> int:
+    """Number of distinct rows of an (M, d) array, as np.unique(x, axis=0)
+    counts them, from one lexicographic sort."""
+    s = (np.sort(x, axis=0) if x.shape[1] == 1
+         else x.take(np.lexsort(x.T[::-1]), axis=0))
+    return 1 + int(np.count_nonzero(np.any(s[1:] != s[:-1], axis=1)))
 
 
 def _deterministic_points(model: DiffusionModel, mesh: TimeMesh) -> np.ndarray:
@@ -286,10 +294,10 @@ def estimate_companions(model: DiffusionModel, mesh: TimeMesh,
         transitions.append(trans)
         companions.append(pi)
         dead.append(deadk)
-    return QuantizedChain(mesh=mesh, layers=list(layers), marginals=marginals,
-                          transitions=transitions, companions=companions,
-                          mc_paths=num_paths, seed=seed, centered=center,
-                          dead_rows=dead)
+    return QuantizedChain(mesh=mesh, layers=[Grid(g.points) for g in layers],
+                          marginals=marginals, transitions=transitions,
+                          companions=companions, mc_paths=num_paths, seed=seed,
+                          centered=center, dead_rows=dead)
 
 
 def joint_transitions(idx_prev: np.ndarray, idx_next: np.ndarray,
@@ -443,15 +451,19 @@ def load_chain(path) -> QuantizedChain:
                 arrays.append(np.array([float(p) for p in parts]).reshape(s))
             except ValueError:
                 raise ParseError("non-numeric value", line=5 + li)
-    layers = [Grid(arrays[2 * k], _weights_or_none(arrays[2 * k + 1]))
-              for k in range(n + 1)]
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ParseError("non-finite value in chain body")
+    layers = [Grid(arrays[2 * k]) for k in range(n + 1)]
     marginals = [arrays[2 * k + 1] for k in range(n + 1)]
     tr, co, dr = [], [], []
     base = 2 * (n + 1)
     for k in range(n):
         tr.append(arrays[base + 3 * k])
         co.append(arrays[base + 3 * k + 1])
-        dr.append(arrays[base + 3 * k + 2].astype(np.int64))
+        rows = arrays[base + 3 * k + 2]
+        if np.any((rows % 1 != 0) | (rows < 0) | (rows >= sizes[k])):
+            raise ParseError(f"dead rows of step {k} are not cell indices")
+        dr.append(rows.astype(np.int64))
     return QuantizedChain(mesh=TimeMesh(horizon, n), layers=layers,
                           marginals=marginals, transitions=tr, companions=co,
                           mc_paths=mc_paths, seed=seed, centered=bool(centered),
@@ -466,8 +478,3 @@ def _counts(fields, line, what, minimum):
     if any(v < minimum for v in values):
         raise ParseError(f"{what} below {minimum}", line=line)
     return values
-
-
-def _weights_or_none(w):
-    s = w.sum()
-    return w / s if abs(s - 1.0) <= 1e-9 else None

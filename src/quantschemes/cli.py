@@ -91,27 +91,29 @@ def _grid_size(args, cfg: dict, key: str, default: int) -> int:
     return size
 
 
-_EXPERIMENT_KEYS = {"n", "grid_size", "sizes", "mc_paths", "seed", "sweep",
-                    "out", "dim", "model", "base_batch", "workers"}
+_EXPERIMENT_KEYS = {"n", "grid_size", "mc_paths", "seed", "sweep", "out",
+                    "dim", "model", "base_batch", "workers"}
 
 
 def _experiment_config(name: str, cfg: dict, args,
                        default_n: int) -> ExperimentConfig:
-    """Config file values, overridden by the command-line flags."""
-    flags = {"seed": args.seed, "mc_paths": args.mc_paths,
-             "grid_size": args.grid_size, "out": args.out,
-             "sizes": None if args.sizes is None else args.sizes.split(","),
-             "sweep": None if args.sweep is None else _parse_sweep(args.sweep)}
-    merged = {"n": default_n,
-              **{k: v for k, v in cfg.items() if k in _EXPERIMENT_KEYS},
-              **{k: v for k, v in flags.items() if v is not None}}
-    return ExperimentConfig(name=name, **merged)
+    """Config file values, overridden by the command-line flags. A config
+    key that is no experiment setting is an error, not silently dropped."""
+    unknown = sorted(set(cfg) - _EXPERIMENT_KEYS)
+    if unknown:
+        raise InputError(f"unknown config keys {unknown}; "
+                         f"known: {sorted(_EXPERIMENT_KEYS)}")
+    flags = {k: v for k, v in vars(args).items()
+             if k in _EXPERIMENT_KEYS and v is not None}
+    if "sweep" in flags:
+        flags["sweep"] = _parse_sweep(flags["sweep"])
+    return ExperimentConfig(name=name, **{"n": default_n, **cfg, **flags})
 
 
 def _cmd_grid(args) -> int:
     cfg = _load_config(args.config)
     if "input" in cfg:
-        grid = load_grid(cfg["input"], legacy_layout=args.legacy_layout)
+        grid = load_grid(cfg["input"])
         print(json.dumps({"size": grid.size, "dim": grid.dim,
                           "has_weights": grid.weights is not None}))
         return 0
@@ -239,27 +241,37 @@ def _cmd_experiment(args, name: str, runner, default_n: int) -> int:
     return 0
 
 
+# the flags each subcommand reads, besides --config
+_FLAGS = {
+    "grid": ("seed", "grid-size", "out"),
+    "chain": ("seed", "mc-paths", "grid-size", "sizes", "out", "binary"),
+    "bsde-bidask": ("seed", "mc-paths", "grid-size", "sweep", "out"),
+    "bsde-multidim": ("seed", "mc-paths", "grid-size", "sweep", "out"),
+    "filter-demo": ("seed", "grid-size", "sweep", "out"),
+    "rate-fit": ("out",),
+}
+_FLAG_OPTIONS = {
+    "seed": {"type": int},
+    "mc-paths": {"type": int},
+    "grid-size": {"type": int},
+    "sizes": {"help": "comma-separated per-layer sizes"},
+    "sweep": {"help": "start:stop:step or comma list"},
+    "out": {"help": "output directory"},
+    "binary": {"action": "store_true", "help": "write chain files in binary"},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quantschemes",
         description="Optimal-quantization schemes: grids, chains, backward "
                     "solvers, filtering, and reference experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("grid", "chain", "bsde-bidask", "bsde-multidim",
-                 "filter-demo", "rate-fit"):
+    for name, flags in _FLAGS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--mc-paths", type=int, dest="mc_paths")
-        p.add_argument("--grid-size", type=int, dest="grid_size")
-        p.add_argument("--sizes", help="comma-separated per-layer sizes")
-        p.add_argument("--sweep", help="start:stop:step or comma list")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--legacy-layout", action="store_true",
-                       dest="legacy_layout",
-                       help="read grid files with separate point/weight blocks")
-        p.add_argument("--binary", action="store_true",
-                       help="write chain files in binary")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAG_OPTIONS[flag])
     return parser
 
 

@@ -14,7 +14,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -41,7 +41,6 @@ class ExperimentConfig:
     name: str
     n: int
     grid_size: int = 150
-    sizes: Optional[list[int]] = None       # explicit per-layer sizes
     mc_paths: int = 1_000_000
     seed: int = 0
     sweep: Optional[list[int]] = None       # uniform sizes to sweep over
@@ -55,13 +54,12 @@ class ExperimentConfig:
         for key in ("n", "grid_size", "mc_paths", "seed", "dim", "base_batch",
                     "workers"):
             setattr(self, key, _integer(getattr(self, key), key))
-        for key in ("sizes", "sweep"):
-            values = getattr(self, key)
-            if values is not None:
-                if isinstance(values, str) or not isinstance(values, Sequence):
-                    raise InputError(f"{key} must be a list of integers, "
-                                     f"got {values!r}")
-                setattr(self, key, [_integer(v, key) for v in values])
+        if self.sweep is not None:
+            if (isinstance(self.sweep, str)
+                    or not isinstance(self.sweep, Sequence)):
+                raise InputError(f"sweep must be a list of integers, "
+                                 f"got {self.sweep!r}")
+            self.sweep = [_integer(v, "sweep") for v in self.sweep]
         if self.n < 1:
             raise InputError("n must be >= 1")
         if self.mc_paths < 1:
@@ -70,7 +68,7 @@ class ExperimentConfig:
             raise InputError("seed and workers must be >= 0")
         if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
             raise InputError(f"out must be a directory path, got {self.out!r}")
-        for v in ([self.grid_size] + (self.sizes or []) + (self.sweep or [])):
+        for v in [self.grid_size] + (self.sweep or []):
             if v < 1:
                 raise InputError("grid sizes must be >= 1")
 

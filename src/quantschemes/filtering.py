@@ -11,15 +11,15 @@ equivalent backward recursion u_{k-1} = H_k u_k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtr
 
-from .chain import QuantizedChain, joint_transitions
+from .chain import joint_transitions
 from .errors import DegenerateObservationError, InputError
-from .grids import (Grid, Law1D, _norm_pdf, _voronoi_edges, assign,
+from .grids import (_PROB_TOL, Grid, Law1D, _norm_pdf, _voronoi_edges, assign,
                     newton_1d, scale_grid)
 
 # likelihood(k, x_prev, y_prev, x_next, y_next) -> nonnegative array, where
@@ -46,23 +46,19 @@ class FilterModel:
             raise InputError("need one more layer than transition matrices")
         if self.initial.shape != (self.layers[0].size,):
             raise InputError("initial weight vector shape mismatch")
-        if np.any(self.initial < 0) or abs(self.initial.sum() - 1.0) > 1e-9:
+        if (np.any(self.initial < 0)
+                or not abs(self.initial.sum() - 1.0) <= _PROB_TOL):
             raise InputError("initial weights must be a probability vector")
         for k, p in enumerate(self.transitions):
             if p.shape != (self.layers[k].size, self.layers[k + 1].size):
                 raise InputError(f"transition {k} shape mismatch")
-            if np.any(p < 0) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):
+            if (np.any(p < 0)
+                    or not np.all(np.abs(p.sum(axis=1) - 1.0) <= _PROB_TOL)):
                 raise InputError(f"transition {k} must be row-stochastic")
 
     @property
     def steps(self) -> int:
         return len(self.transitions)
-
-    @classmethod
-    def from_chain(cls, chain: QuantizedChain,
-                   likelihood: Likelihood) -> "FilterModel":
-        return cls(layers=list(chain.layers), initial=chain.marginals[0],
-                   transitions=list(chain.transitions), likelihood=likelihood)
 
 
 @dataclass
@@ -338,52 +334,3 @@ def kalman_posterior(model: ScalarFilterModel, observations):
         m = model.ar_coeff * m
         P = model.ar_coeff ** 2 * P + model.ar_noise ** 2
     return m, P
-
-
-# ---------------------------------------------------------------------------
-# file interfaces
-# ---------------------------------------------------------------------------
-
-def read_observations(path) -> np.ndarray:
-    """CSV with one row per step and one column per observation component."""
-    import csv as _csv
-    rows = []
-    with open(path) as fh:
-        for ln, row in enumerate(_csv.reader(fh), start=1):
-            row = [c for c in row if c.strip()]
-            if not row:
-                continue
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError:
-                raise InputError(f"non-numeric observation at line {ln}")
-    if not rows or len({len(r) for r in rows}) != 1:
-        raise InputError("observation rows must be nonempty and rectangular")
-    return np.asarray(rows)
-
-
-def write_filter_output(state: FilterState, model: FilterModel,
-                        outdir) -> None:
-    """CSV of (k, i, normalized weight) plus a JSON summary with the total
-    log mass and the posterior mean/variance of the final layer."""
-    import csv as _csv
-    import json as _json
-    from pathlib import Path
-
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "filter.csv", "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["k", "i", "weight"])
-        for k, w in enumerate(state.weights):
-            for i, wi in enumerate(w):
-                writer.writerow([k, i, f"{wi:.17g}"])
-    pts = model.layers[-1].points
-    w = state.weights[-1]
-    mean = w @ pts
-    var = w @ ((pts - mean) ** 2)
-    with open(outdir / "filter.json", "w") as fh:
-        _json.dump({"log_total_mass": state.log_mass_total,
-                    "posterior_mean": list(np.atleast_1d(mean)),
-                    "posterior_variance": list(np.atleast_1d(var))},
-                   fh, indent=2)

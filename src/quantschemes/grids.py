@@ -14,8 +14,8 @@ reference its results are checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -24,7 +24,12 @@ from scipy.special import ndtr, ndtri
 
 from .errors import ConvergenceError, InputError, ParseError
 
-_WEIGHT_TOL = 1e-12
+# Probability-vector tolerance of Grid, QuantizedChain and FilterModel: a
+# sum (or row sum) must lie within it of 1.
+_PROB_TOL = 1e-12
+# load_grid renormalises weights that sum to within this of 1, so that grid
+# files written with fewer significant digits still load.
+_RENORM_WINDOW = 1e-9
 
 # Chunk size (rows) for the scan in nearest-neighbor assignment; keeps the
 # M x N squared-distance block below ~100 MB for the grid sizes we use.
@@ -56,8 +61,8 @@ class Grid:
             object.__setattr__(self, "weights", w)
             if w.shape != (pts.shape[0],):
                 raise InputError("weights must have one entry per grid point")
-            if (not np.all(np.isfinite(w)) or np.any(w < -_WEIGHT_TOL)
-                    or abs(w.sum() - 1.0) > 1e-12):
+            if (not np.all(np.isfinite(w)) or np.any(w < -_PROB_TOL)
+                    or abs(w.sum() - 1.0) > _PROB_TOL):
                 raise InputError("weights must be finite, >= 0 and sum to 1")
 
     @property
@@ -170,15 +175,6 @@ class SampleSource:
 # projection and distortion
 # ---------------------------------------------------------------------------
 
-def nearest_neighbor(grid: Grid, point) -> tuple[int, float]:
-    """Index and Euclidean distance of the closest grid point.
-
-    Ties resolve to the smallest index.
-    """
-    idx, d2 = assign(grid, np.asarray(point, dtype=float).reshape(1, -1))
-    return int(idx[0]), math.sqrt(d2[0])
-
-
 def assign(grid: Grid, points: np.ndarray):
     """Vectorized nearest-neighbor assignment of an (M, d) batch.
 
@@ -201,8 +197,8 @@ def assign(grid: Grid, points: np.ndarray):
     idx, gap = search(c, pts)
     near = np.flatnonzero(~(gap > _tie_tol(c, pts)))
     if near.size:
-        idx[near] = _scan_assign(grid, pts[near])[0]
-    d2 = np.maximum(_sq_dist(pts, c[idx]), 0.0)
+        idx[near] = _scan_assign(grid, pts.take(near, axis=0))[0]
+    d2 = np.maximum(_sq_dist(pts, c.take(idx, axis=0)), 0.0)
     return idx, d2
 
 
@@ -244,12 +240,13 @@ def _sorted_search(c: np.ndarray, pts: np.ndarray):
     """Candidate indices of 1-D points, and the squared-distance gap to each
     candidate's nearer sorted neighbour (inf where there is none)."""
     order = np.argsort(c[:, 0], kind="stable")
-    s = c[order]
+    s = c.take(order, axis=0)
     last = s.shape[0] - 1
     pos = np.searchsorted(_voronoi_edges(s[:, 0])[1:-1], pts[:, 0])
-    own = _sq_dist(pts, s[pos])
-    below = np.where(pos > 0, _sq_dist(pts, s[pos - 1]), np.inf)
-    above = np.where(pos < last, _sq_dist(pts, s[np.minimum(pos + 1, last)]),
+    own = _sq_dist(pts, s.take(pos, axis=0))
+    below = np.where(pos > 0, _sq_dist(pts, s.take(pos - 1, axis=0)), np.inf)
+    above = np.where(pos < last,
+                     _sq_dist(pts, s.take(np.minimum(pos + 1, last), axis=0)),
                      np.inf)
     return order[pos], np.minimum(below, above) - own
 
@@ -430,7 +427,7 @@ def _bounded_assign(grid: Grid, batch: np.ndarray, idx):
     d2 = np.maximum(_sq_dist(batch, c.take(idx, axis=0)), 0.0)
     tol = _tie_tol(c, batch)
     u = np.sqrt(d2 + tol)
-    s = _separation(c)[idx]
+    s = _separation(c).take(idx)
     search = np.flatnonzero(~(s * (s - 2.0 * u) > tol))
     if search.size:
         idx[search], d2[search] = assign(grid, batch.take(search, axis=0))
@@ -621,9 +618,10 @@ def save_grid(grid: Grid, path) -> None:
             fh.write(f"{coords} {wi:.17g}\n")
 
 
-def load_grid(path, legacy_layout: bool = False) -> Grid:
-    """Read a grid file; `legacy_layout` accepts the public Gaussian-grid
-    layout (all point rows first, then all weight rows, no interleaving)."""
+def load_grid(path) -> Grid:
+    """Read a grid file. A body of N rows holds one point and its weight
+    per row; a body of 2N rows holds all N points, then all N weights (the
+    layout of the public Gaussian-grid files)."""
     try:
         with open(path) as fh:
             lines = [ln.strip() for ln in fh]
@@ -644,41 +642,37 @@ def load_grid(path, legacy_layout: bool = False) -> Grid:
     if d < 1 or n < 1:
         raise ParseError("header values must be positive", line=1)
     body = lines[1:]
-    if legacy_layout:
-        if len(body) != 2 * n:
-            raise ParseError(f"expected {2 * n} rows (points then weights), got {len(body)}",
-                             line=len(lines))
+    if len(body) == 2 * n:
         pts = _parse_rows(body[:n], d, offset=2)
         wrows = _parse_rows(body[n:], 1, offset=2 + n)
         weights = wrows[:, 0]
-    else:
-        if len(body) != n:
-            raise ParseError(f"expected {n} rows, got {len(body)}", line=len(lines))
+    elif len(body) == n:
         rows = _parse_rows(body, d + 1, offset=2)
         pts, weights = rows[:, :d], rows[:, d]
+    else:
+        raise ParseError(f"expected {n} rows (point and weight) or {2 * n} "
+                         f"(points, then weights), got {len(body)}",
+                         line=len(lines))
     if np.all(weights == -1.0):
         return Grid(pts)
     if np.any(weights < 0):
         raise ParseError("negative weight (only -1 marks unknown)")
-    return Grid(pts, weights / weights.sum() if abs(weights.sum() - 1) <= 1e-9
-                else _reject_weights(weights))
-
-
-def _reject_weights(weights):
-    raise ParseError(f"weights sum to {weights.sum()!r}, not 1")
+    if abs(weights.sum() - 1) > _RENORM_WINDOW:
+        raise ParseError(f"weights sum to {weights.sum()!r}, not 1")
+    return Grid(pts, weights / weights.sum())
 
 
 def _parse_rows(rows, width, offset):
-    out = np.empty((len(rows), width))
+    out = []
     for i, ln in enumerate(rows):
         parts = ln.split()
         if len(parts) != width:
             raise ParseError(f"expected {width} columns, got {len(parts)}",
                              line=offset + i)
         try:
-            out[i] = [float(p) for p in parts]
+            out.append([float(p) for p in parts])
         except ValueError:
             raise ParseError("non-numeric entry", line=offset + i)
-        if not np.all(np.isfinite(out[i])):
+        if not np.all(np.isfinite(out[-1])):
             raise ParseError("non-finite entry", line=offset + i)
-    return out
+    return np.array(out)

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantschemes.bsde import (BoundConstants, DriverSpec, allocate_grid_sizes,
-                               bound_constants, export_solution, solve_bsde,
-                               zeta_centered)
+                               bound_constants, solve_bsde)
 from quantschemes.chain import (QuantizedChain, TimeMesh, brownian,
                                 build_layer_grids, estimate_companions)
 from quantschemes.errors import InputError, NumericError
@@ -129,55 +128,6 @@ def test_solver_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# control estimates
-# ---------------------------------------------------------------------------
-
-def test_zeta_centered_constant_annihilated():
-    rng = np.random.default_rng(10)
-    ch = random_chain(rng, [3, 4, 4])
-    z = zeta_centered(ch, 0, np.full(4, 7.5), rng.normal(size=3))
-    assert np.abs(z).max() <= 1e-12
-
-
-def test_zeta_centered_hand_expansion():
-    w = 0.3
-    ch = manual_chain([[[0.6, 0.4]]], [np.array([[[w], [-w]]])],
-                      [[0.0], [-1.0, 1.0]], dt=1.0, centered=True)
-    y_next = np.array([2.0, 5.0])
-    z = zeta_centered(ch, 0, y_next, np.array([0.0]))
-    assert z[0, 0] == pytest.approx(w * (2.0 - 5.0))
-
-
-def test_zeta_centered_equals_raw_on_centered_chain():
-    rng = np.random.default_rng(11)
-    ch = random_chain(rng, [3, 5, 4], q=2)
-    for k in range(2):
-        y_next = rng.normal(size=ch.layers[k + 1].size)
-        y_curr = rng.normal(size=ch.layers[k].size)
-        raw = np.einsum("ijq,j->iq", ch.companions[k], y_next) / ch.mesh.dt
-        cen = zeta_centered(ch, k, y_next, y_curr)
-        assert np.abs(raw - cen).max() <= 1e-12 * (1 + np.abs(raw).max())
-
-
-def test_zeta_centered_removes_row_sum_bias_on_raw_chain():
-    # un-centered companions: the centered formula subtracts the y_k term
-    pi = np.array([[[0.4], [0.1]]])  # row sum 0.5, not 0
-    ch = manual_chain([[[0.5, 0.5]]], [pi], [[0.0], [-1.0, 1.0]],
-                      centered=False)
-    y_next = np.array([1.0, 2.0])
-    y_curr = np.array([3.0])
-    z = zeta_centered(ch, 0, y_next, y_curr)
-    assert z[0, 0] == pytest.approx(0.4 * 1.0 + 0.1 * 2.0 - 0.5 * 3.0)
-
-
-def test_zeta_shape_validation():
-    rng = np.random.default_rng(12)
-    ch = random_chain(rng, [2, 3, 2])
-    with pytest.raises(InputError):
-        zeta_centered(ch, 0, np.zeros(2), np.zeros(2))
-
-
-# ---------------------------------------------------------------------------
 # error-bound constants
 # ---------------------------------------------------------------------------
 
@@ -291,24 +241,3 @@ def test_bound_dominates_measured_error():
                 for k in range(n + 1)]
     bound = sum(bc.K[k] * quant_sq[k] for k in range(n + 1))
     assert bound >= measured_sq
-
-
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-def test_export_solution(tmp_path):
-    rng = np.random.default_rng(20)
-    ch = random_chain(rng, [1, 3, 2])
-    sol = solve_bsde(ch, DriverSpec(f=lambda t, x, y, z: y),
-                     lambda pts: pts[:, 0])
-    export_solution(sol, ch, tmp_path, warnings_list=["demo"])
-    import csv
-    import json
-    with open(tmp_path / "solution.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 1 + 3 + 2
-    summary = json.loads((tmp_path / "solution.json").read_text())
-    assert summary["y0"] == sol.y0
-    assert summary["warnings"] == ["demo"]
-    assert summary["sizes"] == [1, 3, 2]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -299,6 +300,37 @@ def test_chain_roundtrip(tmp_path, binary):
         assert np.abs(b.sum(axis=1)).max() <= 1e-12
     for a, b in zip(ch.dead_rows, back.dead_rows):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_chain_roundtrip_is_byte_identical(tmp_path, binary):
+    # layers hold points only, so nothing is rewritten on the way back;
+    # the far point of layer 1 is never visited (a dead row)
+    model, mesh = ou(), TimeMesh(0.5, 2)
+    layers = build_layer_grids(model, mesh, [1, 4, 4], sample_budget=5000)
+    layers[1] = Grid(np.vstack([layers[1].points, [[50.0]]]))
+    ch = estimate_companions(model, mesh, layers, 20_000, seed=0)
+    assert ch.dead_rows[1].size == 1
+    path = tmp_path / "chain.dat"
+    save_chain(ch, path, binary=binary)
+    back = load_chain(path)
+    for f in dataclasses.fields(QuantizedChain):
+        a, b = getattr(ch, f.name), getattr(back, f.name)
+        if f.name == "layers":
+            a = [x for g in a for x in (g.points, g.weights)]
+            b = [x for g in b for x in (g.points, g.weights)]
+        if isinstance(a, list):
+            assert len(a) == len(b)
+            assert all(_same_array(x, y) for x, y in zip(a, b)), f.name
+        else:
+            assert a == b, f.name
+
+
+def _same_array(x, y):
+    if x is None or y is None:
+        return x is y
+    return (x.dtype == y.dtype and x.shape == y.shape
+            and x.tobytes() == y.tobytes())
 
 
 def test_chain_load_rejects_bad_row_sum(tmp_path):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import quantschemes
-from quantschemes.cli import _parse_sweep, main
+from quantschemes.cli import _build_parser, _parse_sweep, main
 from quantschemes.errors import InputError
 from quantschemes.experiments import (BIDASK_REFERENCE, MULTIDIM_Y0,
                                       ExperimentConfig, fit_rate, loglog_slope,
@@ -169,7 +170,6 @@ def test_cli_grid_newton(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["size"] == 5 and out["dim"] == 1
     assert (tmp_path / "grid.txt").exists()
-    # inspect it back, including via the legacy layout flag path
     cfg.write_text(json.dumps({"input": str(tmp_path / "grid.txt")}))
     assert main(["grid", "--config", str(cfg)]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -184,7 +184,7 @@ def test_cli_grid_legacy_layout(tmp_path, capsys):
     (tmp_path / "legacy.txt").write_text("\n".join(lines) + "\n")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"input": str(tmp_path / "legacy.txt")}))
-    assert main(["grid", "--config", str(cfg), "--legacy-layout"]) == 0
+    assert main(["grid", "--config", str(cfg)]) == 0
     assert json.loads(capsys.readouterr().out)["size"] == 4
 
 
@@ -310,8 +310,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     cfg.write_text(json.dumps({"method": "bogus"}))
     assert main(["grid", "--config", str(cfg)]) == 2
     assert main(["bsde-bidask", "--sweep", "10,x"]) == 2
-    assert main(["bsde-bidask", "--sizes", "1,a"]) == 2
-    for bad in ({"n": "ten"}, {"sizes": 5}):
+    assert main(["chain", "--sizes", "1,a"]) == 2
+    # "sizes" and a misspelt "mcpaths" are no experiment settings
+    for bad in ({"n": "ten"}, {"sizes": 5}, {"mcpaths": 10}):
         cfg.write_text(json.dumps(bad))
         assert main(["bsde-bidask", "--config", str(cfg)]) == 2
     cfg.write_text(json.dumps({"model": "gbm", "T": "x"}))
@@ -330,8 +331,36 @@ def test_cli_exit_codes(tmp_path, capsys):
         cfg.write_text(json.dumps(bad))
         assert main(["rate-fit", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.count("error: ") == 17 and "Traceback" not in err
+    assert err.count("error: ") == 18 and "Traceback" not in err
+    assert err.count("unknown config keys ['mcpaths']") == 1
     assert err.count("grid size must be >= 1, got 0") == 2
+
+
+def test_cli_flag_sets():
+    # each subcommand takes --config plus only the flags it reads
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {name: sorted(o for a in p._actions for o in a.option_strings
+                          if o.startswith("--") and o != "--help")
+             for name, p in sub.choices.items()}
+    experiment = ["--config", "--grid-size", "--out", "--seed", "--sweep"]
+    assert flags == {
+        "grid": ["--config", "--grid-size", "--out", "--seed"],
+        "chain": ["--binary", "--config", "--grid-size", "--mc-paths",
+                  "--out", "--seed", "--sizes"],
+        "bsde-bidask": sorted(experiment + ["--mc-paths"]),
+        "bsde-multidim": sorted(experiment + ["--mc-paths"]),
+        "filter-demo": experiment,
+        "rate-fit": ["--config", "--out"],
+    }
+    assert sum(map(len, flags.values())) == 30
+    for argv in (["grid", "--binary"], ["grid", "--legacy-layout"],
+                 ["filter-demo", "--mc-paths", "5"],
+                 ["bsde-bidask", "--sizes", "1,5,5"],
+                 ["rate-fit", "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_cli_import_leaves_out_scipy_stats():

@@ -10,9 +10,8 @@ from quantschemes.errors import DegenerateObservationError, InputError
 from quantschemes.filtering import (FilterModel, FilterState, backward_expectation,
                                     backward_value, builtin_models,
                                     forward_filter, kalman_posterior,
-                                    quantized_kernels, read_observations,
-                                    unnormalized_expectation,
-                                    write_filter_output)
+                                    quantized_kernels,
+                                    unnormalized_expectation)
 from quantschemes.grids import Grid
 
 
@@ -380,45 +379,6 @@ def test_kalman_requires_linear_link():
     lin = builtin_models("linear-gaussian", steps=3)
     with pytest.raises(InputError):
         kalman_posterior(lin, np.zeros(3))
-
-
-# ---------------------------------------------------------------------------
-# file interfaces
-# ---------------------------------------------------------------------------
-
-def test_read_observations(tmp_path):
-    p = tmp_path / "obs.csv"
-    p.write_text("0.0\n1.5\n-2.0\n")
-    y = read_observations(p)
-    assert y.shape == (3, 1)
-    assert y[1, 0] == 1.5
-    p.write_text("0,1\n2\n")
-    with pytest.raises(InputError):
-        read_observations(p)
-    p.write_text("0.0\nfoo\n")
-    with pytest.raises(InputError) as exc:
-        read_observations(p)
-    assert "line 2" in str(exc.value)
-    p.write_text("")
-    with pytest.raises(InputError):
-        read_observations(p)
-
-
-def test_write_filter_output(tmp_path):
-    rng = np.random.default_rng(13)
-    model = make_model(rng, [2, 3])
-    state = forward_filter(model, obs(1))
-    write_filter_output(state, model, tmp_path)
-    import csv
-    import json
-    with open(tmp_path / "filter.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 2 + 3
-    summary = json.loads((tmp_path / "filter.json").read_text())
-    pts = model.layers[-1].points[:, 0]
-    mean = state.weights[-1] @ pts
-    assert summary["posterior_mean"][0] == pytest.approx(mean)
-    assert summary["log_total_mass"] == pytest.approx(state.log_mass_total)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ from quantschemes.errors import ConvergenceError, InputError, ParseError
 from quantschemes.grids import (Grid, Law1D, SampleSource, StopCriteria,
                                 _scan_assign, assign, cell_sums, clvq,
                                 distortion_and_gradient, lloyd, load_grid,
-                                ls_error, nearest_neighbor, newton_1d,
-                                save_grid, scale_grid)
+                                ls_error, newton_1d, save_grid, scale_grid)
 
 GAUSS_2PT = 0.7978845608028654  # sqrt(2/pi)
 
@@ -50,7 +49,7 @@ def test_grid_rejects_non_finite_points_and_weights(tmp_path, bad):
     assert exc.value.line == 3
     path.write_text(f"1 2\n0\n{bad}\n0.5\n0.5\n")
     with pytest.raises(ParseError) as exc:
-        load_grid(path, legacy_layout=True)
+        load_grid(path)
     assert exc.value.line == 3
 
 
@@ -85,17 +84,21 @@ def test_sample_source_modes():
 # ---------------------------------------------------------------------------
 
 def test_nearest_neighbor_examples():
+    # one-row assign calls
     g = Grid([[0.0], [1.0]])
-    assert nearest_neighbor(g, [0.4]) == (0, pytest.approx(0.4))
+    idx, d2 = assign(g, np.array([[0.4]]))
+    assert idx.tolist() == [0] and d2[0] == pytest.approx(0.16)
     # tie resolves to the smallest index
-    assert nearest_neighbor(g, [0.5]) == (0, pytest.approx(0.5))
+    idx, d2 = assign(g, np.array([[0.5]]))
+    assert idx.tolist() == [0] and d2[0] == pytest.approx(0.25)
     g2 = Grid([[0.0, 0.0], [3.0, 4.0]])
-    assert nearest_neighbor(g2, [3.0, 0.0]) == (0, pytest.approx(3.0))
+    idx, d2 = assign(g2, np.array([[3.0, 0.0]]))
+    assert idx.tolist() == [0] and d2[0] == pytest.approx(9.0)
 
 
 def test_nearest_neighbor_dim_mismatch():
     with pytest.raises(InputError):
-        nearest_neighbor(Grid([[0.0], [1.0]]), [0.0, 1.0])
+        assign(Grid([[0.0], [1.0]]), np.array([[0.0, 1.0]]))
 
 
 @settings(max_examples=30, deadline=None)
@@ -106,10 +109,10 @@ def test_assign_matches_pointwise(seed, n, d):
     pts = rng.normal(size=(20, d))
     idx, d2 = assign(grid, pts)
     for m in range(20):
-        i, dist = nearest_neighbor(grid, pts[m])
-        assert idx[m] == i
-        assert math.isclose(math.sqrt(max(d2[m], 0.0)), dist,
-                            rel_tol=1e-9, abs_tol=1e-12)
+        # a row assigned alone gets the batch's index and squared distance
+        i, one = assign(grid, pts[m:m + 1])
+        assert idx[m] == i[0]
+        assert d2[m] == one[0]
 
 
 def test_assign_tie_smallest_index():
@@ -682,13 +685,17 @@ def test_grid_file_errors(tmp_path):
 
 
 def test_grid_legacy_layout(tmp_path):
+    # 2N body rows: all points, then all weights
     path = tmp_path / "legacy.txt"
     path.write_text("2 2\n0 0\n1 1\n0.25\n0.75\n")
-    g = load_grid(path, legacy_layout=True)
+    g = load_grid(path)
     assert g.size == 2 and g.dim == 2
     assert np.allclose(g.weights, [0.25, 0.75])
-    with pytest.raises(ParseError):
-        load_grid(path)  # interleaved reader must reject this layout
+    # 2N rows in the interleaved layout, and neither N nor 2N rows
+    for body in ("0 0 0.25\n1 1 0.75\n0.25\n0.75\n", "0 0\n1 1\n0.25\n"):
+        path.write_text("2 2\n" + body)
+        with pytest.raises(ParseError):
+            load_grid(path)
 
 
 @settings(max_examples=20, deadline=None)
