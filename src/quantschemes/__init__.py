@@ -12,12 +12,12 @@ from .errors import (ConvergenceError, DegenerateObservationError, InputError,
                      NumericError, ParseError, QuantError)
 from .grids import (DistortionReport, Grid, Law1D, SampleSource, StopCriteria,
                     assign, clvq, distortion_and_gradient, lloyd, load_grid,
-                    ls_error, newton_1d, save_grid, scale_grid)
+                    ls_error, newton_1d, save_grid)
 
 __all__ = [
     "ConvergenceError", "DegenerateObservationError", "InputError",
     "NumericError", "ParseError", "QuantError",
     "DistortionReport", "Grid", "Law1D", "SampleSource", "StopCriteria",
     "assign", "clvq", "distortion_and_gradient", "lloyd", "load_grid",
-    "ls_error", "newton_1d", "save_grid", "scale_grid",
+    "ls_error", "newton_1d", "save_grid",
 ]

@@ -9,13 +9,13 @@ Coefficient functions are vectorized over paths: drift(t, x) maps an
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InputError, NumericError, ParseError
-from .grids import (_PROB_TOL, Grid, SampleSource, StopCriteria, assign,
-                    cell_sums, lloyd)
+from .grids import (Grid, SampleSource, StopCriteria, _check_probabilities,
+                    assign, cell_sums, lloyd)
 
 
 @dataclass
@@ -123,15 +123,14 @@ class QuantizedChain:
             raise InputError("need n transition and companion arrays")
         if not self.dead_rows:
             self.dead_rows = [np.empty(0, dtype=np.int64) for _ in range(n)]
+        sizes = self.sizes
+        for k in range(n + 1):
+            _check_probabilities(self.marginals[k], (sizes[k],),
+                                 f"marginal {k}")
         for k in range(n):
-            p = self.transitions[k]
-            if p.shape != (self.layers[k].size, self.layers[k + 1].size):
-                raise InputError(f"transition {k} shape mismatch")
-            if (np.any(p < 0)
-                    or not np.all(np.abs(p.sum(axis=1) - 1.0) <= _PROB_TOL)):
-                raise InputError(f"transition {k} must be row-stochastic")
-            c = self.companions[k]
-            if c.shape[:2] != p.shape:
+            shape = (sizes[k], sizes[k + 1])
+            _check_probabilities(self.transitions[k], shape, f"transition {k}")
+            if self.companions[k].shape[:2] != shape:
                 raise InputError(f"companion {k} shape mismatch")
 
     @property
@@ -186,60 +185,41 @@ def euler_paths(model: DiffusionModel, mesh: TimeMesh, num_paths: int,
 # layer grids
 # ---------------------------------------------------------------------------
 
-def build_layer_grids(model: DiffusionModel, mesh: TimeMesh,
-                      sizes: Sequence[int], method: str = "lloyd-on-samples",
-                      base_grids: Optional[dict] = None,
-                      layer_maps: Optional[Sequence] = None,
-                      sample_budget: int = 100_000, seed: int = 0,
-                      stop: StopCriteria = StopCriteria(max_iterations=60,
-                                                        relative_distortion_tolerance=1e-6,
-                                                        stationarity_tolerance=1e-6)
-                      ) -> list[Grid]:
-    """One grid per time layer.
+# Lloyd's stop criteria for the layer grids of build_layer_grids
+_LAYER_STOP = StopCriteria(max_iterations=60,
+                           relative_distortion_tolerance=1e-6,
+                           stationarity_tolerance=1e-6)
 
-    "scaled-gaussian" maps base N(0, I) grids (keyed by size in
-    `base_grids`) through per-layer point maps `layer_maps[k]`; map k may be
-    None at a deterministic layer of size 1, where the grid is the Euler
-    point itself. "lloyd-on-samples" runs Lloyd on the empirical layer
-    marginals of a fresh Euler simulation.
+
+def build_layer_grids(model: DiffusionModel, mesh: TimeMesh,
+                      sizes: Sequence[int], sample_budget: int = 100_000,
+                      seed: int = 0) -> list[Grid]:
+    """One Lloyd grid per time layer, fitted to the empirical layer
+    marginal of a fresh Euler simulation.
+
+    A grid mapped from a base N(0, I) grid needs no builder:
+    `[Grid(model.x0[None, :])] + [Grid(f(t, base.points)) for t in
+    mesh.times[1:]]`.
     """
     sizes = [int(s) for s in sizes]
     if len(sizes) != mesh.steps + 1 or any(s < 1 for s in sizes):
         raise InputError("sizes must list n+1 positive layer sizes")
-    if method == "scaled-gaussian":
-        if base_grids is None or layer_maps is None:
-            raise InputError("scaled-gaussian needs base_grids and layer_maps")
-        out = []
-        det = _deterministic_points(model, mesh)
-        for k, nk in enumerate(sizes):
-            if layer_maps[k] is None:
-                if nk != 1:
-                    raise InputError(f"layer {k} has no map but size {nk}")
-                out.append(Grid(det[k][None, :]))
-                continue
-            if nk not in base_grids:
-                raise InputError(f"missing base grid of size {nk}")
-            base = base_grids[nk]
-            pts = np.asarray(layer_maps[k](base.points), dtype=float)
-            out.append(Grid(pts))
-        return out
-    if method == "lloyd-on-samples":
-        paths, _ = euler_paths(model, mesh, sample_budget, seed)
-        rng = np.random.default_rng(seed + 1)
-        out = []
-        for k, nk in enumerate(sizes):
-            layer = paths[:, k, :]
-            if _distinct_rows(layer) <= nk:
-                # degenerate support (e.g. sigma = 0): the support itself
-                out.append(Grid(np.unique(layer, axis=0)))
-                continue
+    paths, _ = euler_paths(model, mesh, sample_budget, seed)
+    rng = np.random.default_rng(seed + 1)
+    out = []
+    for k, nk in enumerate(sizes):
+        layer = paths[:, k, :]
+        if _distinct_rows(layer) <= nk:
+            # degenerate support (e.g. sigma = 0): the support itself
+            out.append(Grid(np.unique(layer, axis=0)))
+            continue
+        init = layer[rng.choice(layer.shape[0], size=nk, replace=False)]
+        while _distinct_rows(init) != nk:
             init = layer[rng.choice(layer.shape[0], size=nk, replace=False)]
-            while _distinct_rows(init) != nk:
-                init = layer[rng.choice(layer.shape[0], size=nk, replace=False)]
-            g, _, _ = lloyd(Grid(init), SampleSource.from_batch(layer), stop)
-            out.append(Grid(g.points))
-        return out
-    raise InputError(f"unknown method {method!r}")
+        g, _, _ = lloyd(Grid(init), SampleSource.from_batch(layer),
+                        _LAYER_STOP)
+        out.append(Grid(g.points))
+    return out
 
 
 def _distinct_rows(x: np.ndarray) -> int:
@@ -248,17 +228,6 @@ def _distinct_rows(x: np.ndarray) -> int:
     s = (np.sort(x, axis=0) if x.shape[1] == 1
          else x.take(np.lexsort(x.T[::-1]), axis=0))
     return 1 + int(np.count_nonzero(np.any(s[1:] != s[:-1], axis=1)))
-
-
-def _deterministic_points(model: DiffusionModel, mesh: TimeMesh) -> np.ndarray:
-    """Noise-free Euler recursion, one point per layer."""
-    pts = np.empty((mesh.steps + 1, model.dim_x))
-    pts[0] = model.x0
-    times = mesh.times
-    for k in range(mesh.steps):
-        x = pts[k][None, :]
-        pts[k + 1] = x + mesh.dt * np.asarray(model.drift(times[k], x))
-    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +374,8 @@ def load_chain(path) -> QuantizedChain:
         raise ParseError("horizon must be finite and > 0", line=2)
     if d < 1 or q < 1:
         raise ParseError("state and noise dimensions must be positive", line=2)
+    if centered not in (0, 1):
+        raise ParseError("centered flag must be 0 or 1", line=2)
     sizes = _counts(header[2], 3, "layer size", minimum=1)
     if len(sizes) != n + 1:
         raise ParseError("layer size list length mismatch", line=3)

@@ -46,6 +46,16 @@ def _option(cfg: dict, key: str, kind, default):
                          f"got {value!r}")
 
 
+def _path(cfg: dict, key: str) -> str:
+    """Config value `key` as a file path; only a string is one (`open`
+    would take an integer as a file descriptor)."""
+    value = cfg[key]
+    if not isinstance(value, str):
+        raise InputError(f"config {key!r} must be a path string, "
+                         f"got {value!r}")
+    return value
+
+
 def _parse_sweep(text: str) -> list[int]:
     if ":" in text:
         parts = text.split(":")
@@ -113,7 +123,7 @@ def _experiment_config(name: str, cfg: dict, args,
 def _cmd_grid(args) -> int:
     cfg = _load_config(args.config)
     if "input" in cfg:
-        grid = load_grid(cfg["input"])
+        grid = load_grid(_path(cfg, "input"))
         print(json.dumps({"size": grid.size, "dim": grid.dim,
                           "has_weights": grid.weights is not None}))
         return 0
@@ -183,7 +193,7 @@ def _cmd_chain(args) -> int:
     else:
         size = _grid_size(args, cfg, "grid_size", 50)
         sizes = [1] + [size] * mesh.steps
-    layers = build_layer_grids(model, mesh, sizes, method="lloyd-on-samples",
+    layers = build_layer_grids(model, mesh, sizes,
                                sample_budget=_option(cfg, "sample_budget",
                                                      int, 100_000),
                                seed=seed)
@@ -210,7 +220,7 @@ def _cmd_rate_fit(args) -> int:
     elif "csv" in cfg:
         ncol, ecol = cfg.get("n_column", "N"), cfg.get("error_column", "error")
         try:
-            with open(cfg["csv"]) as fh:
+            with open(_path(cfg, "csv")) as fh:
                 rows = list(csv.DictReader(fh))
         except OSError as exc:
             raise InputError(f"cannot read csv: {exc}")

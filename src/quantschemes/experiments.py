@@ -22,8 +22,7 @@ import numpy as np
 
 from . import __version__
 from .bsde import DriverSpec, solve_bsde
-from .chain import (TimeMesh, brownian, build_layer_grids, estimate_companions,
-                    gbm)
+from .chain import TimeMesh, brownian, estimate_companions, gbm
 from .errors import InputError
 from .filtering import builtin_models, forward_filter, kalman_posterior
 from .grids import Grid, Law1D, SampleSource, StopCriteria, lloyd, newton_1d
@@ -155,17 +154,11 @@ def _bidask_point(args):
     model = gbm(p["mu"], p["sigma"], p["x0"])
     mesh = TimeMesh(p["T"], n)
     base = newton_1d(Law1D.gaussian(), size)
-    times = mesh.times
-
-    def gbm_map(t):
-        return lambda pts: p["x0"] * np.exp(
-            (p["mu"] - 0.5 * p["sigma"] ** 2) * t
-            + p["sigma"] * math.sqrt(t) * pts)
-
-    maps = [None] + [gbm_map(t) for t in times[1:]]
-    layers = build_layer_grids(model, mesh, [1] + [size] * n,
-                               method="scaled-gaussian",
-                               base_grids={size: base}, layer_maps=maps)
+    # the lognormal law of X_t, as a map of N(0, 1)
+    layers = [Grid(model.x0[None, :])] + [
+        Grid(p["x0"] * np.exp((p["mu"] - 0.5 * p["sigma"] ** 2) * t
+                              + p["sigma"] * math.sqrt(t) * base.points))
+        for t in mesh.times[1:]]
     chain = estimate_companions(model, mesh, layers, mc_paths, seed)
     sol = solve_bsde(chain, DriverSpec(f=_bidask_driver), _bidask_terminal)
     return {"N": size, "y0": sol.y0, "z0": float(sol.z0[0]),
@@ -184,7 +177,7 @@ def run_bidask(config: ExperimentConfig) -> dict:
     if len(rows) >= 3:
         fit = fit_rate([(r["N"], r["y0_err"]) for r in rows], -1.0)
         report["rate_fit"] = asdict(fit)
-    _emit(report, config, ["N", "y0", "z0", "y0_err", "z0_err"])
+    _emit(report, config)
     return report
 
 
@@ -207,12 +200,8 @@ def _multidim_point(args):
                            StopCriteria(max_iterations=60,
                                         relative_distortion_tolerance=1e-6,
                                         stationarity_tolerance=1e-6))
-    times = mesh.times
-    maps = [None] + [(lambda s: lambda pts: math.sqrt(s) * pts)(t)
-                     for t in times[1:]]
-    layers = build_layer_grids(model, mesh, [1] + [size] * n,
-                               method="scaled-gaussian",
-                               base_grids={size: base}, layer_maps=maps)
+    layers = [Grid(model.x0[None, :])] + [
+        Grid(math.sqrt(t) * base.points) for t in mesh.times[1:]]
     chain = estimate_companions(model, mesh, layers, mc_paths, seed)
     gamma = (2.0 + d) / (2.0 * d)
 
@@ -246,8 +235,7 @@ def run_multidim(config: ExperimentConfig) -> dict:
         report["rate_fit"] = asdict(fit)
         report["loglog_slope"] = loglog_slope(
             [(r["N"], r["y0_err"]) for r in rows if r["y0_err"] > 0])
-    cols = ["N", "y0", "y0_err"] + [f"z0_{i + 1}" for i in range(d)]
-    _emit(report, config, cols)
+    _emit(report, config)
     return report
 
 
@@ -294,7 +282,7 @@ def run_filter_demo(config: ExperimentConfig,
     if len(pos) >= 3:
         report["rate_fit"] = asdict(fit_rate(pos, -1.0))
         report["loglog_slope"] = loglog_slope(pos)
-    _emit(report, config, ["N", "posterior_mean", "error"])
+    _emit(report, config)
     return report
 
 
@@ -325,14 +313,16 @@ def _report(name: str, config: ExperimentConfig, rows: list[dict]) -> dict:
     }
 
 
-def _emit(report: dict, config: ExperimentConfig, columns: list[str]) -> None:
+def _emit(report: dict, config: ExperimentConfig) -> None:
+    """Write the report's rows as CSV, with the first row's keys as the
+    columns, and the whole report as JSON, when the config names `out`."""
     if config.out is None:
         return
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
     name = report["experiment"]
     with open(outdir / f"{name}.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
+        writer = csv.DictWriter(fh, fieldnames=list(report["rows"][0]))
         writer.writeheader()
         for row in report["rows"]:
             writer.writerow(row)

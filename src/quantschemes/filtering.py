@@ -19,8 +19,8 @@ from scipy.special import ndtr
 
 from .chain import joint_transitions
 from .errors import DegenerateObservationError, InputError
-from .grids import (_PROB_TOL, Grid, Law1D, _norm_pdf, _voronoi_edges, assign,
-                    newton_1d, scale_grid)
+from .grids import (Grid, Law1D, _check_probabilities, _norm_pdf,
+                    _voronoi_edges, assign, newton_1d)
 
 # likelihood(k, x_prev, y_prev, x_next, y_next) -> nonnegative array, where
 # x_prev is (Ni, 1, d), x_next is (1, Nj, d) and the result broadcasts to
@@ -44,17 +44,12 @@ class FilterModel:
         n = len(self.transitions)
         if len(self.layers) != n + 1:
             raise InputError("need one more layer than transition matrices")
-        if self.initial.shape != (self.layers[0].size,):
-            raise InputError("initial weight vector shape mismatch")
-        if (np.any(self.initial < 0)
-                or not abs(self.initial.sum() - 1.0) <= _PROB_TOL):
-            raise InputError("initial weights must be a probability vector")
+        _check_probabilities(self.initial, (self.layers[0].size,),
+                             "initial weights")
         for k, p in enumerate(self.transitions):
-            if p.shape != (self.layers[k].size, self.layers[k + 1].size):
-                raise InputError(f"transition {k} shape mismatch")
-            if (np.any(p < 0)
-                    or not np.all(np.abs(p.sum(axis=1) - 1.0) <= _PROB_TOL)):
-                raise InputError(f"transition {k} must be row-stochastic")
+            _check_probabilities(p, (self.layers[k].size,
+                                     self.layers[k + 1].size),
+                                 f"transition {k}")
 
     @property
     def steps(self) -> int:
@@ -111,22 +106,18 @@ def quantized_kernels(model: FilterModel, observations) -> list[np.ndarray]:
     return [_kernel(model, y, k) for k in range(1, model.steps + 1)]
 
 
-def forward_filter(model: FilterModel, observations,
-                   kernels: Optional[list[np.ndarray]] = None) -> FilterState:
+def forward_filter(model: FilterModel, observations) -> FilterState:
     """Forward recursion pi_k = pi_{k-1} H_k with per-step renormalization.
 
-    Without `kernels`, H_k is built one step at a time and dropped after
-    use. Raises DegenerateObservationError when the un-normalized mass
-    vanishes.
+    H_k is built one step at a time and dropped after use. Raises
+    DegenerateObservationError when the un-normalized mass vanishes.
     """
-    if kernels is None:
-        y = _check_observations(observations, model.steps)
-        kernels = (_kernel(model, y, k) for k in range(1, model.steps + 1))
+    y = _check_observations(observations, model.steps)
     pi = model.initial.copy()
     weights = [pi]
     log_masses = [0.0]
-    for k, H in enumerate(kernels, start=1):
-        pi = pi @ H
+    for k in range(1, model.steps + 1):
+        pi = pi @ _kernel(model, y, k)
         mass = pi.sum()
         if not np.isfinite(mass) or mass <= 0.0:
             raise DegenerateObservationError(k)
@@ -136,28 +127,23 @@ def forward_filter(model: FilterModel, observations,
     return FilterState(weights=weights, log_masses=log_masses)
 
 
-def backward_value(model: FilterModel, observations, terminal,
-                   kernels: Optional[list[np.ndarray]] = None):
+def backward_value(model: FilterModel, observations, terminal):
     """Backward recursion u_{k-1} = H_k u_k started from the terminal values
     on the last grid.
 
     Returns (u0, log_scale, log_u_minus_1): u0 on the initial grid scaled so
     that the true vector is u0 * exp(log_scale), and the signed log of
     u_{-1} = initial . u0, i.e. the un-normalized filter applied to the
-    terminal function. log_u_minus_1 is (sign, log|value|). Without
-    `kernels`, H_k is built one step at a time, last step first.
+    terminal function. log_u_minus_1 is (sign, log|value|). H_k is built
+    one step at a time, last step first.
     """
-    if kernels is None:
-        y = _check_observations(observations, model.steps)
-        backward = (_kernel(model, y, k) for k in range(model.steps, 0, -1))
-    else:
-        backward = reversed(kernels)
+    y = _check_observations(observations, model.steps)
     u = np.asarray(terminal, dtype=float)
     if u.shape != (model.layers[-1].size,):
         raise InputError("terminal values must live on the last grid")
     log_scale = 0.0
-    for H in backward:
-        u = H @ u
+    for k in range(model.steps, 0, -1):
+        u = _kernel(model, y, k) @ u
         peak = np.abs(u).max()
         if peak > 0.0 and (peak > 1e100 or peak < 1e-100):
             u = u / peak
@@ -248,13 +234,9 @@ class ScalarFilterModel:
         if len(sizes) != self.steps + 1:
             raise InputError("need n+1 layer sizes")
         means, stds = self.layer_moments()
-        law = Law1D.gaussian()
-        cache = {}
-        layers = []
-        for k, nk in enumerate(sizes):
-            if nk not in cache:
-                cache[nk] = newton_1d(law, nk)
-            layers.append(scale_grid(cache[nk], [means[k]], stds[k]))
+        base = {nk: newton_1d(Law1D.gaussian(), nk) for nk in set(sizes)}
+        layers = [Grid(means[k] + stds[k] * base[nk].points)
+                  for k, nk in enumerate(sizes)]
         if method == "exact":
             initial = _gaussian_cell_masses(layers[0], means[0], stds[0])
             transitions = [_gaussian_ar1_rows(layers[k], layers[k + 1],

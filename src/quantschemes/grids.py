@@ -24,8 +24,8 @@ from scipy.special import ndtr, ndtri
 
 from .errors import ConvergenceError, InputError, ParseError
 
-# Probability-vector tolerance of Grid, QuantizedChain and FilterModel: a
-# sum (or row sum) must lie within it of 1.
+# Probability-vector tolerance of Grid and of _check_probabilities: a sum
+# (or row sum) must lie within it of 1.
 _PROB_TOL = 1e-12
 # load_grid renormalises weights that sum to within this of 1, so that grid
 # files written with fewer significant digits still load.
@@ -75,6 +75,16 @@ class Grid:
 
     def with_weights(self, weights) -> "Grid":
         return Grid(self.points.copy(), np.asarray(weights, dtype=float))
+
+
+def _check_probabilities(p: np.ndarray, shape: tuple, what: str) -> None:
+    """The rule for the marginals and transitions of QuantizedChain and
+    FilterModel: `p` has `shape`, no negative entry, and each row (a vector
+    is one row) sums to within _PROB_TOL of 1."""
+    if p.shape != shape:
+        raise InputError(f"{what} shape mismatch")
+    if np.any(p < 0) or not np.all(np.abs(p.sum(axis=-1) - 1.0) <= _PROB_TOL):
+        raise InputError(f"{what} must be nonnegative with rows summing to 1")
 
 
 @dataclass
@@ -327,24 +337,6 @@ def ls_error(grid: Grid, source: SampleSource, s: float,
         raise InputError("empty sample batch")
     _, d2 = assign(grid, batch)
     return float(np.mean(d2 ** (s / 2.0)) ** (1.0 / s))
-
-
-def scale_grid(base: Grid, shift, scale) -> Grid:
-    """Affine image shift + scale . x_i of every point; weights preserved."""
-    shift = np.asarray(shift, dtype=float).reshape(-1)
-    if shift.shape[0] != base.dim:
-        raise InputError("shift dimension mismatch")
-    scale = np.asarray(scale, dtype=float)
-    if scale.ndim == 0:
-        pts = shift[None, :] + float(scale) * base.points
-    elif scale.shape == (base.dim, base.dim):
-        if abs(np.linalg.det(scale)) < 1e-300:
-            raise InputError("singular matrix scale factor")
-        pts = shift[None, :] + base.points @ scale.T
-    else:
-        raise InputError("scale must be a scalar or a d x d matrix")
-    w = None if base.weights is None else base.weights.copy()
-    return Grid(pts, w)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 
 from quantschemes.bsde import DriverSpec, bound_constants, solve_bsde
 from quantschemes.chain import (QuantizedChain, TimeMesh, brownian,
-                                build_layer_grids, estimate_companions)
+                                estimate_companions)
 from quantschemes.experiments import (BIDASK_REFERENCE, MULTIDIM_Y0,
                                       ExperimentConfig, loglog_slope,
                                       run_bidask, run_filter_demo,
@@ -82,11 +82,8 @@ def _brownian_chain(mc_paths, center, seed=0, n=5, size=20):
     model = brownian(1)
     mesh = TimeMesh(1.0, n)
     base = newton_1d(Law1D.gaussian(), size)
-    maps = [None] + [(lambda s: lambda p: math.sqrt(s) * p)(t)
-                     for t in mesh.times[1:]]
-    layers = build_layer_grids(model, mesh, [1] + [size] * n,
-                               method="scaled-gaussian",
-                               base_grids={size: base}, layer_maps=maps)
+    layers = [Grid(model.x0[None, :])] + [Grid(math.sqrt(t) * base.points)
+                                          for t in mesh.times[1:]]
     return estimate_companions(model, mesh, layers, mc_paths, seed,
                                center=center)
 
@@ -246,7 +243,7 @@ def test_criterion_08_forward_backward_identity(verdict):
         model = _random_filter_model(rng, sizes)
         y = rng.normal(size=n + 1)
         kernels = quantized_kernels(model, y)
-        state = forward_filter(model, y, kernels=kernels)
+        state = forward_filter(model, y)
         unnorm = np.zeros(sizes[-1])
         for path in itertools.product(*[range(s) for s in sizes]):
             w = model.initial[path[0]]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from quantschemes.bsde import (BoundConstants, DriverSpec, allocate_grid_sizes,
                                bound_constants, solve_bsde)
 from quantschemes.chain import (QuantizedChain, TimeMesh, brownian,
-                                build_layer_grids, estimate_companions)
+                                estimate_companions)
 from quantschemes.errors import InputError, NumericError
 from quantschemes.grids import Grid
 
@@ -216,11 +216,8 @@ def test_bound_dominates_measured_error():
     mesh = TimeMesh(T, n)
     from quantschemes.grids import Law1D, newton_1d
     base = newton_1d(Law1D.gaussian(), 30)
-    maps = [None] + [(lambda s: lambda p: math.sqrt(s) * p)(t)
-                     for t in mesh.times[1:]]
-    layers = build_layer_grids(model, mesh, [1] + [30] * n,
-                               method="scaled-gaussian",
-                               base_grids={30: base}, layer_maps=maps)
+    layers = [Grid(model.x0[None, :])] + [Grid(math.sqrt(t) * base.points)
+                                          for t in mesh.times[1:]]
     ch = estimate_companions(model, mesh, layers, 200_000, seed=0)
 
     def driver(t, x, y, z):

@@ -116,32 +116,9 @@ def test_layer_grids_deterministic_chain():
                            lambda t, x: np.zeros(x.shape + (1,)), [1.0])
     mesh = TimeMesh(1.0, 2)
     layers = build_layer_grids(model, mesh, [1, 1, 1],
-                               method="lloyd-on-samples", sample_budget=100,
-                               seed=0)
+                               sample_budget=100, seed=0)
     assert [g.size for g in layers] == [1, 1, 1]
     assert layers[2].points[0, 0] == pytest.approx(2.25)
-
-
-def test_layer_grids_scaled_gaussian_brownian():
-    base = Grid(np.array([[-1.0], [0.0], [1.0]]))
-    mesh = TimeMesh(1.0, 2)
-    maps = [None] + [(lambda s: lambda p: math.sqrt(s) * p)(t)
-                     for t in mesh.times[1:]]
-    layers = build_layer_grids(brownian(), mesh, [1, 3, 3],
-                               method="scaled-gaussian",
-                               base_grids={3: base}, layer_maps=maps)
-    assert np.allclose(layers[1].points[:, 0],
-                       math.sqrt(0.5) * base.points[:, 0])
-    assert np.allclose(layers[2].points[:, 0], base.points[:, 0])
-    assert layers[0].points[0, 0] == 0.0
-
-
-def test_layer_grids_missing_base_size():
-    mesh = TimeMesh(1.0, 1)
-    with pytest.raises(InputError):
-        build_layer_grids(brownian(), mesh, [1, 5], method="scaled-gaussian",
-                          base_grids={3: Grid([[0.0]])},
-                          layer_maps=[None, lambda p: p])
 
 
 def test_layer_grids_lloyd_beats_mapped_grid_for_gbm():
@@ -156,13 +133,9 @@ def test_layer_grids_lloyd_beats_mapped_grid_for_gbm():
         return lambda p: x0 * np.exp((mu - sig ** 2 / 2) * t
                                      + sig * math.sqrt(t) * p)
 
-    mapped = build_layer_grids(model, mesh, [1] + [8] * 4,
-                               method="scaled-gaussian",
-                               base_grids={8: base},
-                               layer_maps=[None] + [lognormal(t)
-                                                    for t in mesh.times[1:]])
+    mapped = [Grid(model.x0[None, :])] + [Grid(lognormal(t)(base.points))
+                                          for t in mesh.times[1:]]
     fitted = build_layer_grids(model, mesh, [1] + [8] * 4,
-                               method="lloyd-on-samples",
                                sample_budget=100_000, seed=5)
     paths, _ = euler_paths(model, mesh, 100_000, seed=6)
     src = SampleSource.from_batch(paths[:, -1, :])
@@ -173,11 +146,7 @@ def test_layer_grids_lloyd_beats_mapped_grid_for_gbm():
 
 def test_layer_grids_validation():
     with pytest.raises(InputError):
-        build_layer_grids(brownian(), TimeMesh(1.0, 2), [1, 5],
-                          method="lloyd-on-samples")
-    with pytest.raises(InputError):
-        build_layer_grids(brownian(), TimeMesh(1.0, 1), [1, 5],
-                          method="nope")
+        build_layer_grids(brownian(), TimeMesh(1.0, 2), [1, 5])
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +158,7 @@ def test_estimate_deterministic_chain():
                            lambda t, x: np.zeros(x.shape + (1,)), [1.0])
     mesh = TimeMesh(1.0, 2)
     layers = build_layer_grids(model, mesh, [1, 1, 1],
-                               method="lloyd-on-samples", sample_budget=10,
-                               seed=0)
+                               sample_budget=10, seed=0)
     ch = estimate_companions(model, mesh, layers, 1000, seed=0)
     for k in range(2):
         assert np.allclose(ch.transitions[k], 1.0)
@@ -218,7 +186,6 @@ def test_estimate_invariants():
     model = ou()
     mesh = TimeMesh(1.0, 3)
     layers = build_layer_grids(model, mesh, [1, 5, 5, 5],
-                               method="lloyd-on-samples",
                                sample_budget=20_000, seed=1)
     ch = estimate_companions(model, mesh, layers, 100_000, seed=2)
     p = ch.marginals[0]
@@ -276,7 +243,6 @@ def _small_chain(seed=0, center=True):
     model = ou()
     mesh = TimeMesh(0.5, 2)
     layers = build_layer_grids(model, mesh, [1, 4, 4],
-                               method="lloyd-on-samples",
                                sample_budget=5000, seed=seed)
     return estimate_companions(model, mesh, layers, 20_000, seed=seed,
                                center=center)
@@ -389,9 +355,11 @@ def _edit_line(number, edit):
     (True, lambda raw: raw + b"\x00", 5),
     (False, _edit_line(2, lambda ln: _set_field(ln, 3, b"nan")), 2),
     (True, _edit_line(2, lambda ln: _set_field(ln, 3, b"inf")), 2),
+    (False, _edit_line(2, lambda ln: _set_field(ln, 6, b"7")), 2),
 ], ids=["metadata-not-integer", "layer-size-not-integer",
         "negative-layer-size", "negative-dead-row-count", "header-not-utf8",
-        "binary-body-not-whole-floats", "nan-horizon", "inf-horizon"])
+        "binary-body-not-whole-floats", "nan-horizon", "inf-horizon",
+        "centered-not-0-or-1"])
 def test_chain_load_rejects_malformed_header_and_body(tmp_path, binary,
                                                       corrupt, line):
     path = tmp_path / "chain.dat"
@@ -409,3 +377,9 @@ def test_chain_shape_validation():
                        marginals=ch.marginals, transitions=ch.transitions,
                        companions=ch.companions, mc_paths=1, seed=0,
                        centered=True)
+    # a marginal of the wrong shape, or one that is no probability vector
+    for bad in (np.ones(2) / 2, np.full(4, 0.125),
+                np.array([1.5, -0.5, 0.0, 0.0])):
+        with pytest.raises(InputError):
+            dataclasses.replace(ch, marginals=[ch.marginals[0], bad,
+                                               ch.marginals[2]])

@@ -330,8 +330,15 @@ def test_cli_exit_codes(tmp_path, capsys):
                 {"pairs": [[-10, 0.1], [20, 0.05], [40, 0.02]]}):
         cfg.write_text(json.dumps(bad))
         assert main(["rate-fit", "--config", str(cfg)]) == 2
+    # a path must be a string: open() takes an integer as a file descriptor
+    for command, bad in (("grid", {"input": 0}), ("grid", {"input": 1.5}),
+                         ("grid", {"input": None}), ("rate-fit", {"csv": 0}),
+                         ("rate-fit", {"csv": [1]})):
+        cfg.write_text(json.dumps(bad))
+        assert main([command, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.count("error: ") == 18 and "Traceback" not in err
+    assert err.count("error: ") == 23 and "Traceback" not in err
+    assert err.count("must be a path string") == 5
     assert err.count("unknown config keys ['mcpaths']") == 1
     assert err.count("grid size must be >= 1, got 0") == 2
 

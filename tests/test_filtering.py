@@ -113,7 +113,7 @@ def test_forward_matches_path_enumeration():
         model = make_model(rng, sizes)
         y = rng.normal(size=n + 1)
         kernels = quantized_kernels(model, y)
-        state = forward_filter(model, y, kernels=kernels)
+        state = forward_filter(model, y)
 
         unnorm = np.zeros(sizes[-1])
         for path in itertools.product(*[range(s) for s in sizes]):
@@ -294,7 +294,7 @@ def test_exact_rows_and_masses_equal_norm_cdf_expression():
     from scipy.stats import norm
     from quantschemes.filtering import (_gaussian_ar1_rows,
                                         _gaussian_cell_masses)
-    from quantschemes.grids import _voronoi_edges, scale_grid
+    from quantschemes.grids import _voronoi_edges
 
     def rows_oracle(prev, nxt, a, b):
         edges = _voronoi_edges(nxt.points[:, 0])
@@ -306,7 +306,7 @@ def test_exact_rows_and_masses_equal_norm_cdf_expression():
     fm = builtin_models("sin-cube", steps=2).build_filter([7, 40, 150])
     # a shifted previous layer puts mass in the edge cells only, and a row
     # far in the tail underflows to zero in the inner cells
-    far = scale_grid(fm.layers[1], [4.0], 2.0)
+    far = Grid(4.0 + 2.0 * fm.layers[1].points)
     for prev, nxt in ((fm.layers[0], fm.layers[1]),
                       (fm.layers[1], fm.layers[2]), (far, fm.layers[2])):
         rows = _gaussian_ar1_rows(prev, nxt, 0.9, 0.4)
@@ -323,15 +323,29 @@ def test_step_kernels_equal_precomputed_kernels(name):
     fm = spec.build_filter([12, 30, 30, 25, 40, 30])
     _, y = spec.simulate(seed=4)
     kernels = quantized_kernels(fm, y)
-    lazy, eager = forward_filter(fm, y), forward_filter(fm, y, kernels=kernels)
+    # reference recursions over the precomputed kernels
+    pi, weights, log_masses = fm.initial.copy(), [fm.initial], [0.0]
+    for H in kernels:
+        pi = pi @ H
+        mass = pi.sum()
+        pi = pi / mass
+        weights.append(pi)
+        log_masses.append(math.log(mass))
+    state = forward_filter(fm, y)
     assert all(a.tobytes() == b.tobytes()
-               for a, b in zip(lazy.weights, eager.weights))
-    assert lazy.log_masses == eager.log_masses
+               for a, b in zip(state.weights, weights))
+    assert state.log_masses == log_masses
     terminal = fm.layers[-1].points[:, 0] ** 2
-    u, log_scale, signed = backward_value(fm, y, terminal)
-    u2, log_scale2, signed2 = backward_value(fm, y, terminal, kernels=kernels)
-    assert u.tobytes() == u2.tobytes()
-    assert (log_scale, signed) == (log_scale2, signed2)
+    u_ref, log_scale_ref = terminal, 0.0
+    for H in reversed(kernels):
+        u_ref = H @ u_ref
+        peak = np.abs(u_ref).max()
+        if peak > 0.0 and (peak > 1e100 or peak < 1e-100):
+            u_ref = u_ref / peak
+            log_scale_ref += math.log(peak)
+    u, log_scale, _ = backward_value(fm, y, terminal)
+    assert u.tobytes() == u_ref.tobytes()
+    assert log_scale == log_scale_ref
 
 
 def test_huge_observation_noise_recovers_prior():

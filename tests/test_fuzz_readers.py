@@ -139,6 +139,8 @@ def _check_chain(raw):
             return
     # QuantizedChain checked the shapes and the row sums
     assert _finite(chain.marginals + chain.transitions + chain.companions)
+    for p in chain.marginals:
+        assert np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-12
     for k, dead in enumerate(chain.dead_rows):
         assert np.all((dead >= 0) & (dead < chain.sizes[k]))
         assert np.all(chain.transitions[k] >= 0)

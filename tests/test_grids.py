@@ -9,7 +9,7 @@ from quantschemes.errors import ConvergenceError, InputError, ParseError
 from quantschemes.grids import (Grid, Law1D, SampleSource, StopCriteria,
                                 _scan_assign, assign, cell_sums, clvq,
                                 distortion_and_gradient, lloyd, load_grid,
-                                ls_error, newton_1d, save_grid, scale_grid)
+                                ls_error, newton_1d, save_grid)
 
 GAUSS_2PT = 0.7978845608028654  # sqrt(2/pi)
 
@@ -605,32 +605,15 @@ def test_ls_error_validation():
 # scaling
 # ---------------------------------------------------------------------------
 
-def test_scale_grid_identity_and_affine():
-    g = Grid([[-1.0], [1.0]], weights=[0.5, 0.5])
-    same = scale_grid(g, [0.0], 1.0)
-    assert np.array_equal(same.points, g.points)
-    assert np.array_equal(same.weights, g.weights)
-    moved = scale_grid(g, [5.0], 2.0)
-    assert np.allclose(moved.points[:, 0], [3.0, 7.0])
-
-
 def test_scale_grid_equivariance():
     rng = np.random.default_rng(13)
     base = Grid(rng.normal(size=(6, 1)))
     batch = rng.normal(size=(5000, 1))
     a, b = 2.5, -1.0
     e_base = ls_error(base, SampleSource.from_batch(batch), 2.0)
-    scaled = scale_grid(base, [b], a)
+    scaled = Grid(b + a * base.points)
     e_scaled = ls_error(scaled, SampleSource.from_batch(a * batch + b), 2.0)
     assert e_scaled == pytest.approx(a * e_base, rel=1e-12)
-
-
-def test_scale_grid_errors():
-    g = Grid([[0.0, 0.0]])
-    with pytest.raises(InputError):
-        scale_grid(g, [0.0], np.zeros((2, 2)))
-    with pytest.raises(InputError):
-        scale_grid(g, [0.0, 0.0, 0.0], 1.0)
 
 
 # ---------------------------------------------------------------------------

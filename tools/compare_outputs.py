@@ -16,9 +16,11 @@ dtype, shape and bytes:
   a `chain` build on gbm (T=0.25, n=10, N=50, sample budget 2e4);
 - ScalarFilterModel.build_filter("mc") rows, with dead rows;
 - newton_1d grids and weights at N = 10, 150 and 2000;
-- ScalarFilterModel.build_filter("exact") initial weights and rows, and
-  forward_filter weights on one sin-cube observation path;
-- the bid-ask and multidim points' y0 and z0 at small sizes;
+- ScalarFilterModel.build_filter("exact") layer points, initial weights
+  and rows, and forward_filter weights on one sin-cube observation path;
+- the bid-ask and multidim points' y0 and z0 at small sizes, and the layer
+  grids that the bid-ask and multidim d=2 points pass to
+  estimate_companions;
 - chain files written by the `chain` subcommand for each builtin model;
 - assign indices and squared distances on the bid-ask layer grids (N=150,
   n=20), and the marginals, transitions, companions and dead rows of its
@@ -124,22 +126,62 @@ def _outputs(workdir) -> dict:
     for model in ("linear-gaussian", "sin-cube"):
         spec = builtin_models(model, steps=3)
         fm = spec.build_filter([10, 150, 2000, 40], method="exact")
+        for k, g in enumerate(fm.layers):
+            out[f"filter-exact/{model}/points/{k}"] = g.points
         out[f"filter-exact/{model}/initial"] = fm.initial
         for k, rows in enumerate(fm.transitions):
             out[f"filter-exact/{model}/rows/{k}"] = rows
     spec = builtin_models("sin-cube", steps=10)
     _, y = spec.simulate(6)
-    state = forward_filter(spec.build_filter([150] * 11, method="exact"), y)
+    fm = spec.build_filter([150] * 11, method="exact")
+    for k, g in enumerate(fm.layers):
+        out[f"filter-exact/sin-cube/n=10/points/{k}"] = g.points
+    state = forward_filter(fm, y)
     for k, w in enumerate(state.weights):
         out[f"filter-exact/sin-cube/weights/{k}"] = w
 
-    for row_name, row in (
-            ("bidask", experiments._bidask_point((20, 5, 20_000, 1))),
-            ("multidim-d1", experiments._multidim_point((15, 1, 4, 20_000, 2, 0))),
-            ("multidim-d2", experiments._multidim_point(
-                (12, 2, 3, 20_000, 2, 5_000)))):
-        for key, value in row.items():
-            out[f"{row_name}/{key}"] = np.array(value)
+    # the chains the experiment points estimate, and the layer grids they
+    # pass in
+    chains = []
+    estimate = experiments.estimate_companions
+    def recording_chain(*args):
+        chains.append((args[2], estimate(*args)))
+        return chains[-1][1]
+    experiments.estimate_companions = recording_chain
+    try:
+        for row_name, point, args in (
+                ("bidask", experiments._bidask_point, (20, 5, 20_000, 1)),
+                ("multidim-d1", experiments._multidim_point,
+                 (15, 1, 4, 20_000, 2, 0)),
+                ("multidim-d2", experiments._multidim_point,
+                 (12, 2, 3, 20_000, 2, 5_000))):
+            for key, value in point(args).items():
+                out[f"{row_name}/{key}"] = np.array(value)
+            if row_name != "multidim-d1":
+                for k, g in enumerate(chains[-1][0]):
+                    out[f"{row_name}/layers/{k}"] = g.points
+
+        # every assign call of one bid-ask point: its layer grids and
+        # paths; and the chain estimated from them
+        layer = []
+        def recording(grid, points):
+            result = assign(grid, points)
+            layer.append(result)
+            return result
+        chain.assign = recording
+        experiments._bidask_point((150, 20, 50_000, 3))
+    finally:
+        chain.assign = assign
+        experiments.estimate_companions = estimate
+    for k, (idx, d2) in enumerate(layer):
+        out[f"assign/bidask/{k}/index"] = idx
+        out[f"assign/bidask/{k}/d2"] = d2
+    layers, bidask_chain = chains[-1]
+    for k, g in enumerate(layers):
+        out[f"bidask-chain/layers/{k}"] = g.points
+    for key in ("marginals", "transitions", "companions", "dead_rows"):
+        for k, a in enumerate(getattr(bidask_chain, key)):
+            out[f"bidask-chain/{key}/{k}"] = a
 
     for model in ("gbm", "ou", "brownian"):
         cfg = os.path.join(workdir, f"{model}.json")
@@ -152,31 +194,6 @@ def _outputs(workdir) -> dict:
         with open(os.path.join(target, "chain.txt"), "rb") as fh:
             out[f"cli-chain/{model}"] = np.frombuffer(fh.read(), np.uint8)
         out[f"cli-chain/{model}/exit"] = np.array(code)
-
-    # every assign call of one bid-ask point: its layer grids and paths;
-    # and the chain estimated from them
-    layer, chains = [], []
-    def recording(grid, points):
-        result = assign(grid, points)
-        layer.append(result)
-        return result
-    estimate = experiments.estimate_companions
-    def recording_chain(*args):
-        chains.append(estimate(*args))
-        return chains[-1]
-    chain.assign = recording
-    experiments.estimate_companions = recording_chain
-    try:
-        experiments._bidask_point((150, 20, 50_000, 3))
-    finally:
-        chain.assign = assign
-        experiments.estimate_companions = estimate
-    for k, (idx, d2) in enumerate(layer):
-        out[f"assign/bidask/{k}/index"] = idx
-        out[f"assign/bidask/{k}/d2"] = d2
-    for key in ("marginals", "transitions", "companions", "dead_rows"):
-        for k, a in enumerate(getattr(chains[0], key)):
-            out[f"bidask-chain/{key}/{k}"] = a
 
     rng = np.random.default_rng(13)
     batch1 = rng.standard_normal((5000, 1))
