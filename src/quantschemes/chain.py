@@ -157,18 +157,23 @@ def euler_paths(model: DiffusionModel, mesh: TimeMesh, num_paths: int,
     Returns (paths (M, n+1, d), increments (M, n, q)); the increments are
     exactly those consumed by the recursion. Reproducible for a given seed.
     """
+    steps = list(_euler_steps(model, mesh, num_paths, seed))
+    return (np.stack([x for _, x, _ in steps], axis=1),
+            np.stack([dw for _, _, dw in steps[:-1]], axis=1))
+
+
+def _euler_steps(model: DiffusionModel, mesh: TimeMesh, num_paths: int,
+                 seed: int):
+    """The Euler scheme of `euler_paths`, one step at a time: yields
+    (k, X_k (M, d), dW_k (M, q)) for k = 0..n, with dW_n None."""
     if num_paths < 1:
         raise InputError("num_paths must be >= 1")
     rng = np.random.default_rng(seed)
-    n, d, q = mesh.steps, model.dim_x, model.dim_w
-    dt = mesh.dt
+    n, q, dt = mesh.steps, model.dim_w, mesh.dt
     sq = np.sqrt(dt)
-    paths = np.empty((num_paths, n + 1, d))
-    incr = np.empty((num_paths, n, q))
-    paths[:, 0, :] = model.x0
     times = mesh.times
+    x = np.tile(model.x0, (num_paths, 1))
     for k in range(n):
-        x = paths[:, k, :]
         b = np.asarray(model.drift(times[k], x), dtype=float)
         s = np.asarray(model.diffusion(times[k], x), dtype=float)
         if not (np.all(np.isfinite(b)) and np.all(np.isfinite(s))):
@@ -176,9 +181,9 @@ def euler_paths(model: DiffusionModel, mesh: TimeMesh, num_paths: int,
                                      | ~np.isfinite(s).all(axis=(-2, -1)))[0])
             raise NumericError(f"non-finite coefficient at step {k}, path {bad}")
         dw = sq * rng.standard_normal((num_paths, q))
-        incr[:, k, :] = dw
-        paths[:, k + 1, :] = x + dt * b + np.einsum("mdq,mq->md", s, dw)
-    return paths, incr
+        yield k, x, dw
+        x = x + dt * b + np.einsum("mdq,mq->md", s, dw)
+    yield n, x, None
 
 
 # ---------------------------------------------------------------------------
@@ -238,31 +243,30 @@ def estimate_companions(model: DiffusionModel, mesh: TimeMesh,
                         layers: Sequence[Grid], num_paths: int, seed: int,
                         center: bool = True) -> QuantizedChain:
     """Single-pass Monte Carlo estimation of marginal, transition and
-    companion weights on the given layer grids.
+    companion weights on the given layer grids, one Euler step at a time
+    (only one layer pair of paths is ever held).
 
     All three families come from the same Euler paths, which makes the
     marginal recursion p^{k+1} = p^k P^k exact. Unvisited cells get a
     uniform fallback row with zero companions and are listed in dead_rows.
     """
-    n = mesh.steps
-    if len(layers) != n + 1:
+    if len(layers) != mesh.steps + 1:
         raise InputError("need n+1 layer grids")
-    paths, incr = euler_paths(model, mesh, num_paths, seed)
-    idx = [assign(layers[k], paths[:, k, :])[0] for k in range(n + 1)]
     marginals, transitions, companions, dead = [], [], [], []
-    for k in range(n + 1):
-        counts = np.bincount(idx[k], minlength=layers[k].size)
+    for k, x, dw in _euler_steps(model, mesh, num_paths, seed):
+        idx = assign(layers[k], x)[0]
+        counts = np.bincount(idx, minlength=layers[k].size)
         marginals.append(counts / num_paths)
-        if k == n:
-            break
-        trans, pi, deadk = joint_transitions(idx[k], idx[k + 1], counts,
-                                             layers[k + 1].size, incr[:, k, :])
-        if center:
-            alive = np.setdiff1d(np.arange(layers[k].size), deadk)
-            pi[alive] -= pi[alive].sum(axis=1, keepdims=True) / pi.shape[1]
-        transitions.append(trans)
-        companions.append(pi)
-        dead.append(deadk)
+        if k > 0:
+            trans, pi, deadk = joint_transitions(idx_prev, idx, counts_prev,
+                                                 layers[k].size, dw_prev)
+            if center:
+                alive = np.setdiff1d(np.arange(layers[k - 1].size), deadk)
+                pi[alive] -= pi[alive].sum(axis=1, keepdims=True) / pi.shape[1]
+            transitions.append(trans)
+            companions.append(pi)
+            dead.append(deadk)
+        idx_prev, counts_prev, dw_prev = idx, counts, dw
     return QuantizedChain(mesh=mesh, layers=[Grid(g.points) for g in layers],
                           marginals=marginals, transitions=transitions,
                           companions=companions, mc_paths=num_paths, seed=seed,

@@ -46,13 +46,13 @@ def _option(cfg: dict, key: str, kind, default):
                          f"got {value!r}")
 
 
-def _path(cfg: dict, key: str) -> str:
-    """Config value `key` as a file path; only a string is one (`open`
-    would take an integer as a file descriptor)."""
-    value = cfg[key]
+def _string(cfg: dict, key: str, default=None, what: str = "string") -> str:
+    """Config value `key`, or `default` when absent, which must be a string:
+    a file path (`open` would take an integer as a file descriptor), a law
+    or a CSV column name."""
+    value = cfg.get(key, default)
     if not isinstance(value, str):
-        raise InputError(f"config {key!r} must be a path string, "
-                         f"got {value!r}")
+        raise InputError(f"config {key!r} must be a {what}, got {value!r}")
     return value
 
 
@@ -123,11 +123,11 @@ def _experiment_config(name: str, cfg: dict, args,
 def _cmd_grid(args) -> int:
     cfg = _load_config(args.config)
     if "input" in cfg:
-        grid = load_grid(_path(cfg, "input"))
+        grid = load_grid(_string(cfg, "input", what="path string"))
         print(json.dumps({"size": grid.size, "dim": grid.dim,
                           "has_weights": grid.weights is not None}))
         return 0
-    law = cfg.get("law", "gaussian")
+    law = _string(cfg, "law", "gaussian")
     dim = _option(cfg, "dim", int, 1)
     size = _grid_size(args, cfg, "size", 100)
     method = cfg.get("method", "newton" if dim == 1 else "lloyd")
@@ -218,9 +218,10 @@ def _cmd_rate_fit(args) -> int:
         except (TypeError, ValueError):
             raise InputError("pairs must be a list of [N, error] pairs")
     elif "csv" in cfg:
-        ncol, ecol = cfg.get("n_column", "N"), cfg.get("error_column", "error")
+        ncol = _string(cfg, "n_column", "N")
+        ecol = _string(cfg, "error_column", "error")
         try:
-            with open(_path(cfg, "csv")) as fh:
+            with open(_string(cfg, "csv", what="path string")) as fh:
                 rows = list(csv.DictReader(fh))
         except OSError as exc:
             raise InputError(f"cannot read csv: {exc}")

@@ -190,9 +190,10 @@ def assign(grid: Grid, points: np.ndarray):
 
     Returns (indices, squared distances), equal to those of the exact
     linear scan `_scan_assign`, ties to the smallest index included. A 1-D
-    grid is searched by bisection on its sorted Voronoi midpoints, a grid in
-    d >= 2 by a kd-tree query for the two nearest points. A row whose two
-    nearest points lie within the scan's rounding error of each other (exact
+    grid is searched by bisection on its sorted Voronoi midpoints, with
+    near-ties judged from the distance to the nearest one; a grid in d >= 2
+    by a kd-tree query for the two nearest points. A row whose two nearest
+    points may lie within the scan's rounding error of each other (exact
     ties among them, which neither search breaks by index), or that is not
     finite, takes the scan's index. Squared distances come from the scan's
     own expression, so they equal the scan's to the bit.
@@ -218,7 +219,8 @@ def _tie_tol(c: np.ndarray, pts: np.ndarray) -> np.ndarray:
     The scan's |x|^2 - 2 x.c + |c|^2 and the kd-tree's distances are each
     off by less than (d + 3) * eps * (|x| + |c|)^2 plus an underflow floor;
     a gap between the two nearest points of over four times that (two
-    errors, with a margin) fixes the scan's argmin.
+    errors, with a margin) fixes the scan's argmin. The 1-D search's gap is
+    a lower bound of the exact gap, which the same threshold covers.
     """
     radius = math.sqrt(np.max(_sq_norm(c)))
     scale = (np.sqrt(_sq_norm(pts)) + radius) ** 2
@@ -247,18 +249,34 @@ def _sq_norm(x: np.ndarray) -> np.ndarray:
 
 
 def _sorted_search(c: np.ndarray, pts: np.ndarray):
-    """Candidate indices of 1-D points, and the squared-distance gap to each
-    candidate's nearer sorted neighbour (inf where there is none)."""
+    """Candidate indices of 1-D points, and a lower bound of the squared-
+    distance gap to each candidate's nearer sorted neighbour (inf where
+    there is none; a gap <= 0 bounds nothing).
+
+    For a candidate a with neighbour b and midpoint mu = (a + b)/2, the
+    exact gap is |x - b|^2 - |x - a|^2 = 2 |a - b| |x - mu|. Its cell edge m
+    is the rounded midpoint: fl(a + b) is off by at most eps R (R = max |c|),
+    so |m - mu| <= eps R / 2. The margin H = 2 eps R thus gives
+    2 |x - mu| >= (1 - u)(2 fl(|x - m|) - H) (u = eps / 2; H is twice the
+    midpoint's share to cover the subtraction's rounding too). The spacing,
+    the subtraction of H and the product each round once more, so the exact
+    gap is at least (1 - u)^4 >= 1 - 2 eps times the computed product; the
+    final factor 1 - 4 eps keeps that after its own rounding. Near underflow,
+    sums are exact, halving a + b adds at most 2^-1075 (within eps R / 2
+    unless R < tiny) and a product below tiny is below `_tie_tol` anyway; so
+    is every gap when R < tiny (at most R^2 / (4 eps) above 16 eps x^2).
+    """
     order = np.argsort(c[:, 0], kind="stable")
-    s = c.take(order, axis=0)
-    last = s.shape[0] - 1
-    pos = np.searchsorted(_voronoi_edges(s[:, 0])[1:-1], pts[:, 0])
-    own = _sq_dist(pts, s.take(pos, axis=0))
-    below = np.where(pos > 0, _sq_dist(pts, s.take(pos - 1, axis=0)), np.inf)
-    above = np.where(pos < last,
-                     _sq_dist(pts, s.take(np.minimum(pos + 1, last), axis=0)),
-                     np.inf)
-    return order[pos], np.minimum(below, above) - own
+    s = c[order, 0]
+    edges = _voronoi_edges(s)
+    spacing = np.concatenate(([np.inf], np.diff(s), [np.inf]))
+    x = pts[:, 0]
+    pos = np.searchsorted(edges[1:-1], x)
+    margin = 2 * _EPS * max(-s[0], s[-1])
+    below = spacing.take(pos) * (2.0 * (x - edges.take(pos)) - margin)
+    pos1 = pos + 1
+    above = spacing.take(pos1) * (2.0 * (edges.take(pos1) - x) - margin)
+    return order.take(pos), np.minimum(below, above) * (1.0 - 4 * _EPS)
 
 
 def _tree_search(c: np.ndarray, pts: np.ndarray):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from quantschemes.chain import (MODELS, DiffusionModel, QuantizedChain,
                                 estimate_companions, euler_paths, gbm,
                                 joint_transitions, load_chain, ou, save_chain)
 from quantschemes.errors import InputError, NumericError, ParseError
-from quantschemes.grids import Grid, SampleSource, distortion_and_gradient
+from quantschemes.grids import (Grid, Law1D, SampleSource, assign,
+                                distortion_and_gradient, newton_1d)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +214,79 @@ def test_estimate_dead_rows():
     assert np.allclose(ch.companions[0][1], 0.0)
     # visited row still centered
     assert abs(ch.companions[0][0].sum()) <= 1e-12
+
+
+def _materialised_estimate(model, mesh, layers, num_paths, seed, center):
+    """estimate_companions' arrays from every layer of stored paths:
+    euler_paths, then assign per layer, then joint_transitions per pair."""
+    n = mesh.steps
+    paths, incr = euler_paths(model, mesh, num_paths, seed)
+    idx = [assign(layers[k], paths[:, k, :])[0] for k in range(n + 1)]
+    out = {"marginals": [], "transitions": [], "companions": [],
+           "dead_rows": []}
+    for k in range(n + 1):
+        counts = np.bincount(idx[k], minlength=layers[k].size)
+        out["marginals"].append(counts / num_paths)
+        if k == n:
+            break
+        trans, pi, deadk = joint_transitions(idx[k], idx[k + 1], counts,
+                                             layers[k + 1].size, incr[:, k, :])
+        if center:
+            alive = np.setdiff1d(np.arange(layers[k].size), deadk)
+            pi[alive] -= pi[alive].sum(axis=1, keepdims=True) / pi.shape[1]
+        out["transitions"].append(trans)
+        out["companions"].append(pi)
+        out["dead_rows"].append(deadk)
+    return out
+
+
+@pytest.mark.parametrize("case,center", [("ou-dead", True),
+                                         ("ou-dead", False),
+                                         ("brownian-2d", True)])
+def test_estimate_matches_materialised_paths(case, center):
+    rng = np.random.default_rng(8)
+    if case == "ou-dead":
+        # the layer-1 point at 40 is never visited: a dead row
+        model, mesh = ou(x0=0.2), TimeMesh(1.0, 3)
+        layers = [Grid([[0.2]])] + [
+            Grid(np.vstack([np.sort(rng.normal(size=(6, 1)), 0), [[40.0]]]))
+            for _ in range(3)]
+    else:
+        model, mesh = brownian(2), TimeMesh(0.5, 3)
+        layers = [Grid([[0.0, 0.0]])] + [Grid(rng.normal(size=(7, 2)))
+                                         for _ in range(3)]
+    ch = estimate_companions(model, mesh, layers, 30_000, 5, center)
+    ref = _materialised_estimate(model, mesh, layers, 30_000, 5, center)
+    if case == "ou-dead":
+        assert all(d.tolist() == [6] for d in ch.dead_rows[1:])
+    assert ch.dim_w == model.dim_w
+    for key, arrays in ref.items():
+        got = getattr(ch, key)
+        assert len(got) == len(arrays)
+        for a, b in zip(got, arrays):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+    assert all(a.points.tobytes() == b.points.tobytes()
+               for a, b in zip(ch.layers, layers))
+
+
+def test_estimate_peak_memory_flat_in_steps():
+    # one layer pair in memory: the peak must not grow with the step count
+    base = newton_1d(Law1D.gaussian(), 20)
+
+    def peak(n):
+        mesh = TimeMesh(1.0, n)
+        layers = [Grid([[0.0]])] + [Grid(math.sqrt(t) * base.points)
+                                    for t in mesh.times[1:]]
+        tracemalloc.start()
+        try:
+            estimate_companions(brownian(), mesh, layers, 50_000, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(5), peak(40)
+    assert large <= 1.5 * small, (small, large)
 
 
 def test_joint_transitions_match_path_loop():

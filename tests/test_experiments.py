@@ -336,9 +336,19 @@ def test_cli_exit_codes(tmp_path, capsys):
                          ("rate-fit", {"csv": [1]})):
         cfg.write_text(json.dumps(bad))
         assert main([command, "--config", str(cfg)]) == 2
+    # a law or CSV column name must be a string too (a list is unhashable)
+    table = tmp_path / "t.csv"
+    table.write_text("N,error\n10,0.1\n20,0.05\n40,0.02\n")
+    for command, bad in (("grid", {"law": ["x"]}),
+                         ("rate-fit", {"csv": str(table), "n_column": ["N"]}),
+                         ("rate-fit", {"csv": str(table),
+                                       "error_column": ["error"]})):
+        cfg.write_text(json.dumps(bad))
+        assert main([command, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.count("error: ") == 23 and "Traceback" not in err
+    assert err.count("error: ") == 26 and "Traceback" not in err
     assert err.count("must be a path string") == 5
+    assert err.count("must be a string") == 3
     assert err.count("unknown config keys ['mcpaths']") == 1
     assert err.count("grid size must be >= 1, got 0") == 2
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from quantschemes.errors import ConvergenceError, InputError, ParseError
 from quantschemes.grids import (Grid, Law1D, SampleSource, StopCriteria,
-                                _scan_assign, assign, cell_sums, clvq,
+                                _scan_assign, _sorted_search, _tie_tol,
+                                assign, cell_sums, clvq,
                                 distortion_and_gradient, lloyd, load_grid,
                                 ls_error, newton_1d, save_grid)
 
@@ -155,6 +157,48 @@ def test_assign_matches_scan_oracle(seed, n, d, kind, ordered, duplicate):
     ref_idx, ref_d2 = _scan_assign(grid, pts)
     assert np.array_equal(idx, ref_idx)
     assert d2.tobytes() == ref_d2.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30), st.floats(-3, 6),
+       st.floats(-6, 0), st.booleans(), st.booleans())
+def test_assign_1d_midpoint_gap_far_from_origin(seed, n, log_offset,
+                                                log_spacing, negative,
+                                                duplicate):
+    """1-D grids at offsets up to 1e6 with spacings down to 1e-6 of the
+    offset: points at, and one ulp either side of, each computed midpoint,
+    where the midpoint-distance gap meets the near-tie tolerance, and up to
+    1e6 grid widths away, get the scan's index and squared distance; and
+    every positive gap of the sorted search is a lower bound of the exact
+    (rational) gap."""
+    rng = np.random.default_rng(seed)
+    offset = (-1.0 if negative else 1.0) * 10.0 ** log_offset
+    spacing = abs(offset) * 10.0 ** log_spacing
+    c = rng.permutation(offset + spacing * np.cumsum(rng.uniform(0.1, 1, n)))
+    if duplicate and n > 1:
+        c[rng.integers(1, n)] = c[0]
+    s = np.sort(c)
+    mids = 0.5 * (s[:-1] + s[1:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = _tie_tol(c[:, None], mids[:, None]) / (2 * np.diff(s))
+    ok = np.isfinite(reach)
+    pts = np.concatenate([
+        mids, np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf), c,
+        *[mids[ok] + f * reach[ok] for f in (-2, -1, -0.5, 0.5, 1, 2)],
+        offset + spacing * n * rng.uniform(-0.5, 1.5, 100),
+        offset + spacing * n * rng.choice([-1, 1], 50)
+        * 10.0 ** rng.uniform(0, 6, 50)])[:, None]
+    grid = Grid(c[:, None])
+    idx, d2 = assign(grid, pts)
+    ref_idx, ref_d2 = _scan_assign(grid, pts)
+    assert np.array_equal(idx, ref_idx)
+    assert d2.tobytes() == ref_d2.tobytes()
+    cand, gap = _sorted_search(grid.points, pts)
+    exact = [Fraction(v) for v in c]
+    for m in np.flatnonzero((gap > 0) & (gap < np.inf)):
+        x, own = Fraction(pts[m, 0]), exact[cand[m]]
+        least = min((x - v) ** 2 for j, v in enumerate(exact) if j != cand[m])
+        assert Fraction(gap[m]) <= least - (x - own) ** 2
 
 
 # ---------------------------------------------------------------------------

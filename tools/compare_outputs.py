@@ -9,7 +9,8 @@ which computes the outputs below at fixed seeds; every array must agree in
 dtype, shape and bytes:
 
 - estimate_companions, with and without centering, with dead rows, in 1-D
-  and 2-D;
+  and 2-D, and the euler_paths paths and increments of its 1-D and 2-D
+  cases;
 - lloyd grids, weights, final reports and iteration counts, including a
   dead-cell re-seed; the multidim base grid (d=2, N=150, a 5e4 batch from
   seed 12345, the experiment's stop criteria); and the ten layer grids of
@@ -69,6 +70,10 @@ def _outputs(workdir) -> dict:
                                         for _ in range(2)]),
     }
     for name, (model, mesh, layers) in cases.items():
+        if name != "ou-dead":
+            paths, incr = chain.euler_paths(model, mesh, 20_000, 3)
+            out[f"euler/{name}/paths"] = paths
+            out[f"euler/{name}/increments"] = incr
         for center in (True, False):
             ch = estimate_companions(model, mesh, layers, 20_000, 3, center)
             for key in ("marginals", "transitions", "companions", "dead_rows"):
