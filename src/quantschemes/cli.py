@@ -22,7 +22,7 @@ import numpy as np
 from .chain import (MODELS, DiffusionModel, TimeMesh, build_layer_grids,
                     estimate_companions, save_chain)
 from .errors import InputError, NumericError, QuantError
-from .experiments import (ExperimentConfig, fit_rate, run_bidask,
+from .experiments import (ExperimentConfig, _integer, fit_rate, run_bidask,
                           run_filter_demo, run_multidim)
 from .grids import (Grid, Law1D, SampleSource, StopCriteria, clvq,
                     distortion_and_gradient, lloyd, load_grid, newton_1d,
@@ -31,14 +31,17 @@ from .grids import (Grid, Law1D, SampleSource, StopCriteria, clvq,
 
 def _int_list(values, what: str) -> list[int]:
     try:
-        return [int(v) for v in values]
-    except (TypeError, ValueError):
+        return [_integer(v, what) for v in values]
+    except (TypeError, InputError):
         raise InputError(f"{what} must list integers, got {values!r}")
 
 
 def _option(cfg: dict, key: str, kind, default):
-    """Config value `key` converted by `kind`, or `default` when absent."""
+    """Config value `key` converted by `kind`, or `default` when absent; an
+    int follows `_integer`'s rule."""
     value = cfg.get(key, default)
+    if kind is int:
+        return _integer(value, f"config {key!r}")
     try:
         return kind(value)
     except (TypeError, ValueError):

@@ -76,10 +76,17 @@ class ExperimentConfig:
 
 
 def _integer(value, key: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise InputError(f"{key} must be an integer, got {value!r}")
+    """The one integer rule for config values: an int, an integral finite
+    float or an integer string. A bool, a non-finite or a non-integral
+    value is an InputError, never truncated."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            number = int(value)
+            if isinstance(value, str) or number == value:
+                return number
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InputError(f"{key} must be an integer, got {value!r}")
 
 
 @dataclass

@@ -5,14 +5,16 @@ The signal chain is replaced by per-layer grids with transition matrices;
 the observation enters through weighted kernels H_k[i, j] = g_k(x_i, y_{k-1},
 x_j, y_k) p_k[i, j]. The filter follows either the forward recursion
 pi_k = pi_{k-1} H_k (normalized per step, with a log-mass ledger) or the
-equivalent backward recursion u_{k-1} = H_k u_k.
+equivalent backward recursion u_{k-1} = H_k u_k. Either needs one H_k at a
+time, so the exact scalar model builds its transition rows per step.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import ndtr
@@ -32,11 +34,16 @@ Likelihood = Callable[[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 @dataclass
 class FilterModel:
     """Quantized signal (grids, initial weights, transitions) plus the
-    observation likelihood."""
+    observation likelihood.
+
+    `transitions` is a stored list of matrices, checked here, or the
+    `_ExactRows` of a scalar model, which builds and checks the matrix of
+    step k each time it is asked for it.
+    """
 
     layers: list[Grid]
     initial: np.ndarray
-    transitions: list[np.ndarray]
+    transitions: Sequence[np.ndarray]
     likelihood: Likelihood
 
     def __post_init__(self):
@@ -46,10 +53,11 @@ class FilterModel:
             raise InputError("need one more layer than transition matrices")
         _check_probabilities(self.initial, (self.layers[0].size,),
                              "initial weights")
-        for k, p in enumerate(self.transitions):
-            _check_probabilities(p, (self.layers[k].size,
-                                     self.layers[k + 1].size),
-                                 f"transition {k}")
+        if not isinstance(self.transitions, _ExactRows):
+            for k, p in enumerate(self.transitions):
+                _check_probabilities(p, (self.layers[k].size,
+                                         self.layers[k + 1].size),
+                                     f"transition {k}")
 
     @property
     def steps(self) -> int:
@@ -90,13 +98,35 @@ def _check_observations(observations, steps):
 def _kernel(model: FilterModel, y: np.ndarray, k: int) -> np.ndarray:
     """H_k[i, j] = g_k(x_i, y_{k-1}, x_j, y_k) p_k[i, j] for step k >= 1,
     with `y` already checked by `_check_observations`."""
+    p = model.transitions[k - 1]
     xp = model.layers[k - 1].points[:, None, :]
     xn = model.layers[k].points[None, :, :]
     g = np.asarray(model.likelihood(k, xp, y[k - 1], xn, y[k]), dtype=float)
-    g = np.broadcast_to(g, model.transitions[k - 1].shape)
+    g = np.broadcast_to(g, p.shape)
     if np.any(g < 0) or not np.all(np.isfinite(g)):
         raise InputError(f"likelihood at step {k} must be finite and >= 0")
-    return g * model.transitions[k - 1]
+    return g * p
+
+
+# Entries per block of `_apply` and of `_gaussian_ar1_rows`' scratch (2 MiB).
+# OpenBLAS runs a matrix-vector product this small on one thread, so no
+# second thread is left spinning while the next step's rows are built.
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _apply(H: np.ndarray, v: np.ndarray, left: bool) -> np.ndarray:
+    """v @ H (`left`) or H @ v, in column or row blocks of H whose width is
+    a multiple of 4 and whose size is at most about _BLOCK_ENTRIES. Each
+    entry of the result is the one the single-threaded product computes."""
+    cols = H.shape[0] if left else H.shape[1]
+    out = np.empty(H.shape[1] if left else H.shape[0])
+    width = max(4, _BLOCK_ENTRIES // cols // 4 * 4)
+    for s in range(0, out.size, width):
+        if left:
+            np.matmul(v, H[:, s:s + width], out=out[s:s + width])
+        else:
+            np.matmul(H[s:s + width], v, out=out[s:s + width])
+    return out
 
 
 def quantized_kernels(model: FilterModel, observations) -> list[np.ndarray]:
@@ -117,7 +147,7 @@ def forward_filter(model: FilterModel, observations) -> FilterState:
     weights = [pi]
     log_masses = [0.0]
     for k in range(1, model.steps + 1):
-        pi = pi @ _kernel(model, y, k)
+        pi = _apply(_kernel(model, y, k), pi, left=True)
         mass = pi.sum()
         if not np.isfinite(mass) or mass <= 0.0:
             raise DegenerateObservationError(k)
@@ -143,7 +173,7 @@ def backward_value(model: FilterModel, observations, terminal):
         raise InputError("terminal values must live on the last grid")
     log_scale = 0.0
     for k in range(model.steps, 0, -1):
-        u = _kernel(model, y, k) @ u
+        u = _apply(_kernel(model, y, k), u, left=False)
         peak = np.abs(u).max()
         if peak > 0.0 and (peak > 1e100 or peak < 1e-100):
             u = u / peak
@@ -226,9 +256,9 @@ class ScalarFilterModel:
                      mc_paths: int = 100_000, seed: int = 0) -> FilterModel:
         """Quantized filter model on per-layer optimal Gaussian grids.
 
-        "exact" computes the cell masses and transition rows in closed form
-        from the Gaussian AR(1) structure; "mc" estimates them from
-        simulated signal paths.
+        "exact" computes the cell masses in closed form from the Gaussian
+        AR(1) structure, and each step's transition rows when the filter
+        asks for them; "mc" estimates them from simulated signal paths.
         """
         sizes = [int(s) for s in sizes]
         if len(sizes) != self.steps + 1:
@@ -239,9 +269,7 @@ class ScalarFilterModel:
                   for k, nk in enumerate(sizes)]
         if method == "exact":
             initial = _gaussian_cell_masses(layers[0], means[0], stds[0])
-            transitions = [_gaussian_ar1_rows(layers[k], layers[k + 1],
-                                              self.ar_coeff, self.ar_noise)
-                           for k in range(self.steps)]
+            transitions = _ExactRows(layers, self.ar_coeff, self.ar_noise)
         elif method == "mc":
             rng = np.random.default_rng(seed)
             x = means[0] + stds[0] * rng.standard_normal(mc_paths)
@@ -273,12 +301,43 @@ def _gaussian_cell_masses(grid: Grid, mean: float, std: float) -> np.ndarray:
 
 
 def _gaussian_ar1_rows(prev: Grid, nxt: Grid, a: float, b: float) -> np.ndarray:
-    """Row i = exact law of a x_i + b eps over the Voronoi cells of `nxt`."""
+    """Row i = exact law of a x_i + b eps over the Voronoi cells of `nxt`.
+
+    Filled in row blocks of about _BLOCK_ENTRIES, so that the only full-size
+    array is the result; each row gets the bytes of the whole-matrix
+    expression, as its values and its pairwise sum are the same.
+    """
     edges = _voronoi_edges(nxt.points[:, 0])
     centers = a * prev.points[:, 0]
-    cdf = ndtr((edges[None, :] - centers[:, None]) / b)
-    rows = np.diff(cdf, axis=1)
-    return rows / rows.sum(axis=1, keepdims=True)
+    rows = np.empty((prev.size, nxt.size))
+    height = max(1, _BLOCK_ENTRIES // edges.size)
+    for s in range(0, prev.size, height):
+        z = edges[None, :] - centers[s:s + height, None]
+        z /= b
+        ndtr(z, out=z)
+        block = rows[s:s + height]
+        np.subtract(z[:, 1:], z[:, :-1], out=block)
+        block /= block.sum(axis=1, keepdims=True)
+    return rows
+
+
+class _ExactRows(Sequence):
+    """The transition matrices of the exact scalar model: item k is built by
+    `_gaussian_ar1_rows` and checked each time it is asked for, and none is
+    stored."""
+
+    def __init__(self, layers: list[Grid], a: float, b: float):
+        self.layers, self.a, self.b = layers, a, b
+
+    def __len__(self) -> int:
+        return len(self.layers) - 1
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        k = range(len(self))[k]  # IndexError past the end ends iteration
+        rows = _gaussian_ar1_rows(self.layers[k], self.layers[k + 1],
+                                  self.a, self.b)
+        _check_probabilities(rows, rows.shape, f"transition {k}")
+        return rows
 
 
 def builtin_models(name: str, steps: int = 10) -> ScalarFilterModel:

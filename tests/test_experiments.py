@@ -345,8 +345,21 @@ def test_cli_exit_codes(tmp_path, capsys):
                                        "error_column": ["error"]})):
         cfg.write_text(json.dumps(bad))
         assert main([command, "--config", str(cfg)]) == 2
+    # one integer rule: a bool, a non-finite or a non-integral value is an
+    # error, never truncated
+    for command, bad in (("filter-demo", {"n": math.inf}),
+                         ("grid", {"seed": math.inf}),
+                         ("filter-demo", {"n": 2.7}),
+                         ("filter-demo", {"sweep": [10.9, 25]}),
+                         ("filter-demo", {"n": True}),
+                         ("chain", {"n": True}),
+                         ("grid", {"dim": 1.5}),
+                         ("chain", {"sizes": [1, 2.5]})):
+        cfg.write_text(json.dumps(bad))
+        assert main([command, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.count("error: ") == 26 and "Traceback" not in err
+    assert err.count("error: ") == 34 and "Traceback" not in err
+    assert err.count("must be an integer, got") == 8
     assert err.count("must be a path string") == 5
     assert err.count("must be a string") == 3
     assert err.count("unknown config keys ['mcpaths']") == 1

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,10 +318,15 @@ def test_exact_rows_and_masses_equal_norm_cdf_expression():
     assert _gaussian_cell_masses(grid, 0.3, 1.7).tobytes() == oracle.tobytes()
 
 
-@pytest.mark.parametrize("name", ["linear-gaussian", "sin-cube"])
-def test_step_kernels_equal_precomputed_kernels(name):
-    spec = builtin_models(name, steps=5)
-    fm = spec.build_filter([12, 30, 30, 25, 40, 30])
+@pytest.mark.parametrize("name, sizes", [
+    ("linear-gaussian", [12, 30, 30, 25, 40, 30]),
+    ("sin-cube", [12, 30, 30, 25, 40, 30]),
+    # large enough for OpenBLAS to thread a full matrix-vector product
+    ("sin-cube", [2000] * 3)],
+    ids=["linear-gaussian", "sin-cube", "sin-cube-N2000"])
+def test_step_kernels_equal_precomputed_kernels(name, sizes):
+    spec = builtin_models(name, steps=len(sizes) - 1)
+    fm = spec.build_filter(sizes)
     _, y = spec.simulate(seed=4)
     kernels = quantized_kernels(fm, y)
     # reference recursions over the precomputed kernels
@@ -346,6 +352,23 @@ def test_step_kernels_equal_precomputed_kernels(name):
     u, log_scale, _ = backward_value(fm, y, terminal)
     assert u.tobytes() == u_ref.tobytes()
     assert log_scale == log_scale_ref
+
+
+def test_exact_filter_peak_memory_flat_in_steps():
+    # one step's transition rows in memory: the peak must not grow with
+    # the step count
+    def peak(n):
+        spec = builtin_models("sin-cube", steps=n)
+        _, y = spec.simulate(seed=1)
+        tracemalloc.start()
+        try:
+            forward_filter(spec.build_filter([400] * (n + 1)), y)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2), peak(8)
+    assert large <= 1.5 * small, (small, large)
 
 
 def test_huge_observation_noise_recovers_prior():

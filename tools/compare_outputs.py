@@ -18,7 +18,10 @@ dtype, shape and bytes:
 - ScalarFilterModel.build_filter("mc") rows, with dead rows;
 - newton_1d grids and weights at N = 10, 150 and 2000;
 - ScalarFilterModel.build_filter("exact") layer points, initial weights
-  and rows, and forward_filter weights on one sin-cube observation path;
+  and rows; forward_filter weights on one sin-cube observation path at
+  N=150 (n=10) and at N=2000 (n=3), and backward_value's u and log_scale
+  on the N=2000 model (large enough for OpenBLAS to thread a full
+  matrix-vector product);
 - the bid-ask and multidim points' y0 and z0 at small sizes, and the layer
   grids that the bid-ask and multidim d=2 points pass to
   estimate_companions;
@@ -46,7 +49,8 @@ import numpy as np
 def _outputs(workdir) -> dict:
     from quantschemes import chain, cli, experiments
     from quantschemes.chain import DiffusionModel, TimeMesh, estimate_companions
-    from quantschemes.filtering import builtin_models, forward_filter
+    from quantschemes.filtering import (backward_value, builtin_models,
+                                        forward_filter)
     from quantschemes.grids import (Grid, Law1D, SampleSource, StopCriteria,
                                     assign, lloyd, newton_1d)
 
@@ -144,6 +148,15 @@ def _outputs(workdir) -> dict:
     state = forward_filter(fm, y)
     for k, w in enumerate(state.weights):
         out[f"filter-exact/sin-cube/weights/{k}"] = w
+    spec = builtin_models("sin-cube", steps=3)
+    _, y = spec.simulate(6)
+    fm = spec.build_filter([2000] * 4, method="exact")
+    state = forward_filter(fm, y)
+    for k, w in enumerate(state.weights):
+        out[f"filter-exact/sin-cube/N=2000/weights/{k}"] = w
+    u, log_scale, _ = backward_value(fm, y, fm.layers[-1].points[:, 0] ** 2)
+    out["filter-exact/sin-cube/N=2000/backward/u"] = u
+    out["filter-exact/sin-cube/N=2000/backward/log_scale"] = np.array(log_scale)
 
     # the chains the experiment points estimate, and the layer grids they
     # pass in
