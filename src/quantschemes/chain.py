@@ -32,6 +32,9 @@ class DiffusionModel:
     lip_sigma: float = 0.0
 
     def __post_init__(self):
+        if self.dim_x < 1 or self.dim_w < 1:
+            raise InputError(f"state and noise dimensions must be >= 1, "
+                             f"got {self.dim_x} and {self.dim_w}")
         self.x0 = np.asarray(self.x0, dtype=float).reshape(-1)
         if self.x0.shape[0] != self.dim_x:
             raise InputError("x0 dimension mismatch")
@@ -69,7 +72,7 @@ def brownian(dim: int = 1) -> DiffusionModel:
     return DiffusionModel(
         dim, dim, lambda t, x: np.zeros_like(x),
         lambda t, x: np.broadcast_to(np.eye(dim), x.shape + (dim,)),
-        np.zeros(dim))
+        [0.0] * dim)
 
 
 MODELS = {"gbm": gbm, "ou": ou, "brownian": brownian}
@@ -174,15 +177,18 @@ def _euler_steps(model: DiffusionModel, mesh: TimeMesh, num_paths: int,
     times = mesh.times
     x = np.tile(model.x0, (num_paths, 1))
     for k in range(n):
-        b = np.asarray(model.drift(times[k], x), dtype=float)
-        s = np.asarray(model.diffusion(times[k], x), dtype=float)
+        # overflow is reported by the finiteness check, not by numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = np.asarray(model.drift(times[k], x), dtype=float)
+            s = np.asarray(model.diffusion(times[k], x), dtype=float)
         if not (np.all(np.isfinite(b)) and np.all(np.isfinite(s))):
             bad = int(np.flatnonzero(~np.isfinite(b).all(axis=-1)
                                      | ~np.isfinite(s).all(axis=(-2, -1)))[0])
             raise NumericError(f"non-finite coefficient at step {k}, path {bad}")
         dw = sq * rng.standard_normal((num_paths, q))
         yield k, x, dw
-        x = x + dt * b + np.einsum("mdq,mq->md", s, dw)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = x + dt * b + np.einsum("mdq,mq->md", s, dw)
     yield n, x, None
 
 

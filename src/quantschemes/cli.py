@@ -22,8 +22,8 @@ import numpy as np
 from .chain import (MODELS, DiffusionModel, TimeMesh, build_layer_grids,
                     estimate_companions, save_chain)
 from .errors import InputError, NumericError, QuantError
-from .experiments import (ExperimentConfig, _integer, fit_rate, run_bidask,
-                          run_filter_demo, run_multidim)
+from .experiments import (ExperimentConfig, _integer, _real, fit_rate,
+                          run_bidask, run_filter_demo, run_multidim)
 from .grids import (Grid, Law1D, SampleSource, StopCriteria, clvq,
                     distortion_and_gradient, lloyd, load_grid, newton_1d,
                     save_grid)
@@ -37,16 +37,10 @@ def _int_list(values, what: str) -> list[int]:
 
 
 def _option(cfg: dict, key: str, kind, default):
-    """Config value `key` converted by `kind`, or `default` when absent; an
-    int follows `_integer`'s rule."""
-    value = cfg.get(key, default)
-    if kind is int:
-        return _integer(value, f"config {key!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise InputError(f"config {key!r} must be a {kind.__name__}, "
-                         f"got {value!r}")
+    """Config value `key`, or `default` when absent, as an int by
+    `_integer`'s rule or a float by `_real`'s."""
+    rule = {int: _integer, float: _real}[kind]
+    return rule(cfg.get(key, default), f"config {key!r}")
 
 
 def _string(cfg: dict, key: str, default=None, what: str = "string") -> str:
@@ -217,7 +211,8 @@ def _cmd_rate_fit(args) -> int:
     exponent = _option(cfg, "exponent", float, -1.0)
     if "pairs" in cfg:
         try:
-            pairs = [(float(a), float(b)) for a, b in cfg["pairs"]]
+            pairs = [(_real(a, "pairs"), _real(b, "pairs"))
+                     for a, b in cfg["pairs"]]
         except (TypeError, ValueError):
             raise InputError("pairs must be a list of [N, error] pairs")
     elif "csv" in cfg:

@@ -59,6 +59,8 @@ class ExperimentConfig:
                 raise InputError(f"sweep must be a list of integers, "
                                  f"got {self.sweep!r}")
             self.sweep = [_integer(v, "sweep") for v in self.sweep]
+            if not self.sweep:
+                raise InputError("sweep must list at least one grid size")
         if self.n < 1:
             raise InputError("n must be >= 1")
         if self.mc_paths < 1:
@@ -87,6 +89,18 @@ def _integer(value, key: str) -> int:
         except (TypeError, ValueError, OverflowError):
             pass
     raise InputError(f"{key} must be an integer, got {value!r}")
+
+
+def _real(value, key: str) -> float:
+    """The one float rule for config values, beside `_integer`'s: a number
+    or a numeric string. A bool, a list or any other value is an
+    InputError."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InputError(f"{key} must be a number, got {value!r}")
 
 
 @dataclass
@@ -298,10 +312,13 @@ def run_filter_demo(config: ExperimentConfig,
 # ---------------------------------------------------------------------------
 
 def _run_points(worker, argument_list, workers: int) -> list[dict]:
-    if len(argument_list) == 1 or workers == 1:
+    """worker(a) for each point a: in this process, or in a pool of at most
+    `workers` (0: no bound of its own), the number of points and the number
+    of CPUs."""
+    cpus = os.cpu_count() or 1
+    max_workers = min(workers or cpus, len(argument_list), cpus)
+    if max_workers <= 1:
         return [worker(a) for a in argument_list]
-    max_workers = workers if workers > 0 else min(len(argument_list),
-                                                  os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
         return list(pool.map(worker, argument_list))
 

@@ -32,8 +32,15 @@ _PROB_TOL = 1e-12
 _RENORM_WINDOW = 1e-9
 
 # Chunk size (rows) for the scan in nearest-neighbor assignment; keeps the
-# M x N squared-distance block below ~100 MB for the grid sizes we use.
+# M x N squared-distance block below ~100 MB for the grid sizes we use. The
+# 1-D search runs in row blocks of the same size, so that its temporaries
+# stay small whatever the batch.
 _ASSIGN_CHUNK = 65536
+# Uniform bins per grid point of the 1-D lookup table (`_bin_table`), and
+# the rows per grid point a call needs before the table is built: on fewer
+# rows, as in Lloyd's re-searches, building it costs more than it saves.
+_TABLE_BINS_PER_POINT = 16
+_TABLE_ROWS_PER_POINT = 128
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
@@ -191,12 +198,15 @@ def assign(grid: Grid, points: np.ndarray):
     Returns (indices, squared distances), equal to those of the exact
     linear scan `_scan_assign`, ties to the smallest index included. A 1-D
     grid is searched by bisection on its sorted Voronoi midpoints, with
-    near-ties judged from the distance to the nearest one; a grid in d >= 2
-    by a kd-tree query for the two nearest points. A row whose two nearest
-    points may lie within the scan's rounding error of each other (exact
-    ties among them, which neither search breaks by index), or that is not
-    finite, takes the scan's index. Squared distances come from the scan's
-    own expression, so they equal the scan's to the bit.
+    near-ties judged from the distance to the nearest one, in row blocks of
+    `_ASSIGN_CHUNK`; on a call of at least `_TABLE_ROWS_PER_POINT` rows per
+    grid point, a row whose bin of `_bin_table` is pure takes that bin's
+    cell without a search. A grid in d >= 2 is searched by a kd-tree query
+    for the two nearest points. A row whose two nearest points may lie
+    within the scan's rounding error of each other (exact ties among them,
+    which neither search breaks by index), or that is not finite, takes the
+    scan's index. Squared distances come from the scan's own expression, so
+    they equal the scan's to the bit.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -204,13 +214,39 @@ def assign(grid: Grid, points: np.ndarray):
     if pts.shape[1] != grid.dim:
         raise InputError("batch dimension mismatch")
     c = grid.points
-    search = _sorted_search if grid.dim == 1 else _tree_search
+    if grid.dim > 1:
+        idx = _searched(grid, pts, _tree_search)
+        return idx, np.maximum(_sq_dist(pts, c.take(idx, axis=0)), 0.0)
+    m = pts.shape[0]
+    table = _bin_table(c) if m >= _TABLE_ROWS_PER_POINT * grid.size else None
+    idx = np.empty(m, dtype=np.int64)
+    d2 = np.empty(m)
+    for lo in range(0, m, _ASSIGN_CHUNK):
+        block = pts[lo:lo + _ASSIGN_CHUNK]
+        hi = lo + block.shape[0]
+        if table is None:
+            idx[lo:hi] = _searched(grid, block, _sorted_search)
+        else:
+            cells = _table_lookup(table, block[:, 0])
+            rest = np.flatnonzero(cells < 0)
+            if rest.size:
+                cells[rest] = _searched(grid, block.take(rest, axis=0),
+                                        _sorted_search)
+            idx[lo:hi] = cells
+        np.maximum(_sq_dist(block, c.take(idx[lo:hi], axis=0)), 0.0,
+                   out=d2[lo:hi])
+    return idx, d2
+
+
+def _searched(grid: Grid, pts: np.ndarray, search) -> np.ndarray:
+    """Indices from `search` (`_sorted_search` or `_tree_search`), with the
+    rows whose gap does not clear `_tie_tol` taken from the scan."""
+    c = grid.points
     idx, gap = search(c, pts)
     near = np.flatnonzero(~(gap > _tie_tol(c, pts)))
     if near.size:
         idx[near] = _scan_assign(grid, pts.take(near, axis=0))[0]
-    d2 = np.maximum(_sq_dist(pts, c.take(idx, axis=0)), 0.0)
-    return idx, d2
+    return idx
 
 
 def _tie_tol(c: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -248,6 +284,17 @@ def _sq_norm(x: np.ndarray) -> np.ndarray:
     return xx
 
 
+def _sorted_cells(c: np.ndarray):
+    """A 1-D grid's sort order, its sorted points s, their Voronoi edges
+    (`_voronoi_edges`) and the spacing of the two points at each edge (inf
+    at the outer edges): cell i of s lies between edges i and i + 1, and its
+    neighbours are spacing[i] below and spacing[i + 1] above."""
+    order = np.argsort(c[:, 0], kind="stable")
+    s = c[order, 0]
+    spacing = np.concatenate(([np.inf], np.diff(s), [np.inf]))
+    return order, s, _voronoi_edges(s), spacing
+
+
 def _sorted_search(c: np.ndarray, pts: np.ndarray):
     """Candidate indices of 1-D points, and a lower bound of the squared-
     distance gap to each candidate's nearer sorted neighbour (inf where
@@ -266,10 +313,7 @@ def _sorted_search(c: np.ndarray, pts: np.ndarray):
     unless R < tiny) and a product below tiny is below `_tie_tol` anyway; so
     is every gap when R < tiny (at most R^2 / (4 eps) above 16 eps x^2).
     """
-    order = np.argsort(c[:, 0], kind="stable")
-    s = c[order, 0]
-    edges = _voronoi_edges(s)
-    spacing = np.concatenate(([np.inf], np.diff(s), [np.inf]))
+    order, s, edges, spacing = _sorted_cells(c)
     x = pts[:, 0]
     pos = np.searchsorted(edges[1:-1], x)
     margin = 2 * _EPS * max(-s[0], s[-1])
@@ -277,6 +321,71 @@ def _sorted_search(c: np.ndarray, pts: np.ndarray):
     pos1 = pos + 1
     above = spacing.take(pos1) * (2.0 * (edges.take(pos1) - x) - margin)
     return order.take(pos), np.minimum(below, above) * (1.0 - 4 * _EPS)
+
+
+def _bin_table(c: np.ndarray):
+    """Lookup table of the 1-D `assign`: `_TABLE_BINS_PER_POINT` uniform
+    bins per grid point over the span [lo, hi] of the inner Voronoi edges.
+
+    Returns (lo, 1 / w, cells) for bins of width w, where cells[b + 1] is
+    the grid index that every row of a pure bin b takes, and -1 for an
+    impure bin and at both ends (rows outside the span); or None when the
+    inner edges span no width (N <= 2, or all points within rounding).
+
+    `_table_lookup` puts a row x in bin floor((x - lo) (1 / w)). That
+    expression rounds three times, which moves a bin boundary by at most
+    about 1.5 eps (hi - lo) <= 3 eps max(|lo|, |hi|); the bin ends below
+    round by at most 2 eps max(|lo|, |hi|) more. So each row of bin b lies
+    in [a, e] = [lo + b w, lo + (b + 1) w] widened by a slack of
+    8 eps max(|lo|, |hi|) plus 1e-9 w. A bin is pure when, at a and at e, a
+    lower bound of the exact gap to the nearer neighbour of the cell that a
+    lies in exceeds twice `_tie_tol`. The bound is `_sorted_search`'s with
+    wider margins: 2 spacing times the distance to the cell's edge less
+    2 eps R, times 1 - 16 eps. It is positive only strictly inside the
+    cell, so no edge
+    lies in [a, e] and every row of the bin is in that one cell. The exact
+    gap is linear towards each neighbour, so their minimum is concave, and
+    the tolerance is convex; the gap thus exceeds the tolerance on all of
+    [a, e], and the cell's point is the scan's unique argmin on every row
+    of the bin.
+    """
+    order, s, edges, spacing = _sorted_cells(c)
+    inner = edges[1:-1]
+    if inner.size < 2:
+        return None
+    lo, hi = inner[0], inner[-1]
+    nbins = _TABLE_BINS_PER_POINT * c.shape[0]
+    w = (hi - lo) / nbins
+    if not (0.0 < w < np.inf and 1.0 / w < np.inf):
+        return None
+    slack = 1e-9 * w + 8 * _EPS * max(abs(lo), abs(hi))
+    ends = lo + np.arange(nbins + 1) * w
+    a, e = ends[:-1] - slack, ends[1:] + slack
+    pos = np.searchsorted(inner, a)
+    pure = np.ones(nbins, dtype=bool)
+    margin = 2 * _EPS * max(-s[0], s[-1])
+    for y in (a, e):
+        below = spacing.take(pos) * (y - edges.take(pos) - margin)
+        above = spacing.take(pos + 1) * (edges.take(pos + 1) - y - margin)
+        gap = 2.0 * np.minimum(below, above) * (1.0 - 16 * _EPS)
+        pure &= gap > 2.0 * _tie_tol(c, y[:, None])
+    cells = np.full(nbins + 2, -1, dtype=np.int64)
+    cells[1:-1][pure] = order.take(pos[pure])
+    return lo, 1.0 / w, cells
+
+
+def _table_lookup(table, x: np.ndarray) -> np.ndarray:
+    """The cell of each 1-D row from a `_bin_table` table: -1 where the
+    row's bin is impure, or the row is outside the span or not finite."""
+    lo, inv, cells = table
+    t = x - lo
+    t *= inv
+    np.floor(t, out=t)
+    # fmax takes nan to -1; both clamps land on a -1 end of the table
+    np.fmax(t, -1.0, out=t)
+    np.fmin(t, cells.size - 2, out=t)
+    t += 1.0
+    return cells.take(t.astype(np.intp))
 
 
 def _tree_search(c: np.ndarray, pts: np.ndarray):

@@ -5,11 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import quantschemes
+from quantschemes import experiments
 from quantschemes.cli import _build_parser, _parse_sweep, main
 from quantschemes.errors import InputError
 from quantschemes.experiments import (BIDASK_REFERENCE, MULTIDIM_Y0,
@@ -73,6 +75,8 @@ def test_experiment_config_validation():
         ExperimentConfig(name="x", n=5, mc_paths=0)
     with pytest.raises(InputError):
         ExperimentConfig(name="x", n=5, sweep=[10, 0])
+    with pytest.raises(InputError, match="at least one grid size"):
+        ExperimentConfig(name="x", n=5, sweep=[])
     cfg = ExperimentConfig(name="x", n=5, grid_size=25)
     assert cfg.sweep_sizes() == [25]
     cfg.sweep = [5, 10]
@@ -149,6 +153,38 @@ def test_parallel_matches_serial():
     assert serial["rows"] == parallel["rows"]
 
 
+def test_run_points_bounds_the_pool(monkeypatch):
+    """The pool gets at most `workers`, the number of points and the number
+    of CPUs; one worker or one point runs in this process. A recorder
+    stands in for the pool, so no process is started."""
+    pools = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    run = experiments._run_points
+    square = lambda a: a * a  # noqa: E731
+    assert run(square, [1, 2, 3], 10 ** 9) == [1, 4, 9]
+    assert run(square, list(range(10)), 0) == [a * a for a in range(10)]
+    assert run(square, list(range(10)), 2) == [a * a for a in range(10)]
+    assert pools == [3, 4, 2]
+    assert run(square, [1, 2, 3], 1) == [1, 4, 9]
+    assert run(square, [5], 0) == [25]
+    assert pools == [3, 4, 2]
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -215,6 +251,35 @@ def test_cli_chain_ou_and_unknown_model(tmp_path, capsys):
     cfg.write_text(json.dumps({"model": "heston"}))
     assert main(["chain", "--config", str(cfg)]) == 2
     assert "model must be one of" in capsys.readouterr().err
+
+
+def test_cli_chain_dimension_below_one(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for dim in (0, -1):
+        cfg.write_text(json.dumps({"model": "brownian", "dim": dim, "n": 2,
+                                   "sample_budget": 100, "mc_paths": 100,
+                                   "grid_size": 2}))
+        assert main(["chain", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "dimensions must be >= 1" in err
+
+
+def test_cli_chain_overflow_exits_3_without_warnings(tmp_path, capsys):
+    """A coefficient that overflows ends in one NumericError line, with no
+    numpy RuntimeWarning before it."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "gbm", "sigma": 1e200, "n": 3,
+                               "sample_budget": 2000, "mc_paths": 2000,
+                               "grid_size": 4}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["chain", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "non-finite coefficient" in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_cli_chain_center_must_be_boolean(tmp_path, capsys):
@@ -357,9 +422,27 @@ def test_cli_exit_codes(tmp_path, capsys):
                          ("chain", {"sizes": [1, 2.5]})):
         cfg.write_text(json.dumps(bad))
         assert main([command, "--config", str(cfg)]) == 2
+    # one float rule: a bool, a list or a non-numeric string is no number;
+    # and an empty sweep runs no point (small sizes keep a run that wrongly
+    # goes ahead short)
+    small = {"n": 1, "mc_paths": 100, "sample_budget": 100, "grid_size": 2}
+    for command, bad in (("chain", {"model": "gbm", "T": True, **small}),
+                         ("chain", {"model": "gbm", "T": [1.0], **small}),
+                         ("chain", {"model": "gbm", "sigma": "wide", **small}),
+                         ("chain", {"model": "ou", "kappa": False, **small}),
+                         ("rate-fit", {"pairs": good, "exponent": True}),
+                         ("rate-fit", {"pairs": [[10, 0.1], [True, 0.05],
+                                                 [40, 0.02]]}),
+                         ("bsde-bidask", {"n": 1, "mc_paths": 100,
+                                          "sweep": []})):
+        cfg.write_text(json.dumps(bad))
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.count("error: ") == 34 and "Traceback" not in err
+    assert err.count("error: ") == 41 and "Traceback" not in err
     assert err.count("must be an integer, got") == 8
+    assert err.count("must be a number, got") == 7
+    assert err.count("sweep must list at least one grid size") == 1
     assert err.count("must be a path string") == 5
     assert err.count("must be a string") == 3
     assert err.count("unknown config keys ['mcpaths']") == 1

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quantschemes import grids
 from quantschemes.errors import ConvergenceError, InputError, ParseError
-from quantschemes.grids import (Grid, Law1D, SampleSource, StopCriteria,
-                                _scan_assign, _sorted_search, _tie_tol,
+from quantschemes.grids import (_ASSIGN_CHUNK, Grid, Law1D, SampleSource,
+                                StopCriteria, _bin_table, _scan_assign,
+                                _sorted_search, _tie_tol,
                                 assign, cell_sums, clvq,
                                 distortion_and_gradient, lloyd, load_grid,
                                 ls_error, newton_1d, save_grid)
@@ -199,6 +201,84 @@ def test_assign_1d_midpoint_gap_far_from_origin(seed, n, log_offset,
         x, own = Fraction(pts[m, 0]), exact[cand[m]]
         least = min((x - v) ** 2 for j, v in enumerate(exact) if j != cand[m])
         assert Fraction(gap[m]) <= least - (x - own) ** 2
+
+
+@pytest.mark.parametrize("oracle_test", [
+    test_assign_matches_scan_oracle,
+    test_assign_1d_midpoint_gap_far_from_origin])
+def test_assign_table_matches_scan_oracle(monkeypatch, oracle_test):
+    """The scan-oracle tests again, with the 1-D lookup table built on every
+    call however few its rows, so that their grids and tie points go
+    through the pure-bin path too."""
+    monkeypatch.setattr(grids, "_TABLE_ROWS_PER_POINT", 0)
+    oracle_test()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 30), st.floats(-3, 6),
+       st.floats(-6, 0), st.booleans())
+# bins about as wide as the near-tie reach around each edge
+@example(seed=0, n=3, log_offset=0.0, log_spacing=-6.0, duplicate=False)
+@example(seed=1, n=20, log_offset=6.0, log_spacing=-6.0, duplicate=True)
+def test_bin_table_places_only_what_the_search_accepts(seed, n, log_offset,
+                                                       log_spacing,
+                                                       duplicate):
+    """Every row the lookup table places, at and one ulp either side of
+    each bin end and across the span, gets the sorted search's candidate
+    with a gap that clears the near-tie tolerance."""
+    rng = np.random.default_rng(seed)
+    offset = 10.0 ** log_offset
+    spacing = offset * 10.0 ** log_spacing
+    c = rng.permutation(offset + spacing * np.cumsum(rng.uniform(0.1, 1, n)))
+    if duplicate:
+        c[rng.integers(1, n)] = c[0]
+    table = _bin_table(c[:, None])
+    if table is None:
+        return
+    lo, inv, cells = table
+    ends = lo + np.arange(cells.size - 1) / inv
+    x = np.concatenate([ends, np.nextafter(ends, -np.inf),
+                        np.nextafter(ends, np.inf),
+                        rng.uniform(ends[0], ends[-1], 2000)])
+    placed = grids._table_lookup(table, x)
+    x, placed = x[placed >= 0, None], placed[placed >= 0]
+    cand, gap = _sorted_search(c[:, None], x)
+    assert np.array_equal(cand, placed)
+    assert np.all(gap > _tie_tol(c[:, None], x))
+
+
+def test_assign_1d_blocks_equal_row_by_row():
+    """A batch over two row-block boundaries that takes the lookup table
+    gives every row the scan's index and squared distance, and what the row
+    gets in small batches (no table) and alone."""
+    base = newton_1d(Law1D.gaussian(), 150)
+    grid = Grid(100.0 * np.exp(0.01 + 0.07 * base.points))  # a bid-ask layer
+    table = _bin_table(grid.points)
+    assert np.mean(table[2] >= 0) > 0.8
+    rng = np.random.default_rng(5)
+    m = 2 * _ASSIGN_CHUNK + 123
+    assert m >= grids._TABLE_ROWS_PER_POINT * grid.size
+    x = 100.0 * np.exp(0.01 + 0.07 * rng.standard_normal(m))
+    s = np.sort(grid.points[:, 0])
+    mids = 0.5 * (s[:-1] + s[1:])
+    ties = np.concatenate([mids, np.nextafter(mids, -np.inf),
+                           np.nextafter(mids, np.inf), s])
+    spots = rng.choice(m, ties.size, replace=False)
+    x[spots] = ties
+    edges = [k * _ASSIGN_CHUNK + j for k in (1, 2) for j in range(-3, 3)]
+    x[edges] = ties[rng.choice(ties.size, len(edges))]
+    pts = x[:, None]
+    idx, d2 = assign(grid, pts)
+    ref_idx, ref_d2 = _scan_assign(grid, pts)
+    assert np.array_equal(idx, ref_idx)
+    assert d2.tobytes() == ref_d2.tobytes()
+    for lo in range(0, m, 1000):
+        part_idx, part_d2 = assign(grid, pts[lo:lo + 1000])
+        assert np.array_equal(part_idx, idx[lo:lo + 1000])
+        assert part_d2.tobytes() == d2[lo:lo + 1000].tobytes()
+    for r in np.concatenate([edges, spots[:200], rng.choice(m, 200)]):
+        one_idx, one_d2 = assign(grid, pts[r:r + 1])
+        assert one_idx[0] == idx[r] and one_d2[0] == d2[r]
 
 
 # ---------------------------------------------------------------------------

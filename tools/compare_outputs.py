@@ -28,7 +28,9 @@ dtype, shape and bytes:
 - chain files written by the `chain` subcommand for each builtin model;
 - assign indices and squared distances on the bid-ask layer grids (N=150,
   n=20), and the marginals, transitions, companions and dead rows of its
-  chain; on an unsorted 1-D Lloyd grid at its Voronoi midpoints and its
+  chain; on three of those layers for a batch of 2 * 65536 + 123 rows
+  (over two row-block boundaries) with points on and one ulp either side
+  of every midpoint and on the grid points; on an unsorted 1-D Lloyd grid at its Voronoi midpoints and its
   own points; and on a d=3 grid with points on its points and on the
   midpoints of pairs.
 
@@ -200,6 +202,18 @@ def _outputs(workdir) -> dict:
     for key in ("marginals", "transitions", "companions", "dead_rows"):
         for k, a in enumerate(getattr(bidask_chain, key)):
             out[f"bidask-chain/{key}/{k}"] = a
+    rng = np.random.default_rng(17)
+    for k in (1, 10, 20):
+        s = np.sort(layers[k].points[:, 0])
+        mids = 0.5 * (s[:-1] + s[1:])
+        ties = np.concatenate([mids, np.nextafter(mids, -np.inf),
+                               np.nextafter(mids, np.inf), s])
+        logs = rng.uniform(np.log(s[0]) - 0.1, np.log(s[-1]) + 0.1,
+                           2 * 65536 + 123 - ties.size)
+        pts = rng.permutation(np.concatenate([np.exp(logs), ties]))[:, None]
+        idx, d2 = assign(layers[k], pts)
+        out[f"assign/bidask-blocks/{k}/index"] = idx
+        out[f"assign/bidask-blocks/{k}/d2"] = d2
 
     for model in ("gbm", "ou", "brownian"):
         cfg = os.path.join(workdir, f"{model}.json")
