@@ -130,6 +130,7 @@ def _cmd_grid(args) -> int:
     method = cfg.get("method", "newton" if dim == 1 else "lloyd")
     seed = _seed(args, cfg)
     batch_size = _option(cfg, "batch_size", int, 1_000_000)
+    extra = {}
     if method == "newton":
         if dim != 1:
             raise InputError("newton method is one-dimensional")
@@ -143,7 +144,7 @@ def _cmd_grid(args) -> int:
         init = Grid(source.draw(size))
         if method == "lloyd":
             frozen = SampleSource.from_batch(source.draw(batch_size))
-            grid, _, _ = lloyd(init, frozen, StopCriteria())
+            grid, _, extra["iterations"] = lloyd(init, frozen, StopCriteria())
         else:
             grid = clvq(init, source, steps=_option(cfg, "steps", int, 500_000))
     else:
@@ -155,7 +156,8 @@ def _cmd_grid(args) -> int:
     report = distortion_and_gradient(
         grid, SampleSource(law=law, dim=dim, seed=seed + 1))
     print(json.dumps({"size": grid.size, "dim": grid.dim,
-                      "distortion": report.value, "path": str(path)}))
+                      "distortion": report.value, "path": str(path),
+                      **extra}))
     return 0
 
 

@@ -22,7 +22,7 @@ from scipy.linalg import solve_banded
 from scipy.spatial import cKDTree
 from scipy.special import ndtr, ndtri
 
-from .errors import ConvergenceError, InputError, ParseError
+from .errors import ConvergenceError, InputError, NumericError, ParseError
 
 # Probability-vector tolerance of Grid and of _check_probabilities: a sum
 # (or row sum) must lie within it of 1.
@@ -478,7 +478,8 @@ def lloyd(initial: Grid, source: SampleSource, stop: StopCriteria = StopCriteria
     (grid with empirical weights, final DistortionReport, iterations).
     After the first sweep only the samples whose cell can have changed are
     searched again (`_bounded_assign`); every sweep's cells, and so the
-    results, are those of a full `assign`.
+    results, are those of a full `assign`. A finite batch whose squared
+    norms overflow raises NumericError.
     """
     if not source.is_batch:
         raise InputError("Lloyd needs a fixed-batch source")
@@ -489,13 +490,14 @@ def lloyd(initial: Grid, source: SampleSource, stop: StopCriteria = StopCriteria
     pts = initial.points.copy()
     if len(np.unique(pts, axis=0)) != n:
         raise InputError("initial points must be pairwise distinct")
+    xx, far = _batch_norms(batch)
     jitter = 1e-6 * batch.std(axis=0)
     rng = np.random.default_rng(0)
     prev = None
     it = 0
     idx = None
     for it in range(1, stop.max_iterations + 1):
-        idx, d2 = _bounded_assign(Grid(pts), batch, idx)
+        idx, d2 = _bounded_assign(Grid(pts), batch, idx, xx, far)
         counts, sums = cell_sums(idx, n, batch)
         value = float(d2.mean())
         if prev is not None and value > prev * (1.0 + 1e-12):
@@ -528,34 +530,99 @@ def lloyd(initial: Grid, source: SampleSource, stop: StopCriteria = StopCriteria
     return grid.with_weights(weights), report, it
 
 
-def _bounded_assign(grid: Grid, batch: np.ndarray, idx):
-    """`assign(grid, batch)`, searching only the rows that may not lie in
-    their candidate cells `idx` (None: search every row).
+def _batch_norms(batch: np.ndarray):
+    """`_sq_norm` of each row of a Lloyd batch, and the (1, d) row with the
+    largest one; NumericError if the batch is finite but they overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        xx = _sq_norm(batch)
+    if not np.all(np.isfinite(xx)) and np.all(np.isfinite(batch)):
+        raise NumericError("squared norms of Lloyd's sample batch overflow")
+    return xx, batch.take([int(np.argmax(xx))], axis=0)
 
-    A row keeps its cell a when its distance u to point a is below half the
-    distance s from a to the nearest other grid point (Hamerly 2010): every
-    other point is then at least s - u > u away, and its squared distance
-    exceeds u^2 by at least s (s - 2u). The test asks s (s - 2u) to exceed
-    `assign`'s near-tie tolerance, with u taken from d2 plus that tolerance,
-    which also covers the rounding of d2 and s. A kept index is thus the
-    scan's unique argmin, and d2 is the scan's own expression for it.
+
+def _bounded_assign(grid: Grid, batch: np.ndarray, idx, xx: np.ndarray,
+                    far: np.ndarray):
+    """`assign(grid, batch)`, searching only the rows that may not lie in
+    their candidate cells `idx` (None: search every row). `xx` and `far`
+    are `_batch_norms(batch)`, computed once per Lloyd run.
+
+    d2 is `_sq_dist`'s expression for the candidate, with |x|^2 taken from
+    `xx`, so it has the bytes `assign` returns. A row keeps its cell a when
+    d2 < thr_a (`_keep_threshold`), where T is the near-tie tolerance
+    `_tie_tol` of `far`: the tolerance grows with the row norm and every
+    step of it rounds monotonically, so T is at least every row's. A kept
+    index is the scan's unique argmin (proof at `_keep_threshold`).
     """
     if idx is None:
         return assign(grid, batch)
     c = grid.points
-    d2 = np.maximum(_sq_dist(batch, c.take(idx, axis=0)), 0.0)
-    tol = _tie_tol(c, batch)
-    u = np.sqrt(d2 + tol)
-    s = _separation(c).take(idx)
-    search = np.flatnonzero(~(s * (s - 2.0 * u) > tol))
+    xc = 2.0 * batch[:, 0]
+    xc *= c[:, 0].take(idx)
+    for j in range(1, c.shape[1]):
+        term = 2.0 * batch[:, j]
+        term *= c[:, j].take(idx)
+        xc += term
+    d2 = np.subtract(xx, xc, out=xc)
+    d2 += _sq_norm(c).take(idx)
+    np.maximum(d2, 0.0, out=d2)
+    thr = _keep_threshold(_separation(c), float(_tie_tol(c, far)[0]))
+    search = np.flatnonzero(~(d2 < thr.take(idx)))
     if search.size:
         idx[search], d2[search] = assign(grid, batch.take(search, axis=0))
     return idx, d2
 
 
+def _keep_threshold(sep: np.ndarray, tol: float) -> np.ndarray:
+    """Per grid point a at separation s = sep[a] (`_separation`), the
+    squared distance below which a row of cell a needs no search:
+    thr_a = r^2 - T - (4 eps s^2 + tiny) with r = (s^2 - T) / (2 s) and
+    T = `tol`; -inf where fl(s^2 - T) <= 0 or s^2 overflows (a duplicated
+    point, s = 0, included) and +inf on a one-point grid (s = inf).
+
+    This is Hamerly's (2010) half-separation test. In exact arithmetic
+    d2 < r^2 - T with r > 0 says s (s - 2 sqrt(d2 + T)) > T.
+
+    Rounding of thr (u = eps / 2, s and T taken as exact): s^2 rounds by
+    at most u s^2; so fl(s^2 - T) is (s^2 - T + e1)(1 + e2) with
+    |e1| <= u s^2, |e2| <= u, and it is positive only if s^2 - T > -u s^2.
+    Then the computed r is within 2.01 u |r| + 0.51 u s of r, where
+    r <= s / 2, or |r| <= u s / 2 if r <= 0. Squaring, subtracting T and
+    the shrink each round once more; all of it adds at most 3.8 u s^2 to
+    r^2 - T, less than the shrink 8 u s^2 (and tiny covers underflow). So
+    thr_a <= r^2 - T. If r <= 0 then T >= s^2 > r^2, so thr_a < 0 and no
+    row (d2 >= 0) is kept.
+
+    Proof that a kept row x (0 <= d2 < thr_a) has a as the scan's unique
+    argmin: `_tie_tol` puts the scan's d2 within T / 4 of the exact
+    squared distance delta^2 = |x - a|^2, so delta^2 < r^2 - 3T/4 and
+    delta < r - 3T / (8 r) <= r - 3T / (4 s). Hence
+    s (s - 2 delta) >= s (s - 2r) + 1.5 T = 2.5 T. Every other point b is
+    at least s' - delta from x, where the exact separation s' is
+    s (1 - e) with e <= (d + 2) eps (one rounded difference in 1-D, a
+    kd-tree's rounded norm in d >= 2), so the exact gap
+    |x - b|^2 - delta^2 >= s' (s' - 2 delta)
+    >= (1 - e) (2.5 T - e s^2) > T, since T >= 4 (d + 3) eps R^2 and
+    s <= 2R (R = max |c|) give e s^2 < T. A gap over T, which is at
+    least the row's own tolerance, fixes the scan's argmin.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sq = sep * sep
+        q = sq - tol
+        thr = (q / (2.0 * sep)) ** 2 - tol - (4 * _EPS * sq + _TINY)
+    thr[~((q > 0) & (sq < np.inf))] = -np.inf
+    thr[sep == np.inf] = np.inf
+    return thr
+
+
 def _separation(c: np.ndarray) -> np.ndarray:
     """Distance from each grid point to the nearest other one (0 for a
-    duplicated point, inf on a one-point grid)."""
+    duplicated point, inf on a one-point grid): in 1-D the smaller gap to
+    a sorted neighbour, in d >= 2 from a kd-tree over the points."""
+    if c.shape[1] == 1:
+        order, _, _, spacing = _sorted_cells(c)
+        sep = np.empty(c.shape[0])
+        sep[order] = np.minimum(spacing[:-1], spacing[1:])
+        return sep
     if c.shape[0] == 1:
         return np.array([np.inf])
     return cKDTree(c).query(c, k=2)[0][:, 1]

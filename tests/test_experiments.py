@@ -18,6 +18,7 @@ from quantschemes.experiments import (BIDASK_REFERENCE, MULTIDIM_Y0,
                                       ExperimentConfig, fit_rate, loglog_slope,
                                       run_bidask, run_filter_demo,
                                       run_multidim)
+from quantschemes.grids import Grid, SampleSource, StopCriteria, lloyd
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +213,24 @@ def test_cli_grid_newton(tmp_path, capsys):
     assert out["size"] == 5 and out["has_weights"] is True
 
 
+def test_cli_grid_lloyd_reports_iterations(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"law": "gaussian", "method": "lloyd",
+                               "size": 5, "batch_size": 2000}))
+    assert main(["grid", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    source = SampleSource(law="gaussian", dim=1, seed=0)
+    init = Grid(source.draw(5))
+    _, _, it = lloyd(init, SampleSource.from_batch(source.draw(2000)))
+    assert out["iterations"] == it and 1 <= it <= StopCriteria().max_iterations
+    for method in ("newton", "clvq"):
+        cfg.write_text(json.dumps({"method": method, "size": 5,
+                                   "steps": 100}))
+        assert main(["grid", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+        assert "iterations" not in json.loads(capsys.readouterr().out)
+
+
 def test_cli_grid_legacy_layout(tmp_path, capsys):
     from quantschemes.grids import newton_1d, Law1D
     g = newton_1d(Law1D.gaussian(), 4)
@@ -266,20 +285,24 @@ def test_cli_chain_dimension_below_one(tmp_path, capsys):
 
 
 def test_cli_chain_overflow_exits_3_without_warnings(tmp_path, capsys):
-    """A coefficient that overflows ends in one NumericError line, with no
-    numpy RuntimeWarning before it."""
+    """A coefficient or a layer that overflows ends in one NumericError
+    line, with no numpy RuntimeWarning before it."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"model": "gbm", "sigma": 1e200, "n": 3,
-                               "sample_budget": 2000, "mc_paths": 2000,
-                               "grid_size": 4}))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["chain", "--config", str(cfg),
-                     "--out", str(tmp_path)]) == 3
-    err = capsys.readouterr().err
-    assert err.count("error:") == 1 and "non-finite coefficient" in err
-    assert "RuntimeWarning" not in err
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    # with one step no coefficient sees the overflowing layer; Lloyd does
+    for n, message in ((3, "non-finite coefficient"),
+                       (1, "squared norms of Lloyd's sample batch overflow")):
+        cfg.write_text(json.dumps({"model": "gbm", "sigma": 1e200, "n": n,
+                                   "sample_budget": 2000, "mc_paths": 2000,
+                                   "grid_size": 4}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["chain", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and message in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
 
 
 def test_cli_chain_center_must_be_boolean(tmp_path, capsys):

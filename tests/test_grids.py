@@ -544,6 +544,97 @@ def test_lloyd_matches_unbounded_reference(seed, d, kind, scale, shift,
     assert it == ref_it
 
 
+def _bounded_batch(c, rng):
+    """Rows around grid c: Gaussian rows, the grid points, the origin (the
+    smallest row norm), every pair midpoint and one ulp either side of it,
+    and rows whose exact gap between a point and its nearest neighbour is
+    0.5 to 8 times the midpoint's near-tie tolerance."""
+    d = c.shape[1]
+    rows = [c.mean(0) + rng.normal(size=(200, d)), c, np.zeros((1, d))]
+    i, j = np.triu_indices(len(c), 1)
+    mids = 0.5 * (c[i] + c[j])
+    rows += [mids, np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf)]
+    for a in range(len(c)):
+        dist = np.sqrt(grids._sq_norm(c - c[a]))
+        dist[a] = np.inf
+        b = int(np.argmin(dist))
+        if not 0 < dist[b] < np.inf:
+            continue
+        unit = (c[a] - c[b]) / dist[b]
+        mid = 0.5 * (c[a] + c[b])
+        tol = _tie_tol(c, mid[None, :])[0]
+        f = np.array([0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0, 1.25, 1.5, 2.0,
+                      3.0, 4.0, 8.0])
+        # |x - c[b]|^2 - |x - c[a]|^2 = 2 t |c[a] - c[b]| = f tol
+        rows.append(mid + (f * tol / (2 * dist[b]))[:, None] * unit)
+    return np.vstack(rows)
+
+
+def _exact_sq(x, y):
+    return sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(x, y))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+@pytest.mark.parametrize("kind", ["distinct", "duplicate", "one-point"])
+def test_bounded_assign_matches_assign(d, offset, kind, monkeypatch):
+    """`_bounded_assign` returns `assign`'s index and d2 bytes for correct,
+    stale, random and all-wrong candidates. Every row it keeps has an exact
+    gap to each other point above the row's own near-tie tolerance, and
+    each keep threshold is below its exact bound r^2 - T."""
+    rng = np.random.default_rng(d * 100 + int(math.log10(offset + 1)))
+    n = {"distinct": 12, "duplicate": 12, "one-point": 1}[kind]
+    c = offset + rng.normal(size=(n, d))
+    if kind == "duplicate":
+        c[5] = c[2]
+    batch = _bounded_batch(c, rng)
+    grid = Grid(c)
+    expect_idx, expect_d2 = assign(grid, batch)
+    previous = Grid(c + 0.05 * rng.normal(size=c.shape))
+    candidates = {
+        "correct": expect_idx,
+        "stale": assign(previous, batch)[0],
+        "random": rng.integers(n, size=len(batch)),
+        "wrong": (expect_idx + rng.integers(1, max(n, 2), size=len(batch))) % n,
+    }
+    xx, far = grids._batch_norms(batch)
+    for name, cand in candidates.items():
+        idx, d2 = grids._bounded_assign(grid, batch, cand.copy(), xx, far)
+        assert idx.tobytes() == expect_idx.tobytes(), name
+        assert d2.tobytes() == expect_d2.tobytes(), name
+
+    # exact checks on what the keep test decides alone: searched rows come
+    # back as -1
+    monkeypatch.setattr(grids, "assign", lambda g, p: (
+        np.full(len(p), -1), np.full(len(p), np.nan)))
+    tol = _tie_tol(c, batch)
+    for name, cand in candidates.items():
+        idx, _ = grids._bounded_assign(grid, batch, cand.copy(), xx, far)
+        kept = np.flatnonzero(idx >= 0)
+        assert np.array_equal(idx[kept], cand[kept]), name
+        if name == "wrong" and n > 1:
+            assert kept.size == 0
+        for m in kept:
+            a = idx[m]
+            gaps = (grids._sq_norm(c - batch[m])
+                    - grids._sq_norm(c[a] - batch[m]))
+            gaps[a] = np.inf
+            # a gap of 16 tolerances is far beyond rounding: check the rest
+            for b in np.flatnonzero(gaps < 16 * tol[m]):
+                exact = (_exact_sq(batch[m], c[b])
+                         - _exact_sq(batch[m], c[a]))
+                assert exact > Fraction(tol[m]), (name, m, a, b)
+    T = _tie_tol(c, far)[0]
+    sep = grids._separation(c)
+    thr = grids._keep_threshold(sep, T)
+    for s, t in zip(sep, thr):
+        if t <= 0 or s == np.inf:  # keeps no row (d2 >= 0), or every row
+            continue
+        sq, T_, t_ = Fraction(s) ** 2, Fraction(T), Fraction(t)
+        # t <= r^2 - T with r = (s^2 - T) / (2 s) > 0
+        assert sq > T_ and (t_ + T_) * 4 * sq <= (sq - T_) ** 2
+
+
 # ---------------------------------------------------------------------------
 # CLVQ
 # ---------------------------------------------------------------------------

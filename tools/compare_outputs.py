@@ -12,9 +12,11 @@ dtype, shape and bytes:
   and 2-D, and the euler_paths paths and increments of its 1-D and 2-D
   cases;
 - lloyd grids, weights, final reports and iteration counts, including a
-  dead-cell re-seed; the multidim base grid (d=2, N=150, a 5e4 batch from
-  seed 12345, the experiment's stop criteria); and the ten layer grids of
-  a `chain` build on gbm (T=0.25, n=10, N=50, sample budget 2e4);
+  dead-cell re-seed; a one-point grid and a 10-point grid (40 sweeps) on a
+  1-D batch offset by 1e6; a d=3 run with a dead-cell re-seed that uses
+  up its 7 iterations; the multidim base grid (d=2, N=150, a 5e4 batch
+  from seed 12345, the experiment's stop criteria); and the ten layer
+  grids of a `chain` build on gbm (T=0.25, n=10, N=50, sample budget 2e4);
 - ScalarFilterModel.build_filter("mc") rows, with dead rows;
 - newton_1d grids and weights at N = 10, 150 and 2000;
 - ScalarFilterModel.build_filter("exact") layer points, initial weights
@@ -101,6 +103,18 @@ def _outputs(workdir) -> dict:
     for name, init in inits.items():
         record_lloyd(f"lloyd/{name}",
                      lloyd(Grid(init), SampleSource.from_batch(batch)))
+    batch = 1e6 + np.random.default_rng(13).standard_normal((4000, 1))
+    record_lloyd("lloyd/one-point",
+                 lloyd(Grid(batch[:1]), SampleSource.from_batch(batch)))
+    # 40 sweeps: from about 55 on, cancellation in the squared distances
+    # at this offset makes the distortion "increase" (ConvergenceError)
+    record_lloyd("lloyd/offset-1e6",
+                 lloyd(Grid(batch[:10]), SampleSource.from_batch(batch),
+                       StopCriteria(max_iterations=40)))
+    batch = np.random.default_rng(14).standard_normal((3000, 3))
+    record_lloyd("lloyd/d3-dead-cell-max-iterations", lloyd(
+        Grid(np.vstack([batch[:9] * 0.5, [[40.0, 40.0, 40.0]]])),
+        SampleSource.from_batch(batch), StopCriteria(max_iterations=7)))
 
     batch = np.random.default_rng(12345).standard_normal((50_000, 2))
     record_lloyd("lloyd/multidim-base", lloyd(
