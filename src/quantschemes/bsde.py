@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,12 +24,10 @@ Driver = Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 @dataclass
 class DriverSpec:
     """Driver f(t, x, y, z) vectorized over a grid: x is (N, d), y is (N,),
-    z is (N, q), and the result is (N,). The terminal function maps the
-    (N, d) points of the last layer to (N,). Lipschitz constants feed the
+    z is (N, q), and the result is (N,). Lipschitz constants feed the
     error-bound calculator."""
 
     f: Driver
-    terminal: Optional[Callable[[np.ndarray], np.ndarray]] = None
     lip_f: float = 0.0
     lip_h: float = 0.0
 
@@ -54,20 +52,17 @@ class QuantizedBsdeSolution:
 
 
 def solve_bsde(chain: QuantizedChain, driver: DriverSpec,
-               terminal: Optional[Callable[[np.ndarray], np.ndarray]] = None
+               terminal: Callable[[np.ndarray], np.ndarray]
                ) -> QuantizedBsdeSolution:
     """Explicit backward dynamic programming on the quantized chain.
 
-    Layer n starts from the terminal function; each step computes the
-    conditional mean alpha_i = sum_j p_ij y_{k+1,j}, the control
+    Layer n starts from the terminal function, which maps the (N, d) points
+    of the last layer to (N,); each step computes the conditional mean
+    alpha_i = sum_j p_ij y_{k+1,j}, the control
     zeta_i = (1/dt) sum_j pi^W_ij y_{k+1,j}, and
     y_{k,i} = alpha_i + dt f(t_k, x_i, alpha_i, zeta_i). Centering of the
     companion weights, if any, is done once by `estimate_companions`.
     """
-    if terminal is None:
-        terminal = driver.terminal
-    if terminal is None:
-        raise InputError("no terminal function given")
     n = chain.mesh.steps
     dt = chain.mesh.dt
     times = chain.mesh.times

@@ -196,7 +196,8 @@ def _euler_steps(model: DiffusionModel, mesh: TimeMesh, num_paths: int,
 # layer grids
 # ---------------------------------------------------------------------------
 
-# Lloyd's stop criteria for the layer grids of build_layer_grids
+# Lloyd's stop criteria for the layer grids of build_layer_grids and for
+# the base grid of the multidim experiment
 _LAYER_STOP = StopCriteria(max_iterations=60,
                            relative_distortion_tolerance=1e-6,
                            stationarity_tolerance=1e-6)

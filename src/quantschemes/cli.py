@@ -30,10 +30,14 @@ from .grids import (Grid, Law1D, SampleSource, StopCriteria, clvq,
 
 
 def _int_list(values, what: str) -> list[int]:
+    """A list of integers by `_integer`'s rule; a string is no list."""
+    message = f"{what} must list integers, got {values!r}"
+    if not isinstance(values, list):
+        raise InputError(message)
     try:
         return [_integer(v, what) for v in values]
-    except (TypeError, InputError):
-        raise InputError(f"{what} must list integers, got {values!r}")
+    except InputError:
+        raise InputError(message)
 
 
 def _option(cfg: dict, key: str, kind, default):
@@ -212,11 +216,11 @@ def _cmd_rate_fit(args) -> int:
     cfg = _load_config(args.config)
     exponent = _option(cfg, "exponent", float, -1.0)
     if "pairs" in cfg:
-        try:
-            pairs = [(_real(a, "pairs"), _real(b, "pairs"))
-                     for a, b in cfg["pairs"]]
-        except (TypeError, ValueError):
+        raw = cfg["pairs"]
+        if not isinstance(raw, list) or not all(
+                isinstance(p, list) and len(p) == 2 for p in raw):
             raise InputError("pairs must be a list of [N, error] pairs")
+        pairs = [(_real(a, "pairs"), _real(b, "pairs")) for a, b in raw]
     elif "csv" in cfg:
         ncol = _string(cfg, "n_column", "N")
         ecol = _string(cfg, "error_column", "error")

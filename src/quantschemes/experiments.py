@@ -22,10 +22,11 @@ import numpy as np
 
 from . import __version__
 from .bsde import DriverSpec, solve_bsde
-from .chain import TimeMesh, brownian, estimate_companions, gbm
+from .chain import (_LAYER_STOP, TimeMesh, brownian, estimate_companions,
+                    gbm)
 from .errors import InputError
 from .filtering import builtin_models, forward_filter, kalman_posterior
-from .grids import Grid, Law1D, SampleSource, StopCriteria, lloyd, newton_1d
+from .grids import Grid, Law1D, SampleSource, lloyd, newton_1d
 
 # benchmark reference values for the bid-ask study and the closed-form
 # solution of the multidimensional example
@@ -218,9 +219,7 @@ def _multidim_point(args):
         batch = rng.standard_normal((base_batch, d))
         init = batch[:size] * 0.5
         base, _, _ = lloyd(Grid(init), SampleSource.from_batch(batch),
-                           StopCriteria(max_iterations=60,
-                                        relative_distortion_tolerance=1e-6,
-                                        stationarity_tolerance=1e-6))
+                           _LAYER_STOP)
     layers = [Grid(model.x0[None, :])] + [
         Grid(math.sqrt(t) * base.points) for t in mesh.times[1:]]
     chain = estimate_companions(model, mesh, layers, mc_paths, seed)
@@ -268,7 +267,7 @@ def _filter_point(args):
     size, model_name, n, seed, reference = args
     spec = builtin_models(model_name, steps=n)
     _, y = spec.simulate(seed)
-    fm = spec.build_filter([size] * (n + 1), method="exact")
+    fm = spec.build_filter([size] * (n + 1))
     state = forward_filter(fm, y)
     mean = state.expectation(fm.layers[-1].points[:, 0])
     return {"N": size, "posterior_mean": mean,
@@ -277,16 +276,13 @@ def _filter_point(args):
 
 def run_filter_demo(config: ExperimentConfig,
                     reference_size: int = 2000) -> dict:
-    if config.model not in ("linear-gaussian", "sin-cube"):
-        raise InputError("model must be linear-gaussian or sin-cube")
     spec = builtin_models(config.model, steps=config.n)
     _, y = spec.simulate(config.seed)
     if config.model == "linear-gaussian":
         reference, ref_var = kalman_posterior(spec, y)
         ref_kind = "kalman"
     else:
-        fm = spec.build_filter([reference_size] * (config.n + 1),
-                               method="exact")
+        fm = spec.build_filter([reference_size] * (config.n + 1))
         st = forward_filter(fm, y)
         reference = st.expectation(fm.layers[-1].points[:, 0])
         ref_var = None

@@ -19,10 +19,11 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import ndtr
 
-from .chain import joint_transitions
 from .errors import DegenerateObservationError, InputError
+# assign: unused, but test_wrappers_are_installed_everywhere_and_removed
+# (perfbench) asserts that this module binds it
 from .grids import (Grid, Law1D, _check_probabilities, _norm_pdf,
-                    _voronoi_edges, assign, newton_1d)
+                    _voronoi_edges, assign, newton_1d)  # noqa: F401
 
 # likelihood(k, x_prev, y_prev, x_next, y_next) -> nonnegative array, where
 # x_prev is (Ni, 1, d), x_next is (1, Nj, d) and the result broadcasts to
@@ -252,13 +253,12 @@ class ScalarFilterModel:
             var[k] = self.ar_coeff ** 2 * var[k - 1] + self.ar_noise ** 2
         return means, np.sqrt(var)
 
-    def build_filter(self, sizes: Sequence[int], method: str = "exact",
-                     mc_paths: int = 100_000, seed: int = 0) -> FilterModel:
+    def build_filter(self, sizes: Sequence[int]) -> FilterModel:
         """Quantized filter model on per-layer optimal Gaussian grids.
 
-        "exact" computes the cell masses in closed form from the Gaussian
-        AR(1) structure, and each step's transition rows when the filter
-        asks for them; "mc" estimates them from simulated signal paths.
+        The cell masses are computed in closed form from the Gaussian AR(1)
+        structure, and each step's transition rows when the filter asks for
+        them.
         """
         sizes = [int(s) for s in sizes]
         if len(sizes) != self.steps + 1:
@@ -267,27 +267,8 @@ class ScalarFilterModel:
         base = {nk: newton_1d(Law1D.gaussian(), nk) for nk in set(sizes)}
         layers = [Grid(means[k] + stds[k] * base[nk].points)
                   for k, nk in enumerate(sizes)]
-        if method == "exact":
-            initial = _gaussian_cell_masses(layers[0], means[0], stds[0])
-            transitions = _ExactRows(layers, self.ar_coeff, self.ar_noise)
-        elif method == "mc":
-            rng = np.random.default_rng(seed)
-            x = means[0] + stds[0] * rng.standard_normal(mc_paths)
-            idx_prev, _ = assign(layers[0], x[:, None])
-            counts = np.bincount(idx_prev, minlength=sizes[0])
-            initial = counts / mc_paths
-            no_noise = np.empty((mc_paths, 0))  # no companion weights
-            transitions = []
-            for k in range(self.steps):
-                x = self.ar_coeff * x + self.ar_noise * rng.standard_normal(mc_paths)
-                idx, _ = assign(layers[k + 1], x[:, None])
-                rows, _, _ = joint_transitions(idx_prev, idx, counts,
-                                               sizes[k + 1], no_noise)
-                transitions.append(rows)
-                idx_prev = idx
-                counts = np.bincount(idx, minlength=sizes[k + 1])
-        else:
-            raise InputError(f"unknown method {method!r}")
+        initial = _gaussian_cell_masses(layers[0], means[0], stds[0])
+        transitions = _ExactRows(layers, self.ar_coeff, self.ar_noise)
         return FilterModel(layers=layers, initial=initial,
                            transitions=transitions,
                            likelihood=self.likelihood)

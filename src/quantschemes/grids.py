@@ -41,6 +41,8 @@ _ASSIGN_CHUNK = 65536
 # rows, as in Lloyd's re-searches, building it costs more than it saves.
 _TABLE_BINS_PER_POINT = 16
 _TABLE_ROWS_PER_POINT = 128
+# Draws per distortion or L^s error estimate from a generator source.
+_GENERATOR_DRAW = 1_000_000
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
@@ -119,11 +121,10 @@ class SampleSource:
     """Either a frozen batch of points or a seeded i.i.d. generator.
 
     Generator mode draws from a named law ("gaussian" = standard normal,
-    "uniform" = unit cube) or a user sampler ``f(rng, size) -> (size, d)``.
-    Same seed always yields the same stream.
+    "uniform" = unit cube). Same seed always yields the same stream.
     """
 
-    def __init__(self, batch=None, law=None, dim=None, seed=0, sampler=None):
+    def __init__(self, batch=None, law=None, dim=None, seed=0):
         if batch is not None:
             b = np.asarray(batch, dtype=float)
             if b.ndim == 1:
@@ -134,17 +135,15 @@ class SampleSource:
             self.dim = b.shape[1]
             self.law = None
             self.seed = None
-            self._sampler = None
         else:
             if dim is None or dim < 1:
                 raise InputError("generator source needs a positive dim")
-            if sampler is None and law not in ("gaussian", "uniform"):
+            if law not in ("gaussian", "uniform"):
                 raise InputError(f"unknown law {law!r}")
             self._batch = None
             self.dim = int(dim)
-            self.law = law if sampler is None else "custom"
+            self.law = law
             self.seed = int(seed)
-            self._sampler = sampler
 
     @classmethod
     def from_batch(cls, batch) -> "SampleSource":
@@ -178,11 +177,6 @@ class SampleSource:
         if self.is_batch:
             raise InputError("batch source cannot draw")
         rng = self.stream() if rng is None else rng
-        if self._sampler is not None:
-            out = np.asarray(self._sampler(rng, size), dtype=float)
-            if out.shape != (size, self.dim):
-                raise InputError("custom sampler returned wrong shape")
-            return out
         if self.law == "gaussian":
             return rng.standard_normal((size, self.dim))
         return rng.random((size, self.dim))
@@ -436,15 +430,16 @@ def cell_sums(index: np.ndarray, size: int, values: np.ndarray):
     return counts, sums
 
 
-def distortion_and_gradient(grid: Grid, source: SampleSource,
-                            batch_size: int = 1_000_000) -> DistortionReport:
-    """Empirical quadratic distortion D_{N,2} with gradient and occupancies.
+def distortion_and_gradient(grid: Grid,
+                            source: SampleSource) -> DistortionReport:
+    """Empirical quadratic distortion D_{N,2} with gradient and occupancies,
+    over the source's batch or `_GENERATOR_DRAW` fresh draws.
 
     value    = (1/M) sum_m min_i |xi_m - x_i|^2
     grad_i   = (2/M) sum over cell i of (x_i - xi_m)
     Empty cells get a zero gradient entry.
     """
-    batch = source.batch if source.is_batch else source.draw(batch_size)
+    batch = source.batch if source.is_batch else source.draw(_GENERATOR_DRAW)
     if batch.shape[0] == 0:
         raise InputError("empty sample batch")
     idx, d2 = assign(grid, batch)
@@ -454,12 +449,12 @@ def distortion_and_gradient(grid: Grid, source: SampleSource,
     return DistortionReport(value=float(d2.mean()), gradient=grad, cell_counts=counts)
 
 
-def ls_error(grid: Grid, source: SampleSource, s: float,
-             batch_size: int = 1_000_000) -> float:
-    """L^s mean quantization error ((1/M) sum dist^s)^(1/s)."""
+def ls_error(grid: Grid, source: SampleSource, s: float) -> float:
+    """L^s mean quantization error ((1/M) sum dist^s)^(1/s), over the
+    source's batch or `_GENERATOR_DRAW` fresh draws."""
     if s <= 0:
         raise InputError("s must be positive")
-    batch = source.batch if source.is_batch else source.draw(batch_size)
+    batch = source.batch if source.is_batch else source.draw(_GENERATOR_DRAW)
     if batch.shape[0] == 0:
         raise InputError("empty sample batch")
     _, d2 = assign(grid, batch)
@@ -480,6 +475,20 @@ def lloyd(initial: Grid, source: SampleSource, stop: StopCriteria = StopCriteria
     searched again (`_bounded_assign`); every sweep's cells, and so the
     results, are those of a full `assign`. A finite batch whose squared
     norms overflow raises NumericError.
+
+    A sweep whose distortion rises by more than 1e-12 of the last one plus
+    (T_prev + T) / 4 raises ConvergenceError, where T = `_tie_tol(pts, far)`
+    of each sweep's grid is at least every row's tolerance. An exact Lloyd
+    sweep never does that. Let D(c, a) be the exact distortion of grid c
+    under cell choice a, and a_t the cells of sweep t on grid c_t. Each
+    computed d2 is within T_t / 4 of the exact squared distance, so
+    D(c_t, a_t) <= value_t + T_t / 4; and a_t is the computed argmin, so
+    value_{t+1} <= min_a D(c_{t+1}, a) + T_{t+1} / 4. The cell means
+    minimize D(., a_t) cell by cell, and a re-seeded point has no row in
+    a_t, so min_a D(c_{t+1}, a) <= D(c_{t+1}, a_t) <= D(c_t, a_t). Hence
+    value_{t+1} - value_t <= (T_t + T_{t+1}) / 4. The relative term covers
+    the rounding of the mean of d2 (about log2(M) eps); rounded cell means
+    add a second-order term, about (M eps |far|)^2, far below T.
     """
     if not source.is_batch:
         raise InputError("Lloyd needs a fixed-batch source")
@@ -493,14 +502,16 @@ def lloyd(initial: Grid, source: SampleSource, stop: StopCriteria = StopCriteria
     xx, far = _batch_norms(batch)
     jitter = 1e-6 * batch.std(axis=0)
     rng = np.random.default_rng(0)
-    prev = None
+    prev = prev_tol = None
     it = 0
     idx = None
     for it in range(1, stop.max_iterations + 1):
-        idx, d2 = _bounded_assign(Grid(pts), batch, idx, xx, far)
+        tol = float(_tie_tol(pts, far)[0])
+        idx, d2 = _bounded_assign(Grid(pts), batch, idx, xx, tol)
         counts, sums = cell_sums(idx, n, batch)
         value = float(d2.mean())
-        if prev is not None and value > prev * (1.0 + 1e-12):
+        if (prev is not None
+                and value - prev > 1e-12 * prev + (prev_tol + tol) / 4):
             raise ConvergenceError("distortion increased during Lloyd sweep",
                                    residual=value - prev)
         means = pts.copy()
@@ -523,7 +534,7 @@ def lloyd(initial: Grid, source: SampleSource, stop: StopCriteria = StopCriteria
                     and np.all(moved <= allowed)):
                 break
         pts = means
-        prev = value
+        prev, prev_tol = value, tol
     grid = Grid(pts)
     report = distortion_and_gradient(grid, source)
     weights = report.cell_counts / batch.shape[0]
@@ -541,17 +552,18 @@ def _batch_norms(batch: np.ndarray):
 
 
 def _bounded_assign(grid: Grid, batch: np.ndarray, idx, xx: np.ndarray,
-                    far: np.ndarray):
+                    tol: float):
     """`assign(grid, batch)`, searching only the rows that may not lie in
-    their candidate cells `idx` (None: search every row). `xx` and `far`
-    are `_batch_norms(batch)`, computed once per Lloyd run.
+    their candidate cells `idx` (None: search every row). `xx` is the
+    batch's row norms from `_batch_norms`, computed once per Lloyd run, and
+    `tol` is T = `_tie_tol(grid.points, far)` for its row `far`.
 
     d2 is `_sq_dist`'s expression for the candidate, with |x|^2 taken from
     `xx`, so it has the bytes `assign` returns. A row keeps its cell a when
-    d2 < thr_a (`_keep_threshold`), where T is the near-tie tolerance
-    `_tie_tol` of `far`: the tolerance grows with the row norm and every
-    step of it rounds monotonically, so T is at least every row's. A kept
-    index is the scan's unique argmin (proof at `_keep_threshold`).
+    d2 < thr_a (`_keep_threshold`). `far` has the largest row norm, the
+    tolerance grows with the row norm and every step of it rounds
+    monotonically, so T is at least every row's. A kept index is the
+    scan's unique argmin (proof at `_keep_threshold`).
     """
     if idx is None:
         return assign(grid, batch)
@@ -565,7 +577,7 @@ def _bounded_assign(grid: Grid, batch: np.ndarray, idx, xx: np.ndarray,
     d2 = np.subtract(xx, xc, out=xc)
     d2 += _sq_norm(c).take(idx)
     np.maximum(d2, 0.0, out=d2)
-    thr = _keep_threshold(_separation(c), float(_tie_tol(c, far)[0]))
+    thr = _keep_threshold(_separation(c), tol)
     search = np.flatnonzero(~(d2 < thr.take(idx)))
     if search.size:
         idx[search], d2[search] = assign(grid, batch.take(search, axis=0))

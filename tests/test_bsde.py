@@ -96,16 +96,6 @@ def test_solver_driver_shape_and_finite_checks():
         solve_bsde(ch, DriverSpec(f=lambda t, x, y, z: np.full_like(y, np.nan)),
                    lambda pts: pts[:, 0])
     assert "step" in str(exc.value)
-    with pytest.raises(InputError):
-        solve_bsde(ch, DriverSpec(f=lambda t, x, y, z: y))  # no terminal
-
-
-def test_solver_terminal_from_driver_spec():
-    rng = np.random.default_rng(7)
-    ch = random_chain(rng, [2, 2, 2])
-    spec = DriverSpec(f=lambda t, x, y, z: np.zeros_like(y),
-                      terminal=lambda pts: np.ones(pts.shape[0]))
-    assert solve_bsde(ch, spec).y0 == pytest.approx(1.0)
 
 
 def test_solver_warns_on_dead_rows():

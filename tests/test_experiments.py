@@ -457,12 +457,15 @@ def test_cli_exit_codes(tmp_path, capsys):
                          ("rate-fit", {"pairs": [[10, 0.1], [True, 0.05],
                                                  [40, 0.02]]}),
                          ("bsde-bidask", {"n": 1, "mc_paths": 100,
-                                          "sweep": []})):
+                                          "sweep": []}),
+                         # a string is no list, though it iterates
+                         ("chain", {**small, "n": 3, "sizes": "1555"}),
+                         ("rate-fit", {"pairs": ["12", "34", "56"]})):
         cfg.write_text(json.dumps(bad))
         assert main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.count("error: ") == 41 and "Traceback" not in err
+    assert err.count("error: ") == 43 and "Traceback" not in err
     assert err.count("must be an integer, got") == 8
     assert err.count("must be a number, got") == 7
     assert err.count("sweep must list at least one grid size") == 1

@@ -261,7 +261,7 @@ def test_layer_moments_recursion():
 
 def test_build_filter_exact_structure():
     model = builtin_models("linear-gaussian", steps=4)
-    fm = model.build_filter([5] * 5, method="exact")
+    fm = model.build_filter([5] * 5)
     assert fm.steps == 4
     means, stds = model.layer_moments()
     for k, g in enumerate(fm.layers):
@@ -269,26 +269,11 @@ def test_build_filter_exact_structure():
             pytest.approx(means[k], abs=1e-12)
     with pytest.raises(InputError):
         model.build_filter([5] * 3)
-    with pytest.raises(InputError):
-        model.build_filter([5] * 5, method="wat")
 
 
 def _gauss5_masses(grid, mean, std):
     from quantschemes.filtering import _gaussian_cell_masses
     return _gaussian_cell_masses(grid, mean, std)
-
-
-def test_build_filter_mc_close_to_exact():
-    model = builtin_models("linear-gaussian", steps=3)
-    exact = model.build_filter([8] * 4, method="exact")
-    mc = model.build_filter([8] * 4, method="mc", mc_paths=400_000, seed=1)
-    assert np.abs(exact.initial - mc.initial).max() <= 0.01
-    # compare joint probabilities (rows weighted by the layer marginal) so
-    # that poorly sampled extreme rows do not dominate
-    marg = exact.initial
-    for pe, pm in zip(exact.transitions, mc.transitions):
-        assert np.abs(marg[:, None] * (pe - pm)).max() <= 0.005
-        marg = marg @ pe
 
 
 def test_exact_rows_and_masses_equal_norm_cdf_expression():
@@ -376,7 +361,7 @@ def test_huge_observation_noise_recovers_prior():
     # equals the quantized prior marginal
     model = builtin_models("linear-gaussian", steps=4)
     model.sigma_obs = 1e6
-    fm = model.build_filter([10] * 5, method="exact")
+    fm = model.build_filter([10] * 5)
     _, y = model.simulate(seed=0)
     state = forward_filter(fm, y)
     prior = fm.initial
@@ -388,7 +373,7 @@ def test_huge_observation_noise_recovers_prior():
 def test_zero_link_posterior_equals_prior():
     model = builtin_models("linear-gaussian", steps=3)
     model.link = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    fm = model.build_filter([6] * 4, method="exact")
+    fm = model.build_filter([6] * 4)
     state = forward_filter(fm, np.zeros(4))
     prior = fm.initial
     for p in fm.transitions:
@@ -400,7 +385,7 @@ def test_linear_gaussian_filter_matches_kalman():
     model = builtin_models("linear-gaussian", steps=10)
     _, y = model.simulate(seed=7)
     m_ref, v_ref = kalman_posterior(model, y)
-    fm = model.build_filter([200] * 11, method="exact")
+    fm = model.build_filter([200] * 11)
     state = forward_filter(fm, y)
     pts = fm.layers[-1].points[:, 0]
     mean = state.weights[-1] @ pts

@@ -413,21 +413,56 @@ def test_lloyd_reseeds_dead_cells():
     assert np.all(np.abs(g.points) <= 1.5)
 
 
+@pytest.mark.parametrize("offset", [1e5, 1e6])
+def test_lloyd_converges_far_from_origin(offset):
+    """Far from the origin each sweep's d2 is off by up to a quarter of the
+    near-tie tolerance; that rounding is no rise of the distortion."""
+    near_batch = np.random.default_rng(13).standard_normal((4000, 1))
+    batch = offset + near_batch
+    _, near, _ = lloyd(Grid(near_batch[:10]),
+                       SampleSource.from_batch(near_batch))
+    _, far, it = lloyd(Grid(batch[:10]), SampleSource.from_batch(batch))
+    assert it < StopCriteria().max_iterations
+    assert far.value == pytest.approx(near.value, rel=0.01)
+
+
+def test_lloyd_raises_when_a_sweep_raises_the_distortion(monkeypatch):
+    batch = np.random.default_rng(13).standard_normal((4000, 1))
+    bounded = grids._bounded_assign
+    sweeps = []
+
+    def worse_third_sweep(grid, rows, idx, xx, tol):
+        idx, d2 = bounded(grid, rows, idx, xx, tol)
+        sweeps.append(len(sweeps) + 1)
+        if sweeps[-1] == 3:  # every row to another cell
+            idx = (idx + 1) % grid.size
+            d2 = grids._sq_dist(rows, grid.points.take(idx, axis=0))
+        return idx, d2
+
+    monkeypatch.setattr(grids, "_bounded_assign", worse_third_sweep)
+    with pytest.raises(ConvergenceError, match="distortion increased"):
+        lloyd(Grid(batch[:10]), SampleSource.from_batch(batch))
+    assert sweeps == [1, 2, 3]
+
+
 def _lloyd_reference(initial, batch, stop):
     """Lloyd's loop with the exact scan on every sweep and one more full
     pass at the end: the oracle for `lloyd`'s bounded sweeps."""
     n = initial.shape[0]
     pts = initial.copy()
     jitter = 1e-6 * batch.std(axis=0)
+    far = batch[[int(np.argmax(grids._sq_norm(batch)))]]
     rng = np.random.default_rng(0)
-    prev = None
+    prev = prev_tol = None
     it = 0
     for it in range(1, stop.max_iterations + 1):
         grid = Grid(pts)
         idx, d2 = _scan_assign(grid, batch)
         counts, sums = cell_sums(idx, n, batch)
         value = float(d2.mean())
-        if prev is not None and value > prev * (1.0 + 1e-12):
+        tol = float(grids._tie_tol(pts, far)[0])
+        if (prev is not None
+                and value - prev > 1e-12 * prev + (prev_tol + tol) / 4):
             raise ConvergenceError("distortion increased during Lloyd sweep",
                                    residual=value - prev)
         means = pts.copy()
@@ -448,7 +483,7 @@ def _lloyd_reference(initial, batch, stop):
                     and np.all(moved <= allowed)):
                 break
         pts = means
-        prev = value
+        prev, prev_tol = value, tol
     grid = Grid(pts)
     idx, d2 = _scan_assign(grid, batch)
     counts, sums = cell_sums(idx, n, batch)
@@ -598,8 +633,9 @@ def test_bounded_assign_matches_assign(d, offset, kind, monkeypatch):
         "wrong": (expect_idx + rng.integers(1, max(n, 2), size=len(batch))) % n,
     }
     xx, far = grids._batch_norms(batch)
+    T = _tie_tol(c, far)[0]
     for name, cand in candidates.items():
-        idx, d2 = grids._bounded_assign(grid, batch, cand.copy(), xx, far)
+        idx, d2 = grids._bounded_assign(grid, batch, cand.copy(), xx, T)
         assert idx.tobytes() == expect_idx.tobytes(), name
         assert d2.tobytes() == expect_d2.tobytes(), name
 
@@ -609,7 +645,7 @@ def test_bounded_assign_matches_assign(d, offset, kind, monkeypatch):
         np.full(len(p), -1), np.full(len(p), np.nan)))
     tol = _tie_tol(c, batch)
     for name, cand in candidates.items():
-        idx, _ = grids._bounded_assign(grid, batch, cand.copy(), xx, far)
+        idx, _ = grids._bounded_assign(grid, batch, cand.copy(), xx, T)
         kept = np.flatnonzero(idx >= 0)
         assert np.array_equal(idx[kept], cand[kept]), name
         if name == "wrong" and n > 1:
@@ -624,7 +660,6 @@ def test_bounded_assign_matches_assign(d, offset, kind, monkeypatch):
                 exact = (_exact_sq(batch[m], c[b])
                          - _exact_sq(batch[m], c[a]))
                 assert exact > Fraction(tol[m]), (name, m, a, b)
-    T = _tie_tol(c, far)[0]
     sep = grids._separation(c)
     thr = grids._keep_threshold(sep, T)
     for s, t in zip(sep, thr):
@@ -640,9 +675,9 @@ def test_bounded_assign_matches_assign(d, offset, kind, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_clvq_single_step_update():
-    src = SampleSource(dim=1, seed=0, sampler=lambda rng, size: np.ones((size, 1)))
+    src = SampleSource.gaussian(1, seed=0)
     g = clvq(Grid([[0.0]]), src, steps=1, schedule=(1.0, 9.0), weight_pass=10)
-    assert g.points[0, 0] == pytest.approx(0.1)
+    assert g.points[0, 0] == pytest.approx(0.1 * src.draw(1)[0, 0])
 
 
 def test_clvq_one_point_converges_to_mean():

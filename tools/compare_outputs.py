@@ -17,9 +17,8 @@ dtype, shape and bytes:
   up its 7 iterations; the multidim base grid (d=2, N=150, a 5e4 batch
   from seed 12345, the experiment's stop criteria); and the ten layer
   grids of a `chain` build on gbm (T=0.25, n=10, N=50, sample budget 2e4);
-- ScalarFilterModel.build_filter("mc") rows, with dead rows;
 - newton_1d grids and weights at N = 10, 150 and 2000;
-- ScalarFilterModel.build_filter("exact") layer points, initial weights
+- ScalarFilterModel.build_filter layer points, initial weights
   and rows; forward_filter weights on one sin-cube observation path at
   N=150 (n=10) and at N=2000 (n=3), and backward_value's u and log_scale
   on the N=2000 model (large enough for OpenBLAS to thread a full
@@ -106,8 +105,9 @@ def _outputs(workdir) -> dict:
     batch = 1e6 + np.random.default_rng(13).standard_normal((4000, 1))
     record_lloyd("lloyd/one-point",
                  lloyd(Grid(batch[:1]), SampleSource.from_batch(batch)))
-    # 40 sweeps: from about 55 on, cancellation in the squared distances
-    # at this offset makes the distortion "increase" (ConvergenceError)
+    # 40 sweeps: a tree whose monotonicity check does not allow for the
+    # rounding of the squared distances at this offset raises
+    # ConvergenceError from about the 55th sweep on
     record_lloyd("lloyd/offset-1e6",
                  lloyd(Grid(batch[:10]), SampleSource.from_batch(batch),
                        StopCriteria(max_iterations=40)))
@@ -134,15 +134,6 @@ def _outputs(workdir) -> dict:
     for k, result in enumerate(runs):
         record_lloyd(f"lloyd/cli-chain/{k + 1}", result)
 
-    for model in ("linear-gaussian", "sin-cube"):
-        spec = builtin_models(model, steps=4)
-        # 300 paths over 40 cells leave tail cells unvisited
-        fm = spec.build_filter([5, 40, 40, 12, 40], method="mc",
-                               mc_paths=300, seed=5)
-        out[f"filter-mc/{model}/initial"] = fm.initial
-        for k, rows in enumerate(fm.transitions):
-            out[f"filter-mc/{model}/rows/{k}"] = rows
-
     for N in (10, 150, 2000):
         grid = newton_1d(Law1D.gaussian(), N)
         out[f"newton/{N}/points"] = grid.points
@@ -150,7 +141,7 @@ def _outputs(workdir) -> dict:
 
     for model in ("linear-gaussian", "sin-cube"):
         spec = builtin_models(model, steps=3)
-        fm = spec.build_filter([10, 150, 2000, 40], method="exact")
+        fm = spec.build_filter([10, 150, 2000, 40])
         for k, g in enumerate(fm.layers):
             out[f"filter-exact/{model}/points/{k}"] = g.points
         out[f"filter-exact/{model}/initial"] = fm.initial
@@ -158,7 +149,7 @@ def _outputs(workdir) -> dict:
             out[f"filter-exact/{model}/rows/{k}"] = rows
     spec = builtin_models("sin-cube", steps=10)
     _, y = spec.simulate(6)
-    fm = spec.build_filter([150] * 11, method="exact")
+    fm = spec.build_filter([150] * 11)
     for k, g in enumerate(fm.layers):
         out[f"filter-exact/sin-cube/n=10/points/{k}"] = g.points
     state = forward_filter(fm, y)
@@ -166,7 +157,7 @@ def _outputs(workdir) -> dict:
         out[f"filter-exact/sin-cube/weights/{k}"] = w
     spec = builtin_models("sin-cube", steps=3)
     _, y = spec.simulate(6)
-    fm = spec.build_filter([2000] * 4, method="exact")
+    fm = spec.build_filter([2000] * 4)
     state = forward_filter(fm, y)
     for k, w in enumerate(state.weights):
         out[f"filter-exact/sin-cube/N=2000/weights/{k}"] = w
