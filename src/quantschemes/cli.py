@@ -17,11 +17,9 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from .chain import (MODELS, DiffusionModel, TimeMesh, build_layer_grids,
                     estimate_companions, save_chain)
-from .errors import InputError, NumericError, QuantError
+from .errors import InputError, QuantError
 from .experiments import (ExperimentConfig, _integer, _real, fit_rate,
                           run_bidask, run_filter_demo, run_multidim)
 from .grids import (Grid, Law1D, SampleSource, StopCriteria, clvq,

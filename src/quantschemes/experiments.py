@@ -26,7 +26,8 @@ from .chain import (_LAYER_STOP, TimeMesh, brownian, estimate_companions,
                     gbm)
 from .errors import InputError
 from .filtering import builtin_models, forward_filter, kalman_posterior
-from .grids import Grid, Law1D, SampleSource, lloyd, newton_1d
+from .grids import (Grid, Law1D, SampleSource, _cpu_count, lloyd,
+                    newton_1d)
 
 # benchmark reference values for the bid-ask study and the closed-form
 # solution of the multidimensional example
@@ -311,7 +312,7 @@ def _run_points(worker, argument_list, workers: int) -> list[dict]:
     """worker(a) for each point a: in this process, or in a pool of at most
     `workers` (0: no bound of its own), the number of points and the number
     of CPUs."""
-    cpus = os.cpu_count() or 1
+    cpus = _cpu_count()
     max_workers = min(workers or cpus, len(argument_list), cpus)
     if max_workers <= 1:
         return [worker(a) for a in argument_list]

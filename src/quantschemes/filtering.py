@@ -5,14 +5,16 @@ The signal chain is replaced by per-layer grids with transition matrices;
 the observation enters through weighted kernels H_k[i, j] = g_k(x_i, y_{k-1},
 x_j, y_k) p_k[i, j]. The filter follows either the forward recursion
 pi_k = pi_{k-1} H_k (normalized per step, with a log-mass ledger) or the
-equivalent backward recursion u_{k-1} = H_k u_k. Either needs one H_k at a
-time, so the exact scalar model builds its transition rows per step.
+equivalent backward recursion u_{k-1} = H_k u_k. Either needs one step at
+a time, so the exact scalar model builds its transition rows per step, and
+H_k is applied in blocks without being held whole.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -22,8 +24,8 @@ from scipy.special import ndtr
 from .errors import DegenerateObservationError, InputError
 # assign: unused, but test_wrappers_are_installed_everywhere_and_removed
 # (perfbench) asserts that this module binds it
-from .grids import (Grid, Law1D, _check_probabilities, _norm_pdf,
-                    _voronoi_edges, assign, newton_1d)  # noqa: F401
+from .grids import (Grid, Law1D, _check_probabilities, _cpu_count,
+                    _norm_pdf, _voronoi_edges, assign, newton_1d)  # noqa: F401
 
 # likelihood(k, x_prev, y_prev, x_next, y_next) -> nonnegative array, where
 # x_prev is (Ni, 1, d), x_next is (1, Nj, d) and the result broadcasts to
@@ -96,37 +98,50 @@ def _check_observations(observations, steps):
     return y
 
 
-def _kernel(model: FilterModel, y: np.ndarray, k: int) -> np.ndarray:
-    """H_k[i, j] = g_k(x_i, y_{k-1}, x_j, y_k) p_k[i, j] for step k >= 1,
-    with `y` already checked by `_check_observations`."""
-    p = model.transitions[k - 1]
+def _likelihood(model: FilterModel, y: np.ndarray, k: int) -> np.ndarray:
+    """g_k(x_i, y_{k-1}, x_j, y_k) for step k >= 1, with `y` already checked
+    by `_check_observations`: checked as the model returns it, then
+    broadcast (a read-only view) to the (N_{k-1}, N_k) shape of p_k."""
     xp = model.layers[k - 1].points[:, None, :]
     xn = model.layers[k].points[None, :, :]
     g = np.asarray(model.likelihood(k, xp, y[k - 1], xn, y[k]), dtype=float)
-    g = np.broadcast_to(g, p.shape)
     if np.any(g < 0) or not np.all(np.isfinite(g)):
         raise InputError(f"likelihood at step {k} must be finite and >= 0")
-    return g * p
+    shape = (xp.shape[0], xn.shape[1])
+    try:
+        return np.broadcast_to(g, shape)
+    except ValueError:
+        raise InputError(f"likelihood at step {k} has shape {g.shape}, "
+                         f"which does not broadcast to {shape}") from None
 
 
-# Entries per block of `_apply` and of `_gaussian_ar1_rows`' scratch (2 MiB).
-# OpenBLAS runs a matrix-vector product this small on one thread, so no
-# second thread is left spinning while the next step's rows are built.
+# Entries per block of `_apply` (2 MiB), and of the scratch that all the
+# threads of one `_gaussian_ar1_rows` call hold at once. OpenBLAS runs a
+# matrix-vector product this small on one thread, so no BLAS thread is left
+# spinning while the next step's rows are built.
 _BLOCK_ENTRIES = 1 << 18
 
 
-def _apply(H: np.ndarray, v: np.ndarray, left: bool) -> np.ndarray:
-    """v @ H (`left`) or H @ v, in column or row blocks of H whose width is
-    a multiple of 4 and whose size is at most about _BLOCK_ENTRIES. Each
-    entry of the result is the one the single-threaded product computes."""
-    cols = H.shape[0] if left else H.shape[1]
-    out = np.empty(H.shape[1] if left else H.shape[0])
-    width = max(4, _BLOCK_ENTRIES // cols // 4 * 4)
+def _apply(g: np.ndarray, p: np.ndarray, v: np.ndarray,
+           left: bool) -> np.ndarray:
+    """v @ H (`left`) or H @ v for H = g * p, g broadcast to p's shape.
+
+    Each column (row) block of H is formed just before its product and
+    dropped after it, so H is never held whole; a block's width is a
+    multiple of 4 and its size at most about _BLOCK_ENTRIES. Each entry of
+    the result is the one the single-threaded product of the whole H
+    computes.
+    """
+    inner = p.shape[0] if left else p.shape[1]
+    out = np.empty(p.shape[1] if left else p.shape[0])
+    width = max(4, _BLOCK_ENTRIES // inner // 4 * 4)
     for s in range(0, out.size, width):
         if left:
-            np.matmul(v, H[:, s:s + width], out=out[s:s + width])
+            block = g[:, s:s + width] * p[:, s:s + width]
+            np.matmul(v, block, out=out[s:s + width])
         else:
-            np.matmul(H[s:s + width], v, out=out[s:s + width])
+            block = g[s:s + width] * p[s:s + width]
+            np.matmul(block, v, out=out[s:s + width])
     return out
 
 
@@ -134,21 +149,23 @@ def quantized_kernels(model: FilterModel, observations) -> list[np.ndarray]:
     """Observation-weighted transition kernels H_k[i, j] = g_k p_k[i, j],
     one (N_{k-1}, N_k) matrix per step k = 1..n."""
     y = _check_observations(observations, model.steps)
-    return [_kernel(model, y, k) for k in range(1, model.steps + 1)]
+    return [_likelihood(model, y, k) * model.transitions[k - 1]
+            for k in range(1, model.steps + 1)]
 
 
 def forward_filter(model: FilterModel, observations) -> FilterState:
     """Forward recursion pi_k = pi_{k-1} H_k with per-step renormalization.
 
-    H_k is built one step at a time and dropped after use. Raises
-    DegenerateObservationError when the un-normalized mass vanishes.
+    H_k is applied in blocks, one step at a time, and never held whole.
+    Raises DegenerateObservationError when the un-normalized mass vanishes.
     """
     y = _check_observations(observations, model.steps)
     pi = model.initial.copy()
     weights = [pi]
     log_masses = [0.0]
     for k in range(1, model.steps + 1):
-        pi = _apply(_kernel(model, y, k), pi, left=True)
+        pi = _apply(_likelihood(model, y, k), model.transitions[k - 1], pi,
+                    left=True)
         mass = pi.sum()
         if not np.isfinite(mass) or mass <= 0.0:
             raise DegenerateObservationError(k)
@@ -165,8 +182,8 @@ def backward_value(model: FilterModel, observations, terminal):
     Returns (u0, log_scale, log_u_minus_1): u0 on the initial grid scaled so
     that the true vector is u0 * exp(log_scale), and the signed log of
     u_{-1} = initial . u0, i.e. the un-normalized filter applied to the
-    terminal function. log_u_minus_1 is (sign, log|value|). H_k is built
-    one step at a time, last step first.
+    terminal function. log_u_minus_1 is (sign, log|value|). H_k is applied
+    in blocks, one step at a time, last step first.
     """
     y = _check_observations(observations, model.steps)
     u = np.asarray(terminal, dtype=float)
@@ -174,7 +191,8 @@ def backward_value(model: FilterModel, observations, terminal):
         raise InputError("terminal values must live on the last grid")
     log_scale = 0.0
     for k in range(model.steps, 0, -1):
-        u = _apply(_kernel(model, y, k), u, left=False)
+        u = _apply(_likelihood(model, y, k), model.transitions[k - 1], u,
+                   left=False)
         peak = np.abs(u).max()
         if peak > 0.0 and (peak > 1e100 or peak < 1e-100):
             u = u / peak
@@ -284,21 +302,37 @@ def _gaussian_cell_masses(grid: Grid, mean: float, std: float) -> np.ndarray:
 def _gaussian_ar1_rows(prev: Grid, nxt: Grid, a: float, b: float) -> np.ndarray:
     """Row i = exact law of a x_i + b eps over the Voronoi cells of `nxt`.
 
-    Filled in row blocks of about _BLOCK_ENTRIES, so that the only full-size
-    array is the result; each row gets the bytes of the whole-matrix
-    expression, as its values and its pairwise sum are the same.
+    Filled in row blocks, so that the only full-size array is the result;
+    each row gets the bytes of the whole-matrix expression, as its values
+    and its pairwise sum are the same. A matrix of more than one block of
+    _BLOCK_ENTRIES is split into blocks of _BLOCK_ENTRIES / threads, one
+    thread per CPU, in a pool that is joined before the call returns (a
+    pool that outlived it would be a dead pool in a forked child); the
+    ufuncs release the GIL, and no row depends on the split.
     """
     edges = _voronoi_edges(nxt.points[:, 0])
     centers = a * prev.points[:, 0]
     rows = np.empty((prev.size, nxt.size))
     height = max(1, _BLOCK_ENTRIES // edges.size)
-    for s in range(0, prev.size, height):
+    threads = min(_cpu_count(), -(-prev.size // height))
+    if threads > 1:
+        height = max(1, _BLOCK_ENTRIES // threads // edges.size)
+    starts = range(0, prev.size, height)
+
+    def fill(s):
         z = edges[None, :] - centers[s:s + height, None]
         z /= b
         ndtr(z, out=z)
         block = rows[s:s + height]
         np.subtract(z[:, 1:], z[:, :-1], out=block)
         block /= block.sum(axis=1, keepdims=True)
+
+    if threads > 1:
+        with ThreadPoolExecutor(threads) as pool:
+            list(pool.map(fill, starts))
+    else:
+        for s in starts:
+            fill(s)
     return rows
 
 

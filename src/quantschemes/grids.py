@@ -14,6 +14,7 @@ reference its results are checked against.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -382,13 +383,23 @@ def _table_lookup(table, x: np.ndarray) -> np.ndarray:
     return cells.take(t.astype(np.intp))
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _tree_search(c: np.ndarray, pts: np.ndarray):
     """Candidate indices from a kd-tree, and the squared-distance gap to the
-    second nearest point (nan for rows that are not finite)."""
+    second nearest point (nan for rows that are not finite). The query is
+    split over one thread per CPU, which scipy joins before it returns;
+    each row's answer does not depend on the split."""
     finite = np.all(np.isfinite(pts), axis=1)
     idx = np.zeros(pts.shape[0], dtype=np.int64)
     gap = np.full(pts.shape[0], np.nan)
-    dist, ii = cKDTree(c).query(pts[finite], k=2)
+    dist, ii = cKDTree(c).query(pts[finite], k=2, workers=_cpu_count())
     idx[finite] = ii[:, 0]
     gap[finite] = dist[:, 1] ** 2 - dist[:, 0] ** 2
     return idx, gap

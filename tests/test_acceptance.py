@@ -15,8 +15,7 @@ import pytest
 from quantschemes.bsde import DriverSpec, bound_constants, solve_bsde
 from quantschemes.chain import (QuantizedChain, TimeMesh, brownian,
                                 estimate_companions)
-from quantschemes.experiments import (BIDASK_REFERENCE, MULTIDIM_Y0,
-                                      ExperimentConfig, loglog_slope,
+from quantschemes.experiments import (BIDASK_REFERENCE, ExperimentConfig,
                                       run_bidask, run_filter_demo,
                                       run_multidim)
 from quantschemes.filtering import FilterModel, backward_expectation, \

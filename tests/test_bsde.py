@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantschemes.bsde import (BoundConstants, DriverSpec, allocate_grid_sizes,
+from quantschemes.bsde import (DriverSpec, allocate_grid_sizes,
                                bound_constants, solve_bsde)
 from quantschemes.chain import (QuantizedChain, TimeMesh, brownian,
                                 estimate_companions)

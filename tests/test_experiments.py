@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -174,7 +175,7 @@ def test_run_points_bounds_the_pool(monkeypatch):
             return map(fn, args)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recorder)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: 4)
     run = experiments._run_points
     square = lambda a: a * a  # noqa: E731
     assert run(square, [1, 2, 3], 10 ** 9) == [1, 4, 9]
@@ -511,6 +512,34 @@ def test_cli_import_leaves_out_scipy_stats():
             "sys.exit(int('scipy.stats' in sys.modules))")
     assert subprocess.run([sys.executable, "-c", code], env=env,
                           timeout=120).returncode == 0
+
+
+def test_filter_demo_forks_its_pool_after_threaded_rows():
+    """The N=600 self-reference fills its rows (two blocks) on two threads,
+    then the two sweep points run in a forked pool of two, where the N=600
+    point fills its rows on two threads again; the rows equal those of one
+    worker. A thread pool left alive across the fork would hang the child,
+    so this runs in a process group that is killed after a timeout."""
+    src = os.path.dirname(os.path.dirname(quantschemes.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = (
+        "import sys\n"
+        "from quantschemes import experiments, filtering\n"
+        "filtering._cpu_count = experiments._cpu_count = lambda: 2\n"
+        "rows = [experiments.run_filter_demo(experiments.ExperimentConfig(\n"
+        "    name='filter-demo', n=3, seed=2, sweep=[20, 600],\n"
+        "    model='sin-cube', workers=w), reference_size=600)['rows']\n"
+        "    for w in (2, 1)]\n"
+        "sys.exit(int(rows[0] != rows[1]))\n")
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env,
+                            start_new_session=True)
+    try:
+        assert proc.wait(timeout=120) == 0
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
 
 
 def test_cli_grid_missing_input_file(tmp_path, capsys):

@@ -1,14 +1,16 @@
 import itertools
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quantschemes import filtering
 from quantschemes.errors import DegenerateObservationError, InputError
-from quantschemes.filtering import (FilterModel, FilterState, backward_expectation,
+from quantschemes.filtering import (FilterModel, backward_expectation,
                                     backward_value, builtin_models,
                                     forward_filter, kalman_posterior,
                                     quantized_kernels,
@@ -70,6 +72,17 @@ def test_kernels_reject_negative_or_nonfinite():
                        likelihood=lambda k, xp, yp, xn, yn: np.inf)
     with pytest.raises(InputError):
         quantized_kernels(model, obs(1))
+
+
+def test_likelihood_that_does_not_broadcast_is_an_input_error():
+    # a (4,) likelihood on a 2 x 3 step
+    rng = np.random.default_rng(6)
+    model = make_model(rng, [2, 3],
+                       likelihood=lambda k, xp, yp, xn, yn: np.ones(4))
+    for run in (quantized_kernels, forward_filter,
+                lambda m, y: backward_value(m, y, np.ones(3))):
+        with pytest.raises(InputError, match="broadcast"):
+            run(model, obs(1))
 
 
 def test_observation_shape_checks():
@@ -301,6 +314,30 @@ def test_exact_rows_and_masses_equal_norm_cdf_expression():
     cdf = norm.cdf((_voronoi_edges(grid.points[:, 0]) - 0.3) / 1.7)
     oracle = np.diff(cdf) / np.diff(cdf).sum()
     assert _gaussian_cell_masses(grid, 0.3, 1.7).tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("size", [2000, 2001])
+def test_exact_rows_do_not_depend_on_the_thread_count(size, monkeypatch):
+    """1, 2 and 3 threads give the same bytes, on row-block counts (31 and
+    47) that do not divide by the thread count; a single-block matrix
+    opens no pool."""
+    pools = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, threads):
+            pools.append(threads)
+            super().__init__(threads)
+
+    monkeypatch.setattr(filtering, "ThreadPoolExecutor", Recording)
+    fm = builtin_models("sin-cube", steps=2).build_filter([size, size, 200])
+    rows = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(filtering, "_cpu_count", lambda: cpus)
+        rows.append(filtering._gaussian_ar1_rows(fm.layers[0], fm.layers[1],
+                                                 0.9, 0.4).tobytes())
+        filtering._gaussian_ar1_rows(fm.layers[2], fm.layers[2], 0.9, 0.4)
+    assert rows[1] == rows[0] and rows[2] == rows[0]
+    assert pools == [2, 3]
 
 
 @pytest.mark.parametrize("name, sizes", [

@@ -247,6 +247,32 @@ def test_bin_table_places_only_what_the_search_accepts(seed, n, log_offset,
     assert np.all(gap > _tie_tol(c[:, None], x))
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_tree_search_does_not_depend_on_the_worker_count(d, monkeypatch):
+    """One kd-tree worker and four give the same candidates and gaps, on
+    rows at grid points, at midpoints of pairs and not finite."""
+    workers = []
+
+    class Recording(grids.cKDTree):
+        def query(self, *args, **kwargs):
+            workers.append(kwargs["workers"])
+            return super().query(*args, **kwargs)
+
+    monkeypatch.setattr(grids, "cKDTree", Recording)
+    rng = np.random.default_rng(d)
+    c = rng.standard_normal((60, d))
+    pts = np.vstack([rng.standard_normal((20_000, d)), c,
+                     0.5 * (c[:-1] + c[1:])])
+    pts[::997, d - 1] = np.nan
+    found = []
+    for cpus in (1, 4):
+        monkeypatch.setattr(grids, "_cpu_count", lambda: cpus)
+        idx, gap = grids._tree_search(c, pts)
+        found.append((idx.tobytes(), gap.tobytes()))
+    assert workers == [1, 4]
+    assert found[1] == found[0]
+
+
 def test_assign_1d_blocks_equal_row_by_row():
     """A batch over two row-block boundaries that takes the lookup table
     gives every row the scan's index and squared distance, and what the row

@@ -19,10 +19,13 @@ dtype, shape and bytes:
   grids of a `chain` build on gbm (T=0.25, n=10, N=50, sample budget 2e4);
 - newton_1d grids and weights at N = 10, 150 and 2000;
 - ScalarFilterModel.build_filter layer points, initial weights
-  and rows; forward_filter weights on one sin-cube observation path at
-  N=150 (n=10) and at N=2000 (n=3), and backward_value's u and log_scale
-  on the N=2000 model (large enough for OpenBLAS to thread a full
-  matrix-vector product);
+  and rows, and its rows at N=2001 (row blocks split over threads);
+  forward_filter weights on one sin-cube observation path at N=150 (n=10)
+  and at N=2000 (n=3), and backward_value's u and log_scale on the N=2000
+  model (large enough for OpenBLAS to thread a full matrix-vector
+  product); the same on a FilterModel with stored transitions (sizes
+  1500, 1200, 1700) and a likelihood of both x_prev and x_next, so that
+  each step's kernel has several column and row blocks;
 - the bid-ask and multidim points' y0 and z0 at small sizes, and the layer
   grids that the bid-ask and multidim d=2 points pass to
   estimate_companions;
@@ -32,8 +35,9 @@ dtype, shape and bytes:
   chain; on three of those layers for a batch of 2 * 65536 + 123 rows
   (over two row-block boundaries) with points on and one ulp either side
   of every midpoint and on the grid points; on an unsorted 1-D Lloyd grid at its Voronoi midpoints and its
-  own points; and on a d=3 grid with points on its points and on the
-  midpoints of pairs.
+  own points; on a d=3 grid with points on its points and on the
+  midpoints of pairs; and on a 150-point d=3 grid for a batch of 2e5
+  rows, which the kd-tree splits over its workers.
 
 Only public names that both trees share are used. Each differing output
 is listed with the number of differing entries and their largest absolute
@@ -52,8 +56,8 @@ import numpy as np
 def _outputs(workdir) -> dict:
     from quantschemes import chain, cli, experiments
     from quantschemes.chain import DiffusionModel, TimeMesh, estimate_companions
-    from quantschemes.filtering import (backward_value, builtin_models,
-                                        forward_filter)
+    from quantschemes.filtering import (FilterModel, backward_value,
+                                        builtin_models, forward_filter)
     from quantschemes.grids import (Grid, Law1D, SampleSource, StopCriteria,
                                     assign, lloyd, newton_1d)
 
@@ -147,6 +151,8 @@ def _outputs(workdir) -> dict:
         out[f"filter-exact/{model}/initial"] = fm.initial
         for k, rows in enumerate(fm.transitions):
             out[f"filter-exact/{model}/rows/{k}"] = rows
+    fm = builtin_models("sin-cube", steps=1).build_filter([2001, 2001])
+    out["filter-exact/N=2001/rows"] = fm.transitions[0]
     spec = builtin_models("sin-cube", steps=10)
     _, y = spec.simulate(6)
     fm = spec.build_filter([150] * 11)
@@ -164,6 +170,23 @@ def _outputs(workdir) -> dict:
     u, log_scale, _ = backward_value(fm, y, fm.layers[-1].points[:, 0] ** 2)
     out["filter-exact/sin-cube/N=2000/backward/u"] = u
     out["filter-exact/sin-cube/N=2000/backward/log_scale"] = np.array(log_scale)
+    rng = np.random.default_rng(21)
+    sizes = (1500, 1200, 1700)
+    transitions = [rng.random((a, b)) + 0.05
+                   for a, b in zip(sizes, sizes[1:])]
+    fm = FilterModel(
+        layers=[Grid(np.sort(rng.standard_normal(s))[:, None])
+                for s in sizes],
+        initial=np.full(sizes[0], 1.0 / sizes[0]),
+        transitions=[p / p.sum(axis=1, keepdims=True) for p in transitions],
+        likelihood=lambda k, xp, yp, xn, yn: np.exp(
+            -0.5 * (yn[0] - yp[0] - 0.5 * xn[..., 0] - 0.3 * xp[..., 0]) ** 2))
+    y = rng.standard_normal(len(sizes))
+    for k, w in enumerate(forward_filter(fm, y).weights):
+        out[f"filter-stored/weights/{k}"] = w
+    u, log_scale, _ = backward_value(fm, y, fm.layers[-1].points[:, 0] ** 2)
+    out["filter-stored/backward/u"] = u
+    out["filter-stored/backward/log_scale"] = np.array(log_scale)
 
     # the chains the experiment points estimate, and the layer grids they
     # pass in
@@ -243,7 +266,9 @@ def _outputs(workdir) -> dict:
     ties3 = np.vstack([c3, 0.5 * (c3[:-1] + c3[1:]),
                        rng.standard_normal((20_000, 3))])
     for name, grid, pts in (("lloyd-1d-unsorted", grid1, ties1),
-                            ("d3", grid3, ties3)):
+                            ("d3", grid3, ties3),
+                            ("d3-batch", Grid(rng.standard_normal((150, 3))),
+                             rng.standard_normal((200_000, 3)))):
         idx, d2 = assign(grid, pts)
         out[f"assign/{name}/index"] = idx
         out[f"assign/{name}/d2"] = d2
