@@ -38,9 +38,12 @@ class DiffusionModel:
         self.x0 = np.asarray(self.x0, dtype=float).reshape(-1)
         if self.x0.shape[0] != self.dim_x:
             raise InputError("x0 dimension mismatch")
+        # the probe checks shapes only: a non-finite value is left to the
+        # simulation, which raises NumericError for it
         probe = np.tile(self.x0, (2, 1))
-        b = np.asarray(self.drift(0.0, probe), dtype=float)
-        s = np.asarray(self.diffusion(0.0, probe), dtype=float)
+        with np.errstate(all="ignore"):
+            b = np.asarray(self.drift(0.0, probe), dtype=float)
+            s = np.asarray(self.diffusion(0.0, probe), dtype=float)
         if b.shape != (2, self.dim_x):
             raise InputError("drift must map (M, d) -> (M, d)")
         if s.shape != (2, self.dim_x, self.dim_w):

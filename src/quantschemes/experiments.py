@@ -24,7 +24,7 @@ from . import __version__
 from .bsde import DriverSpec, solve_bsde
 from .chain import (_LAYER_STOP, TimeMesh, brownian, estimate_companions,
                     gbm)
-from .errors import InputError
+from .errors import InputError, NumericError
 from .filtering import builtin_models, forward_filter, kalman_posterior
 from .grids import (Grid, Law1D, SampleSource, _cpu_count, lloyd,
                     newton_1d)
@@ -96,12 +96,16 @@ def _integer(value, key: str) -> int:
 def _real(value, key: str) -> float:
     """The one float rule for config values, beside `_integer`'s: a number
     or a numeric string. A bool, a list or any other value is an
-    InputError."""
+    InputError, and so is a nan or an infinity."""
     if not isinstance(value, (bool, np.bool_)):
         try:
-            return float(value)
+            number = float(value)
         except (TypeError, ValueError, OverflowError):
             pass
+        else:
+            if math.isfinite(number):
+                return number
+            raise InputError(f"{key} must be a finite number, got {value!r}")
     raise InputError(f"{key} must be a number, got {value!r}")
 
 
@@ -120,7 +124,7 @@ class RateFit:
 def fit_rate(pairs: Sequence[tuple[float, float]], exponent: float) -> RateFit:
     """Regress error against (N^exponent, 1). Needs >= 3 pairs with
     distinct positive N and finite values; a rank-deficient design is an
-    input error."""
+    input error, and an N^exponent that overflows a NumericError."""
     pts = np.asarray(pairs, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
         raise InputError("need at least 3 (N, error) pairs")
@@ -131,7 +135,11 @@ def fit_rate(pairs: Sequence[tuple[float, float]], exponent: float) -> RateFit:
         raise InputError("N values must be positive")
     if len(np.unique(N)) != len(N):
         raise InputError("N values must be distinct")
-    design = np.column_stack([N ** exponent, np.ones_like(N)])
+    with np.errstate(over="ignore"):
+        design = np.column_stack([N ** exponent, np.ones_like(N)])
+    if not np.all(np.isfinite(design)):
+        raise NumericError(f"N ** exponent overflows in the regression "
+                           f"design (exponent {exponent!r})")
     if np.linalg.matrix_rank(design) < 2:
         raise InputError("rank-deficient regression design")
     coef, *_ = np.linalg.lstsq(design, err, rcond=None)
@@ -243,6 +251,9 @@ def run_multidim(config: ExperimentConfig) -> dict:
     d = int(config.dim)
     if d not in (1, 2, 3, 4, 5):
         raise InputError("dim must be in {1,...,5}")
+    if d > 1 and config.base_batch < max(config.sweep_sizes()):
+        raise InputError(f"base_batch {config.base_batch} is smaller than "
+                         f"the grid size {max(config.sweep_sizes())}")
     rows = _run_points(_multidim_point,
                        [(N, d, config.n, config.mc_paths, config.seed,
                          config.base_batch) for N in config.sweep_sizes()],

@@ -42,6 +42,14 @@ _ASSIGN_CHUNK = 65536
 # rows, as in Lloyd's re-searches, building it costs more than it saves.
 _TABLE_BINS_PER_POINT = 16
 _TABLE_ROWS_PER_POINT = 128
+# Length K = min(4 d, 16) of each grid point's neighbour list in the d >= 2
+# Lloyd sweeps (`_neighbours`), and the rows per block of `_settle`. On a
+# 5e4-row, N=150 Lloyd run K = 8 settles 96% of the re-searched rows in
+# d=2, K = 12 88% in d=3 and K = 16 71% in d=4; longer lists settle more
+# rows but cost more than the rows they save.
+_LIST_SIZE_PER_DIM = 4
+_LIST_SIZE_MAX = 16
+_SETTLE_BLOCK = 8192
 # Draws per distortion or L^s error estimate from a generator source.
 _GENERATOR_DRAW = 1_000_000
 _EPS = np.finfo(float).eps
@@ -574,7 +582,10 @@ def _bounded_assign(grid: Grid, batch: np.ndarray, idx, xx: np.ndarray,
     d2 < thr_a (`_keep_threshold`). `far` has the largest row norm, the
     tolerance grows with the row norm and every step of it rounds
     monotonically, so T is at least every row's. A kept index is the
-    scan's unique argmin (proof at `_keep_threshold`).
+    scan's unique argmin (proof at `_keep_threshold`). In d >= 2 a row
+    that is not kept is settled, where its certificate holds, by an exact
+    scan of its old cell's nearest grid points (`_settle`); the rest go to
+    `assign`.
     """
     if idx is None:
         return assign(grid, batch)
@@ -588,15 +599,18 @@ def _bounded_assign(grid: Grid, batch: np.ndarray, idx, xx: np.ndarray,
     d2 = np.subtract(xx, xc, out=xc)
     d2 += _sq_norm(c).take(idx)
     np.maximum(d2, 0.0, out=d2)
-    thr = _keep_threshold(_separation(c), tol)
+    sep, lists, reach = _neighbours(c)
+    thr = _keep_threshold(sep, tol)
     search = np.flatnonzero(~(d2 < thr.take(idx)))
+    if search.size and lists is not None:
+        search = _settle(c, batch, xx, search, idx, d2, tol, lists, reach)
     if search.size:
         idx[search], d2[search] = assign(grid, batch.take(search, axis=0))
     return idx, d2
 
 
 def _keep_threshold(sep: np.ndarray, tol: float) -> np.ndarray:
-    """Per grid point a at separation s = sep[a] (`_separation`), the
+    """Per grid point a at separation s = sep[a] (`_neighbours`), the
     squared distance below which a row of cell a needs no search:
     thr_a = r^2 - T - (4 eps s^2 + tiny) with r = (s^2 - T) / (2 s) and
     T = `tol`; -inf where fl(s^2 - T) <= 0 or s^2 overflows (a duplicated
@@ -637,18 +651,115 @@ def _keep_threshold(sep: np.ndarray, tol: float) -> np.ndarray:
     return thr
 
 
-def _separation(c: np.ndarray) -> np.ndarray:
-    """Distance from each grid point to the nearest other one (0 for a
-    duplicated point, inf on a one-point grid): in 1-D the smaller gap to
-    a sorted neighbour, in d >= 2 from a kd-tree over the points."""
-    if c.shape[1] == 1:
+def _neighbours(c: np.ndarray):
+    """Per grid point a: its separation s_a, the distance to the nearest
+    other point (0 for a duplicated point, inf on a one-point grid); and in
+    d >= 2 its neighbour list and reach r_a (None, None in 1-D).
+
+    In 1-D s_a is the smaller gap to a sorted neighbour. In d >= 2 one
+    kd-tree query for the K + 1 nearest points of each point
+    (K = `_list_size(d)`) gives all three. Row a of the (N, min(N, K))
+    list holds a's K nearest grid points, a included unless K others
+    coincide with it, sorted by grid index; s_a is the query's second
+    distance. r_a is a lower bound of the exact distance from a to every
+    point outside the list, inf when the list is the whole grid (N <= K).
+    Every such point is at a computed distance of at least D, the
+    (K + 1)-th one. A computed distance is off by a relative
+    (d + 4) eps / 4 (d rounded squares summed, a square root), plus what
+    the squares lose to underflow, below tiny in all and so below
+    sqrt(tiny) once rooted. So r_a = D (1 - 4 (d + 2) eps) - sqrt(tiny),
+    which rounds by a relative eps / 2 twice and is clamped at 0, is below
+    the exact distance; the shrink is over ten times the distance's
+    rounding, which also covers the rounding of the tree's pruning bounds.
+    """
+    n, d = c.shape
+    if d == 1:
         order, _, _, spacing = _sorted_cells(c)
-        sep = np.empty(c.shape[0])
+        sep = np.empty(n)
         sep[order] = np.minimum(spacing[:-1], spacing[1:])
-        return sep
-    if c.shape[0] == 1:
-        return np.array([np.inf])
-    return cKDTree(c).query(c, k=2)[0][:, 1]
+        return sep, None, None
+    k = _list_size(d)
+    if n <= k:
+        sep = (cKDTree(c).query(c, k=2)[0][:, 1] if n > 1
+               else np.full(1, np.inf))
+        lists = np.broadcast_to(np.arange(n, dtype=np.int64), (n, n))
+        return sep, lists, np.full(n, np.inf)
+    dist, near = cKDTree(c).query(c, k=k + 1)
+    reach = dist[:, k] * (1.0 - 4 * (d + 2) * _EPS) - math.sqrt(_TINY)
+    return dist[:, 1], np.sort(near[:, :k], axis=1), np.maximum(reach, 0.0)
+
+
+def _list_size(d: int) -> int:
+    """K, the length of each grid point's neighbour list in d >= 2."""
+    return min(_LIST_SIZE_PER_DIM * d, _LIST_SIZE_MAX)
+
+
+def _settle(c: np.ndarray, batch: np.ndarray, xx: np.ndarray,
+            rows: np.ndarray, idx: np.ndarray, d2: np.ndarray, tol: float,
+            lists: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """Give `rows` of a Lloyd batch the scan's index and d2 in place, by a
+    scan of the neighbour list of each row's candidate a = idx[m] alone
+    (`_neighbours`), where a certificate shows that the scan's argmin is
+    in that list. Returns the rows left to search.
+
+    `xx` is the batch's row norms, `d2` the computed squared distance to
+    a and `tol` the sweep's T, at least every row's `_tie_tol`. Each value
+    of the scan is `_sq_dist`'s expression, coordinates summed in order,
+    so it has the scan's bytes; a running minimum with a strict < keeps
+    the smallest index of a tie, since each list is sorted by index.
+
+    Certificate: u = sqrt(d2 + T) (1 + 8 eps) and the computed
+    (r_a - 2 u) r_a > 2 T, with r_a the reach of a. A nan (a row that is
+    not finite) or an overflow fails it. The three roundings of u lose
+    less than 8 eps, so u >= sqrt(d2 + T); and the subtraction and the
+    product each round by a relative eps / 2 at most (a positive product
+    over 2 T is normal), so the exact (r_a - 2 u) r_a exceeds T, with
+    r_a - 2 u > 0. `_tie_tol` puts the scan's d2 within T / 4 of the exact
+    squared distance, so the exact |x - a| is at most delta =
+    sqrt(d2 + T / 4) < u. Every point b outside the list is at least
+    r_a - delta > 0 from x, so
+    |x - b|^2 >= r_a (r_a - 2 delta) + delta^2 > T + |x - a|^2.
+    Its scan value is then above the exact |x - a|^2 + 3 T / 4, and so
+    above the scan value of a, which is in the list: the scan's argmin,
+    with its tie rule, lies in the list.
+    """
+    cc = _sq_norm(c)
+    cols = np.ascontiguousarray(c.T)
+    slots = np.ascontiguousarray(lists.T)
+    left = []
+    for lo in range(0, rows.size, _SETTLE_BLOCK):
+        block = rows[lo:lo + _SETTLE_BLOCK]
+        a = idx.take(block)
+        r = reach.take(a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = np.sqrt(d2.take(block) + tol)
+            u *= 1.0 + 8 * _EPS
+            ok = (r - 2.0 * u) * r > 2.0 * tol
+        left.append(block[~ok])
+        block, a = block[ok], a[ok]
+        x2 = np.ascontiguousarray((2.0 * batch.take(block, axis=0)).T)
+        xb = xx.take(block)
+        term = np.empty(block.size)
+        best_idx = best = None
+        for slot in slots:
+            b = slot.take(a)
+            xc = cols[0].take(b)
+            xc *= x2[0]
+            for j in range(1, cols.shape[0]):
+                cols[j].take(b, out=term)
+                term *= x2[j]
+                xc += term
+            value = np.subtract(xb, xc, out=xc)
+            value += cc.take(b, out=term)
+            if best is None:
+                best_idx, best = b, value
+            else:
+                better = np.less(value, best)
+                np.copyto(best_idx, b, where=better)
+                np.copyto(best, value, where=better)
+        idx[block] = best_idx
+        d2[block] = np.maximum(best, 0.0)
+    return np.concatenate(left) if left else rows
 
 
 # ---------------------------------------------------------------------------

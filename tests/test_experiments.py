@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import quantschemes
-from quantschemes import experiments
+from quantschemes import chain, experiments
 from quantschemes.cli import _build_parser, _parse_sweep, main
-from quantschemes.errors import InputError
+from quantschemes.errors import InputError, NumericError
 from quantschemes.experiments import (BIDASK_REFERENCE, MULTIDIM_Y0,
                                       ExperimentConfig, fit_rate, loglog_slope,
                                       run_bidask, run_filter_demo,
@@ -349,6 +349,67 @@ def test_cli_bsde_multidim(tmp_path, capsys):
     with open(tmp_path / "multidim.csv") as fh:
         assert len(list(csv.DictReader(fh))) == 1
     assert (tmp_path / "multidim.json").exists()
+
+
+def test_cli_multidim_base_batch_below_grid_size(tmp_path, capsys):
+    """In d >= 2 the base grid is a Lloyd grid on `base_batch` samples, so
+    a batch smaller than the grid would give a smaller grid than the row
+    reports."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dim": 2, "sweep": [3], "base_batch": 2,
+                               "n": 1, "mc_paths": 100, "workers": 1}))
+    assert main(["bsde-multidim", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert "base_batch 2 is smaller than the grid size 3" in err
+    cfg.write_text(json.dumps({"dim": 2, "sweep": [3], "base_batch": 3,
+                               "n": 1, "mc_paths": 100, "workers": 1}))
+    assert main(["bsde-multidim", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"][0]["N"] == 3
+
+
+def test_cli_chain_non_finite_parameters_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    small = {"n": 1, "mc_paths": 100, "sample_budget": 100, "grid_size": 2}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for bad in ({"model": "gbm", "mu": math.nan},
+                    {"model": "ou", "kappa": "inf"},
+                    {"model": "gbm", "sigma": "-Infinity"}):
+            cfg.write_text(json.dumps({**small, **bad}))
+            assert main(["chain", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 3
+    assert err.count("must be a finite number, got") == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_model_probe_leaves_non_finite_values_to_the_simulation():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = chain.ou(kappa=math.inf)
+        with pytest.raises(NumericError, match="non-finite coefficient"):
+            chain.euler_paths(model, chain.TimeMesh(1.0, 2), 10, 0)
+
+
+def test_cli_rate_fit_overflow_exits_3_without_warnings(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for bad in ({"pairs": [[1e308, 0.1], [2e307, 0.05], [4e306, 0.02]],
+                 "exponent": 2},
+                {"pairs": [[10, 0.1], [20, 0.05], [40, 0.02]],
+                 "exponent": 1e308}):
+        cfg.write_text(json.dumps(bad))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["rate-fit", "--config", str(cfg)]) == 3
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.count("error:") == 2
+    assert err.count("N ** exponent overflows in the regression design") == 2
 
 
 def test_cli_rate_fit(tmp_path, capsys):

@@ -557,7 +557,7 @@ def _with_sweep_two_ties(init, batch):
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3),
-       st.sampled_from(["gaussian", "lattice"]),
+       st.sampled_from(["gaussian", "lattice", "many"]),
        st.sampled_from([1.0, 0.1, 1.0 / 3.0, 2.7]),
        st.sampled_from([0.0, 0.3, -1.7, 1e3]),
        st.booleans(), st.booleans(), st.sampled_from([1, 2, 3, 500]))
@@ -565,12 +565,16 @@ def test_lloyd_matches_unbounded_reference(seed, d, kind, scale, shift,
                                            duplicate, dead, max_iterations):
     """Bounded sweeps give the bytes of the full-scan loop: grids, weights,
     report and iterations, on exact ties at lattice midpoints (scale 1,
-    shift 0), near-ties at the second sweep's midpoints, duplicated rows
-    and a dead far point, for runs that converge and runs that use up
-    their iterations."""
+    shift 0), near-ties at the second sweep's midpoints, duplicated rows,
+    a dead far point and grids of many more points than a neighbour list
+    holds, for runs that converge and runs that use up their
+    iterations."""
     rng = np.random.default_rng(seed)
     if kind == "lattice":
         init, batch = _balanced_lattice(d)
+    elif kind == "many":  # N >> K: the neighbour lists miss most points
+        batch = rng.normal(size=(1000, d))
+        init = rng.normal(size=(40, d))
     else:
         batch = rng.normal(size=(300, d))
         init = rng.normal(size=(int(rng.integers(2, 13)), d))
@@ -631,6 +635,20 @@ def _bounded_batch(c, rng):
     return np.vstack(rows)
 
 
+def _candidates(c, batch, expect_idx, rng):
+    """Candidate cells of a `_bounded_assign` or `_settle` call: the right
+    ones, those of a moved grid, random ones and only wrong ones."""
+    n = len(c)
+    previous = Grid(c + 0.05 * rng.normal(size=c.shape))
+    return {
+        "correct": expect_idx,
+        "stale": assign(previous, batch)[0],
+        "random": rng.integers(n, size=len(batch)),
+        "wrong": (expect_idx
+                  + rng.integers(1, max(n, 2), size=len(batch))) % n,
+    }
+
+
 def _exact_sq(x, y):
     return sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(x, y))
 
@@ -640,9 +658,10 @@ def _exact_sq(x, y):
 @pytest.mark.parametrize("kind", ["distinct", "duplicate", "one-point"])
 def test_bounded_assign_matches_assign(d, offset, kind, monkeypatch):
     """`_bounded_assign` returns `assign`'s index and d2 bytes for correct,
-    stale, random and all-wrong candidates. Every row it keeps has an exact
-    gap to each other point above the row's own near-tie tolerance, and
-    each keep threshold is below its exact bound r^2 - T."""
+    stale, random and all-wrong candidates. With no row settled by its
+    neighbour list (`_settle`), every row it keeps has an exact gap to each
+    other point above the row's own near-tie tolerance, and each keep
+    threshold is below its exact bound r^2 - T."""
     rng = np.random.default_rng(d * 100 + int(math.log10(offset + 1)))
     n = {"distinct": 12, "duplicate": 12, "one-point": 1}[kind]
     c = offset + rng.normal(size=(n, d))
@@ -651,13 +670,7 @@ def test_bounded_assign_matches_assign(d, offset, kind, monkeypatch):
     batch = _bounded_batch(c, rng)
     grid = Grid(c)
     expect_idx, expect_d2 = assign(grid, batch)
-    previous = Grid(c + 0.05 * rng.normal(size=c.shape))
-    candidates = {
-        "correct": expect_idx,
-        "stale": assign(previous, batch)[0],
-        "random": rng.integers(n, size=len(batch)),
-        "wrong": (expect_idx + rng.integers(1, max(n, 2), size=len(batch))) % n,
-    }
+    candidates = _candidates(c, batch, expect_idx, rng)
     xx, far = grids._batch_norms(batch)
     T = _tie_tol(c, far)[0]
     for name, cand in candidates.items():
@@ -665,8 +678,9 @@ def test_bounded_assign_matches_assign(d, offset, kind, monkeypatch):
         assert idx.tobytes() == expect_idx.tobytes(), name
         assert d2.tobytes() == expect_d2.tobytes(), name
 
-    # exact checks on what the keep test decides alone: searched rows come
-    # back as -1
+    # exact checks on what the keep test decides alone: no row is settled
+    # by its neighbour list, and searched rows come back as -1
+    monkeypatch.setattr(grids, "_settle", lambda c, b, xx, rows, *rest: rows)
     monkeypatch.setattr(grids, "assign", lambda g, p: (
         np.full(len(p), -1), np.full(len(p), np.nan)))
     tol = _tie_tol(c, batch)
@@ -686,7 +700,7 @@ def test_bounded_assign_matches_assign(d, offset, kind, monkeypatch):
                 exact = (_exact_sq(batch[m], c[b])
                          - _exact_sq(batch[m], c[a]))
                 assert exact > Fraction(tol[m]), (name, m, a, b)
-    sep = grids._separation(c)
+    sep = grids._neighbours(c)[0]
     thr = grids._keep_threshold(sep, T)
     for s, t in zip(sep, thr):
         if t <= 0 or s == np.inf:  # keeps no row (d2 >= 0), or every row
@@ -694,6 +708,75 @@ def test_bounded_assign_matches_assign(d, offset, kind, monkeypatch):
         sq, T_, t_ = Fraction(s) ** 2, Fraction(T), Fraction(t)
         # t <= r^2 - T with r = (s^2 - T) / (2 s) > 0
         assert sq > T_ and (t_ + T_) * 4 * sq <= (sq - T_) ** 2
+
+
+def _settle_grid(d, offset, kind, rng):
+    """Grid of a `_settle` case: K points (each list is the whole grid), 40
+    points with a duplicated one, an integer lattice (exact ties inside
+    each list) or 60 points."""
+    k = grids._list_size(d)
+    if kind == "lattice":
+        side = {2: 5, 3: 3}[d]
+        c = np.stack(np.meshgrid(*[np.arange(side, dtype=float)] * d,
+                                 indexing="ij"), -1).reshape(-1, d)
+        return offset + c
+    n = {"whole-grid": k, "duplicate": 40, "many": 60}[kind]
+    c = offset + rng.normal(size=(n, d))
+    if kind == "duplicate":
+        c[5] = c[2]
+    return c
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+@pytest.mark.parametrize("kind", ["whole-grid", "duplicate", "lattice",
+                                  "many"])
+def test_settle_matches_scan(d, offset, kind):
+    """`_settle` gives each row it settles the scan's index and d2 bytes,
+    ties to the smallest index included, for correct, stale, random and
+    all-wrong candidates. Every grid point outside the list of a settled
+    row's candidate has an exact squared-distance gap to the settled point
+    of more than half the row's near-tie tolerance; and each reach r_a is
+    at most the exact distance from a to every point outside a's list."""
+    rng = np.random.default_rng(d * 1000 + int(math.log10(offset + 1)))
+    c = _settle_grid(d, offset, kind, rng)
+    n = len(c)
+    batch = _bounded_batch(c, rng)
+    expect_idx, expect_d2 = _scan_assign(Grid(c), batch)
+    candidates = _candidates(c, batch, expect_idx, rng)
+    xx, far = grids._batch_norms(batch)
+    T = _tie_tol(c, far)[0]
+    tol = _tie_tol(c, batch)
+    _, lists, reach = grids._neighbours(c)
+    outside = np.ones((n, n), dtype=bool)
+    np.put_along_axis(outside, lists, False, axis=1)
+    assert (reach == np.inf).all() == (n <= grids._list_size(d))
+    for a in range(n):
+        for b in np.flatnonzero(outside[a]):
+            assert Fraction(reach[a]) ** 2 <= _exact_sq(c[a], c[b]), (a, b)
+    rows = np.arange(len(batch))
+    for name, cand in candidates.items():
+        idx = cand.copy()
+        d2 = np.maximum(grids._sq_dist(batch, c.take(idx, axis=0)), 0.0)
+        left = grids._settle(c, batch, xx, rows, idx, d2, T, lists, reach)
+        settled = np.setdiff1d(rows, left)
+        untouched = np.isin(rows, left)
+        assert np.array_equal(idx[untouched], cand[untouched]), name
+        if n <= grids._list_size(d):
+            assert left.size == 0, name
+        elif name == "correct":
+            assert settled.size > len(batch) // 2, name
+        assert idx[settled].tobytes() == expect_idx[settled].tobytes(), name
+        assert d2[settled].tobytes() == expect_d2[settled].tobytes(), name
+        for m in settled:
+            a, s = cand[m], idx[m]
+            gaps = (grids._sq_norm(c - batch[m])
+                    - grids._sq_norm(c[s] - batch[m]))
+            # a gap of 16 tolerances is far beyond rounding: check the rest
+            for b in np.flatnonzero(outside[a] & (gaps < 16 * tol[m])):
+                exact = (_exact_sq(batch[m], c[b])
+                         - _exact_sq(batch[m], c[s]))
+                assert exact > Fraction(tol[m]) / 2, (name, m, a, b)
 
 
 # ---------------------------------------------------------------------------

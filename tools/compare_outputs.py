@@ -14,7 +14,10 @@ dtype, shape and bytes:
 - lloyd grids, weights, final reports and iteration counts, including a
   dead-cell re-seed; a one-point grid and a 10-point grid (40 sweeps) on a
   1-D batch offset by 1e6; a d=3 run with a dead-cell re-seed that uses
-  up its 7 iterations; the multidim base grid (d=2, N=150, a 5e4 batch
+  up its 7 iterations; a d=2 run at N=40 on 400 rows repeated ten times,
+  whose eight far points die at the first sweep and one re-seeded point
+  at the second; a d=3 run at N=100 (30 sweeps on a 2e4 batch); the
+  multidim base grid (d=2, N=150, a 5e4 batch
   from seed 12345, the experiment's stop criteria); and the ten layer
   grids of a `chain` build on gbm (T=0.25, n=10, N=50, sample budget 2e4);
 - newton_1d grids and weights at N = 10, 150 and 2000;
@@ -119,6 +122,18 @@ def _outputs(workdir) -> dict:
     record_lloyd("lloyd/d3-dead-cell-max-iterations", lloyd(
         Grid(np.vstack([batch[:9] * 0.5, [[40.0, 40.0, 40.0]]])),
         SampleSource.from_batch(batch), StopCriteria(max_iterations=7)))
+
+    # two re-seeded points jitter around copies of one row: the farther
+    # one dies at the second sweep and jumps again
+    rows = np.random.default_rng(11).standard_normal((400, 2))
+    far = np.column_stack([40.0 + np.arange(8), np.full(8, 40.0)])
+    record_lloyd("lloyd/d2-n40-reseed-sweep-2", lloyd(
+        Grid(np.vstack([rows[:32] * 0.5, far])),
+        SampleSource.from_batch(np.repeat(rows, 10, axis=0))))
+    batch = np.random.default_rng(15).standard_normal((20_000, 3))
+    record_lloyd("lloyd/d3-n100", lloyd(
+        Grid(batch[:100] * 0.5), SampleSource.from_batch(batch),
+        StopCriteria(max_iterations=30)))
 
     batch = np.random.default_rng(12345).standard_normal((50_000, 2))
     record_lloyd("lloyd/multidim-base", lloyd(
