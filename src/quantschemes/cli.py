@@ -3,8 +3,10 @@
 Subcommands: grid (build and save an optimal grid), chain (build and save a
 quantized chain for a builtin state model), bsde-bidask / bsde-multidim /
 filter-demo (reference experiments), rate-fit (regression over an existing
-(N, error) table). Exit codes: 0 success, 2 validation error, 3
-numeric/convergence error.
+(N, error) table). Each reads a JSON config of the keys `_COMMANDS` lists
+for it, overridden by its flags, and prints one JSON summary. Exit codes:
+0 success, 2 validation error (an unknown config key among them), 3
+numeric/convergence error (a non-finite report value among them).
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .chain import (MODELS, DiffusionModel, TimeMesh, build_layer_grids,
-                    estimate_companions, save_chain)
+from .chain import (MODELS, TimeMesh, build_layer_grids, estimate_companions,
+                    save_chain)
 from .errors import InputError, QuantError
-from .experiments import (ExperimentConfig, _integer, _real, fit_rate,
+from .experiments import (ExperimentConfig, _integer, _json, _real, fit_rate,
                           run_bidask, run_filter_demo, run_multidim)
 from .grids import (Grid, Law1D, SampleSource, StopCriteria, clvq,
                     distortion_and_gradient, lloyd, load_grid, newton_1d,
@@ -43,6 +45,15 @@ def _option(cfg: dict, key: str, kind, default):
     `_integer`'s rule or a float by `_real`'s."""
     rule = {int: _integer, float: _real}[kind]
     return rule(cfg.get(key, default), f"config {key!r}")
+
+
+def _at_least(cfg: dict, key: str, default: int, least: int,
+              what: str) -> int:
+    """Config value `key`, or `default` when absent, an integer >= least."""
+    value = _option(cfg, key, int, default)
+    if value < least:
+        raise InputError(f"{what} must be >= {least}, got {value}")
+    return value
 
 
 def _string(cfg: dict, key: str, default=None, what: str = "string") -> str:
@@ -82,55 +93,16 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _seed(args, cfg: dict) -> int:
-    """The --seed flag, else the config's seed, else 0; never negative."""
-    seed = args.seed if args.seed is not None else _option(cfg, "seed", int, 0)
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
-def _grid_size(args, cfg: dict, key: str, default: int) -> int:
-    """The --grid-size flag, else the config's `key`, else `default`; at
-    least 1."""
-    size = args.grid_size if args.grid_size is not None \
-        else _option(cfg, key, int, default)
-    if size < 1:
-        raise InputError(f"grid size must be >= 1, got {size}")
-    return size
-
-
-_EXPERIMENT_KEYS = {"n", "grid_size", "mc_paths", "seed", "sweep", "out",
-                    "dim", "model", "base_batch", "workers"}
-
-
-def _experiment_config(name: str, cfg: dict, args,
-                       default_n: int) -> ExperimentConfig:
-    """Config file values, overridden by the command-line flags. A config
-    key that is no experiment setting is an error, not silently dropped."""
-    unknown = sorted(set(cfg) - _EXPERIMENT_KEYS)
-    if unknown:
-        raise InputError(f"unknown config keys {unknown}; "
-                         f"known: {sorted(_EXPERIMENT_KEYS)}")
-    flags = {k: v for k, v in vars(args).items()
-             if k in _EXPERIMENT_KEYS and v is not None}
-    if "sweep" in flags:
-        flags["sweep"] = _parse_sweep(flags["sweep"])
-    return ExperimentConfig(name=name, **{"n": default_n, **cfg, **flags})
-
-
-def _cmd_grid(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_grid(cfg: dict) -> dict:
     if "input" in cfg:
         grid = load_grid(_string(cfg, "input", what="path string"))
-        print(json.dumps({"size": grid.size, "dim": grid.dim,
-                          "has_weights": grid.weights is not None}))
-        return 0
+        return {"size": grid.size, "dim": grid.dim,
+                "has_weights": grid.weights is not None}
     law = _string(cfg, "law", "gaussian")
     dim = _option(cfg, "dim", int, 1)
-    size = _grid_size(args, cfg, "size", 100)
+    size = _at_least(cfg, "size", 100, 1, "grid size")
     method = cfg.get("method", "newton" if dim == 1 else "lloyd")
-    seed = _seed(args, cfg)
+    seed = _at_least(cfg, "seed", 0, 0, "seed")
     batch_size = _option(cfg, "batch_size", int, 1_000_000)
     extra = {}
     if method == "newton":
@@ -151,67 +123,57 @@ def _cmd_grid(args) -> int:
             grid = clvq(init, source, steps=_option(cfg, "steps", int, 500_000))
     else:
         raise InputError(f"unknown method {method!r}")
-    outdir = Path(args.out or ".")
+    outdir = Path(cfg.get("out") or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "grid.txt"
     save_grid(grid, path)
     report = distortion_and_gradient(
         grid, SampleSource(law=law, dim=dim, seed=seed + 1))
-    print(json.dumps({"size": grid.size, "dim": grid.dim,
-                      "distortion": report.value, "path": str(path),
-                      **extra}))
-    return 0
+    return {"size": grid.size, "dim": grid.dim, "distortion": report.value,
+            "path": str(path), **extra}
 
 
-def _chain_model(cfg: dict) -> tuple[DiffusionModel, TimeMesh]:
-    """The MODELS entry named by cfg["model"], with its parameters taken
-    from the config where given."""
+def _chain_model(cfg: dict):
+    """The MODELS entry named by cfg["model"], and its parameters, which
+    the config may set."""
     name = cfg.get("model", "brownian")
     build = MODELS.get(name) if isinstance(name, str) else None
     if build is None:
         raise InputError(f"model must be one of {sorted(MODELS)}")
-    params = inspect.signature(build).parameters.values()
-    model = build(**{p.name: _option(cfg, p.name, type(p.default), p.default)
-                     for p in params if p.name in cfg})
-    return model, TimeMesh(_option(cfg, "T", float, 1.0),
-                           _option(cfg, "n", int, 10))
+    return build, inspect.signature(build).parameters
 
 
-def _cmd_chain(args) -> int:
-    cfg = _load_config(args.config)
-    model, mesh = _chain_model(cfg)
-    seed = _seed(args, cfg)
+def _cmd_chain(cfg: dict) -> dict:
+    build, params = _chain_model(cfg)
+    model = build(**{k: _option(cfg, k, type(p.default), p.default)
+                     for k, p in params.items() if k in cfg})
+    mesh = TimeMesh(_option(cfg, "T", float, 1.0), _option(cfg, "n", int, 10))
+    seed = _at_least(cfg, "seed", 0, 0, "seed")
     center = cfg.get("center", True)
     if not isinstance(center, bool):
         raise InputError(f"config 'center' must be true or false, "
                          f"got {center!r}")
-    mc = args.mc_paths if args.mc_paths is not None \
-        else _option(cfg, "mc_paths", int, 1_000_000)
-    if args.sizes is not None:
-        sizes = _int_list(args.sizes.split(","), "sizes")
-    elif "sizes" in cfg:
+    mc = _option(cfg, "mc_paths", int, 1_000_000)
+    if "sizes" in cfg:
         sizes = _int_list(cfg["sizes"], "sizes")
     else:
-        size = _grid_size(args, cfg, "grid_size", 50)
+        size = _at_least(cfg, "grid_size", 50, 1, "grid size")
         sizes = [1] + [size] * mesh.steps
     layers = build_layer_grids(model, mesh, sizes,
                                sample_budget=_option(cfg, "sample_budget",
                                                      int, 100_000),
                                seed=seed)
     chain = estimate_companions(model, mesh, layers, mc, seed, center=center)
-    outdir = Path(args.out or ".")
+    outdir = Path(cfg.get("out") or ".")
     outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / ("chain.bin" if args.binary else "chain.txt")
-    save_chain(chain, path, binary=args.binary)
-    print(json.dumps({
-        "path": str(path), "sizes": chain.sizes, "mc_paths": mc,
-        "seed": seed, "centered": chain.centered,
-        "dead_rows": [int(d.size) for d in chain.dead_rows]}))
-    return 0
+    path = outdir / ("chain.bin" if cfg["binary"] else "chain.txt")
+    save_chain(chain, path, binary=cfg["binary"])
+    return {"path": str(path), "sizes": chain.sizes, "mc_paths": mc,
+            "seed": seed, "centered": chain.centered,
+            "dead_rows": [int(d.size) for d in chain.dead_rows]}
 
 
-def _cmd_rate_fit(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_rate_fit(cfg: dict) -> dict:
     exponent = _option(cfg, "exponent", float, -1.0)
     if "pairs" in cfg:
         raw = cfg["pairs"]
@@ -233,44 +195,58 @@ def _cmd_rate_fit(args) -> int:
             raise InputError(f"bad csv columns: {exc}")
     else:
         raise InputError("rate-fit config needs 'pairs' or 'csv'")
-    fit = fit_rate(pairs, exponent)
-    out = asdict(fit)
-    if args.out:
-        outdir = Path(args.out)
+    out = asdict(fit_rate(pairs, exponent))
+    if cfg.get("out"):
+        outdir = Path(cfg["out"])
         outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "rate_fit.json", "w") as fh:
-            json.dump(out, fh, indent=2)
-    print(json.dumps(out))
-    return 0
+        (outdir / "rate_fit.json").write_text(_json(out, indent=2))
+    return out
 
 
-def _cmd_experiment(args, name: str, runner, default_n: int) -> int:
-    cfg = _load_config(args.config)
-    ec = _experiment_config(name, cfg, args, default_n)
-    report = runner(ec)
-    summary = {k: v for k, v in report.items() if k != "rows"}
-    summary["rows"] = report["rows"]
-    print(json.dumps(summary, default=float))
-    return 0
+def _experiment(name: str, runner, default_n: int):
+    """The command of one reference experiment: its report, rows last."""
+    def command(cfg: dict) -> dict:
+        report = runner(ExperimentConfig(name=name, **{"n": default_n, **cfg}))
+        report["rows"] = report.pop("rows")
+        return report
+    return command
 
 
-# the flags each subcommand reads, besides --config
-_FLAGS = {
-    "grid": ("seed", "grid-size", "out"),
-    "chain": ("seed", "mc-paths", "grid-size", "sizes", "out", "binary"),
-    "bsde-bidask": ("seed", "mc-paths", "grid-size", "sweep", "out"),
-    "bsde-multidim": ("seed", "mc-paths", "grid-size", "sweep", "out"),
-    "filter-demo": ("seed", "grid-size", "sweep", "out"),
-    "rate-fit": ("out",),
+# per subcommand: its command, the config keys it reads (chain's model
+# parameters besides), and its flags besides --config, each named by the
+# config key it overrides; "out" and "binary" of grid, chain and rate-fit
+# are flags only
+_EXPERIMENT_KEYS = "n grid_size seed sweep out workers"
+_COMMANDS = {
+    "grid": (_cmd_grid, "input law dim size method seed batch_size steps",
+             "seed size out"),
+    "chain": (_cmd_chain,
+              "model T n seed center mc_paths sizes grid_size sample_budget",
+              "seed mc_paths grid_size sizes out binary"),
+    "bsde-bidask": (_experiment("bidask", run_bidask, 20),
+                    f"{_EXPERIMENT_KEYS} mc_paths",
+                    "seed mc_paths grid_size sweep out"),
+    "bsde-multidim": (_experiment("multidim", run_multidim, 10),
+                      f"{_EXPERIMENT_KEYS} mc_paths dim base_batch",
+                      "seed mc_paths grid_size sweep out"),
+    "filter-demo": (_experiment("filter-demo", run_filter_demo, 10),
+                    f"{_EXPERIMENT_KEYS} model", "seed grid_size sweep out"),
+    "rate-fit": (_cmd_rate_fit, "pairs csv n_column error_column exponent",
+                 "out"),
 }
-_FLAG_OPTIONS = {
-    "seed": {"type": int},
-    "mc-paths": {"type": int},
-    "grid-size": {"type": int},
-    "sizes": {"help": "comma-separated per-layer sizes"},
-    "sweep": {"help": "start:stop:step or comma list"},
-    "out": {"help": "output directory"},
-    "binary": {"action": "store_true", "help": "write chain files in binary"},
+# the flag that overrides each config key, and its argparse options
+_FLAGS = {
+    "seed": ("--seed", {"type": int}),
+    "mc_paths": ("--mc-paths", {"type": int}),
+    "grid_size": ("--grid-size", {"type": int}),
+    "size": ("--grid-size", {"type": int, "metavar": "GRID_SIZE"}),
+    "sizes": ("--sizes", {"type": lambda text: text.split(","),
+                          "help": "comma-separated per-layer sizes"}),
+    "sweep": ("--sweep", {"type": _parse_sweep,
+                          "help": "start:stop:step or comma list"}),
+    "out": ("--out", {"help": "output directory"}),
+    "binary": ("--binary", {"action": "store_true",
+                            "help": "write chain files in binary"}),
 }
 
 
@@ -280,31 +256,40 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Optimal-quantization schemes: grids, chains, backward "
                     "solvers, filtering, and reference experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, flags in _FLAGS.items():
+    for name, (_, _, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
-        for flag in flags:
-            p.add_argument(f"--{flag}", **_FLAG_OPTIONS[flag])
+        for key in flags.split():
+            flag, options = _FLAGS[key]
+            p.add_argument(flag, dest=key, **options)
     return parser
 
 
+def _read_config(args) -> dict:
+    """The config file's values, overridden by the flags given. A key the
+    subcommand does not read is an error, not silently dropped."""
+    cfg = _load_config(args.config)
+    known = set(_COMMANDS[args.command][1].split())
+    if args.command == "chain":
+        known |= set(_chain_model(cfg)[1])
+    unknown = sorted(set(cfg) - known)
+    if unknown:
+        raise InputError(f"unknown config keys {unknown}; "
+                         f"known: {sorted(known)}")
+    flags = {k: v for k, v in vars(args).items()
+             if v is not None and k not in ("command", "config")}
+    return {**cfg, **flags}
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "grid":
-            return _cmd_grid(args)
-        if args.command == "chain":
-            return _cmd_chain(args)
-        if args.command == "rate-fit":
-            return _cmd_rate_fit(args)
-        if args.command == "bsde-bidask":
-            return _cmd_experiment(args, "bidask", run_bidask, 20)
-        if args.command == "bsde-multidim":
-            return _cmd_experiment(args, "multidim", run_multidim, 10)
-        if args.command == "filter-demo":
-            return _cmd_experiment(args, "filter-demo", run_filter_demo, 10)
-        raise InputError(f"unknown command {args.command!r}")
-    except InputError as exc:
+        # a malformed --sweep raises InputError from inside parse_args
+        args = _build_parser().parse_args(argv)
+        print(_json(_COMMANDS[args.command][0](_read_config(args))))
+        return 0
+    except (InputError, OSError) as exc:
+        # OSError: an output path that cannot be written, such as a file
+        # named as the output directory
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QuantError as exc:

@@ -124,7 +124,7 @@ class RateFit:
 def fit_rate(pairs: Sequence[tuple[float, float]], exponent: float) -> RateFit:
     """Regress error against (N^exponent, 1). Needs >= 3 pairs with
     distinct positive N and finite values; a rank-deficient design is an
-    input error, and an N^exponent that overflows a NumericError."""
+    input error, and an N^exponent or a fit that overflows a NumericError."""
     pts = np.asarray(pairs, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
         raise InputError("need at least 3 (N, error) pairs")
@@ -142,9 +142,13 @@ def fit_rate(pairs: Sequence[tuple[float, float]], exponent: float) -> RateFit:
                            f"design (exponent {exponent!r})")
     if np.linalg.matrix_rank(design) < 2:
         raise InputError("rank-deficient regression design")
-    coef, *_ = np.linalg.lstsq(design, err, rcond=None)
-    resid = float(np.sqrt(np.mean((design @ coef - err) ** 2)))
-    const = float(np.sqrt(np.mean((err - err.mean()) ** 2)))
+    with np.errstate(all="ignore"):
+        coef, *_ = np.linalg.lstsq(design, err, rcond=None)
+        resid = float(np.sqrt(np.mean((design @ coef - err) ** 2)))
+        const = float(np.sqrt(np.mean((err - err.mean()) ** 2)))
+    if not np.all(np.isfinite([*coef, resid, const])):
+        raise NumericError("the rate fit overflows: errors this large have "
+                           "no finite least-squares fit")
     return RateFit(a_hat=float(coef[0]), b_hat=float(coef[1]),
                    exponent=float(exponent), residual=resid,
                    constant_residual=const)
@@ -350,6 +354,7 @@ def _emit(report: dict, config: ExperimentConfig) -> None:
     columns, and the whole report as JSON, when the config names `out`."""
     if config.out is None:
         return
+    text = _json(report, indent=2)
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
     name = report["experiment"]
@@ -358,5 +363,13 @@ def _emit(report: dict, config: ExperimentConfig) -> None:
         writer.writeheader()
         for row in report["rows"]:
             writer.writerow(row)
-    with open(outdir / f"{name}.json", "w") as fh:
-        json.dump(report, fh, indent=2, default=float)
+    (outdir / f"{name}.json").write_text(text)
+
+
+def _json(obj, **kwargs) -> str:
+    """obj as strict JSON, numpy scalars as floats. Strict JSON has no
+    token for a nan or an infinity: such a value is a NumericError."""
+    try:
+        return json.dumps(obj, allow_nan=False, default=float, **kwargs)
+    except ValueError as exc:
+        raise NumericError(f"report value is not finite ({exc})")

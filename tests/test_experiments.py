@@ -7,12 +7,13 @@ import signal
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import quantschemes
-from quantschemes import chain, experiments
+from quantschemes import chain, cli, experiments
 from quantschemes.cli import _build_parser, _parse_sweep, main
 from quantschemes.errors import InputError, NumericError
 from quantschemes.experiments import (BIDASK_REFERENCE, MULTIDIM_Y0,
@@ -57,6 +58,8 @@ def test_fit_rate_validation():
                             ([(0, 1.0), (20, 0.5), (40, 0.2)], -1.0)):
         with pytest.raises(InputError):
             fit_rate(pairs, exponent)
+    with pytest.raises(NumericError, match="rate fit overflows"):
+        fit_rate([(10, 1e308), (20, -1e308), (40, 1e308)], -1.0)
 
 
 def test_loglog_slope():
@@ -396,20 +399,75 @@ def test_model_probe_leaves_non_finite_values_to_the_simulation():
 
 
 def test_cli_rate_fit_overflow_exits_3_without_warnings(tmp_path, capsys):
+    """An overflowing design, or errors near the float limit whose fit
+    overflows: one error line, no warning, no `Infinity` token on stdout
+    and no rate_fit.json."""
     cfg = tmp_path / "cfg.json"
     for bad in ({"pairs": [[1e308, 0.1], [2e307, 0.05], [4e306, 0.02]],
                  "exponent": 2},
                 {"pairs": [[10, 0.1], [20, 0.05], [40, 0.02]],
-                 "exponent": 1e308}):
+                 "exponent": 1e308},
+                {"pairs": [[10, 1e308], [20, -1e308], [40, 1e308]],
+                 "exponent": -1}):
         cfg.write_text(json.dumps(bad))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["rate-fit", "--config", str(cfg)]) == 3
+            assert main(["rate-fit", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 3
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)]
-    err = capsys.readouterr().err
-    assert err.count("error:") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error:") == 3
     assert err.count("N ** exponent overflows in the regression design") == 2
+    assert err.count("the rate fit overflows") == 1
+    assert not (tmp_path / "out" / "rate_fit.json").exists()
+
+
+def _nan_row(args):
+    return {"N": args[0], "y0": math.nan, "z0": math.nan, "error": math.nan}
+
+
+# per subcommand: a small config, and the patch that puts a nan or an
+# infinity into its report; rate-fit's non-finite fit is a case of
+# test_cli_rate_fit_overflow_exits_3_without_warnings
+NON_FINITE = {
+    "grid": ({"size": 3}, lambda mp: mp.setattr(
+        cli, "distortion_and_gradient",
+        lambda grid, source: SimpleNamespace(value=math.nan))),
+    "chain": ({"n": 1, "mc_paths": 100, "sample_budget": 100,
+               "grid_size": 2}, lambda mp: (
+        mp.setattr(cli, "save_chain", lambda chain, path, binary: None),
+        mp.setattr(cli, "estimate_companions",
+                   lambda *args, **kwargs: SimpleNamespace(
+                       sizes=[1, math.inf], centered=True, dead_rows=[])))),
+    "bsde-bidask": ({"n": 1, "mc_paths": 100, "sweep": [2], "workers": 1},
+                    lambda mp: mp.setattr(experiments, "_bidask_point",
+                                          _nan_row)),
+    "bsde-multidim": ({"dim": 1, "n": 1, "mc_paths": 100, "sweep": [2],
+                       "workers": 1},
+                      lambda mp: mp.setattr(experiments, "_multidim_point",
+                                            _nan_row)),
+    "filter-demo": ({"n": 1, "sweep": [2], "workers": 1},
+                    lambda mp: mp.setattr(experiments, "_filter_point",
+                                          _nan_row)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NON_FINITE))
+def test_cli_non_finite_report_value_exits_3(command, tmp_path, capsys,
+                                             monkeypatch):
+    """Strict JSON has no nan or infinity: a report that holds one is a
+    numeric error, on stdout and in every file the report goes to."""
+    config, patch = NON_FINITE[command]
+    patch(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    printed, err = capsys.readouterr()
+    assert printed == "" and err.count("error:") == 1
+    assert "Traceback" not in err
+    assert not list(out.glob("*.json"))
 
 
 def test_cli_rate_fit(tmp_path, capsys):
@@ -526,14 +584,42 @@ def test_cli_exit_codes(tmp_path, capsys):
         cfg.write_text(json.dumps(bad))
         assert main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 2
+    # a key the subcommand does not read, even one another subcommand or
+    # another model reads, is an error, not silently dropped
+    for command, bad in (("chain", {**small, "modle": "gbm"}),
+                         ("chain", {**small, "model": "gbm", "kappa": 5}),
+                         ("grid", {"size": 3, "sise": 7}),
+                         ("rate-fit", {"pairs": good, "exponnent": -2}),
+                         ("bsde-bidask", {"n": 1, "mc_paths": 100,
+                                          "sweep": [2], "workers": 1,
+                                          "dim": 3, "model": "sin-cube"}),
+                         ("bsde-multidim", {"n": 1, "mc_paths": 100,
+                                            "sweep": [2], "workers": 1,
+                                            "dim": 1, "model": "sin-cube"}),
+                         ("filter-demo", {"n": 1, "sweep": [2], "workers": 1,
+                                          "mc_paths": 7})):
+        cfg.write_text(json.dumps(bad))
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+    # an output directory that is a file
+    for command, bad in (("grid", {"size": 3}), ("chain", small),
+                         ("rate-fit", {"pairs": good}),
+                         ("bsde-bidask", {"n": 1, "mc_paths": 100,
+                                          "sweep": [2], "workers": 1})):
+        cfg.write_text(json.dumps(bad))
+        assert main([command, "--config", str(cfg), "--out", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.count("error: ") == 43 and "Traceback" not in err
+    assert err.count("error: ") == 54 and "Traceback" not in err
     assert err.count("must be an integer, got") == 8
     assert err.count("must be a number, got") == 7
     assert err.count("sweep must list at least one grid size") == 1
     assert err.count("must be a path string") == 5
     assert err.count("must be a string") == 3
     assert err.count("unknown config keys ['mcpaths']") == 1
+    for keys in (["modle"], ["kappa"], ["sise"], ["exponnent"],
+                 ["dim", "model"], ["model"], ["mc_paths"]):
+        assert err.count(f"unknown config keys {keys};") == 1
+    assert err.count("File exists") == 4
     assert err.count("grid size must be >= 1, got 0") == 2
 
 

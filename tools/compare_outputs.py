@@ -33,6 +33,10 @@ dtype, shape and bytes:
   grids that the bid-ask and multidim d=2 points pass to
   estimate_companions;
 - chain files written by the `chain` subcommand for each builtin model;
+- the stdout, exit code and output files of every subcommand on one small
+  accepted config at fixed seeds, run with relative paths from one work
+  directory: `grid` newton, lloyd and clvq, `chain`, the three
+  experiments with `workers` 1, and `rate-fit` from pairs and from CSV;
 - assign indices and squared distances on the bid-ask layer grids (N=150,
   n=20), and the marginals, transitions, companions and dead rows of its
   chain; on three of those layers for a batch of 2 * 65536 + 123 rows
@@ -47,6 +51,9 @@ is listed with the number of differing entries and their largest absolute
 difference. Exits 1 on a mismatch.
 """
 
+import contextlib
+import io
+import json
 import os
 import pickle
 import subprocess
@@ -257,6 +264,55 @@ def _outputs(workdir) -> dict:
         idx, d2 = assign(layers[k], pts)
         out[f"assign/bidask-blocks/{k}/index"] = idx
         out[f"assign/bidask-blocks/{k}/d2"] = d2
+
+    # every subcommand's stdout and files on one small config, run with
+    # relative paths from the work directory, so that both trees print
+    # the same paths
+    pairs = [[10, 0.4], [20, 0.25], [40, 0.175]]
+    runs = {
+        "grid-newton": ("grid", {"method": "newton", "size": 7}, []),
+        "grid-lloyd": ("grid", {"method": "lloyd", "size": 7,
+                                "batch_size": 3000}, ["--seed", "3"]),
+        "grid-clvq": ("grid", {"method": "clvq", "size": 7, "steps": 2000},
+                      ["--seed", "3"]),
+        "chain": ("chain", {"model": "ou", "kappa": 2.0, "T": 0.5, "n": 2,
+                            "sample_budget": 2000},
+                  ["--grid-size", "5", "--mc-paths", "3000", "--seed", "4"]),
+        "bsde-bidask": ("bsde-bidask", {"n": 3, "workers": 1},
+                        ["--sweep", "6,8,10", "--mc-paths", "3000",
+                         "--seed", "2"]),
+        "bsde-multidim": ("bsde-multidim", {"dim": 2, "n": 2, "workers": 1,
+                                            "base_batch": 2000},
+                          ["--sweep", "5,8,10", "--mc-paths", "3000",
+                           "--seed", "2"]),
+        "filter-demo": ("filter-demo", {"n": 4, "model": "sin-cube",
+                                        "workers": 1},
+                        ["--sweep", "5,10,15", "--seed", "1"]),
+        "rate-fit-pairs": ("rate-fit", {"pairs": pairs, "exponent": -1.0},
+                           []),
+        "rate-fit-csv": ("rate-fit", {"csv": "errors.csv"}, []),
+    }
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with open("errors.csv", "w") as fh:
+            fh.write("N,error\n" + "".join(f"{n},{e}\n" for n, e in pairs))
+        for name, (command, config, flags) in runs.items():
+            with open(f"{name}.json", "w") as fh:
+                json.dump(config, fh)
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli.main([command, "--config", f"{name}.json",
+                                 "--out", name, *flags])
+            out[f"cli-stdout/{name}"] = np.frombuffer(
+                stdout.getvalue().encode(), np.uint8)
+            out[f"cli-stdout/{name}/exit"] = np.array(code)
+            for file in sorted(os.listdir(name)):
+                with open(os.path.join(name, file), "rb") as fh:
+                    out[f"cli-files/{name}/{file}"] = np.frombuffer(
+                        fh.read(), np.uint8)
+    finally:
+        os.chdir(cwd)
 
     for model in ("gbm", "ou", "brownian"):
         cfg = os.path.join(workdir, f"{model}.json")
