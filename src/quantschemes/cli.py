@@ -22,8 +22,8 @@ from pathlib import Path
 from .chain import (MODELS, TimeMesh, build_layer_grids, estimate_companions,
                     save_chain)
 from .errors import InputError, QuantError
-from .experiments import (ExperimentConfig, _integer, _json, _real, fit_rate,
-                          run_bidask, run_filter_demo, run_multidim)
+from .experiments import (READS, ExperimentConfig, _integer, _json, _real,
+                          fit_rate, run_bidask, run_filter_demo, run_multidim)
 from .grids import (Grid, Law1D, SampleSource, StopCriteria, clvq,
                     distortion_and_gradient, lloyd, load_grid, newton_1d,
                     save_grid)
@@ -76,6 +76,18 @@ def _parse_sweep(text: str) -> list[int]:
             raise InputError("sweep needs stop >= start and step >= 1")
         return list(range(a, b + 1, c))
     return _int_list([p for p in text.split(",") if p], "sweep")
+
+
+def _flag_value(text: str):
+    """A numeric flag's text as a config file would hold it: the JSON
+    number it spells, or else the text, which the config's rule for the key
+    then rejects with one error line (an argparse `type` that fails prints
+    a usage line too)."""
+    try:
+        value = json.loads(text)
+    except ValueError:
+        return text
+    return value if type(value) in (int, float) else text
 
 
 def _load_config(path) -> dict:
@@ -216,30 +228,27 @@ def _experiment(name: str, runner, default_n: int):
 # parameters besides), and its flags besides --config, each named by the
 # config key it overrides; "out" and "binary" of grid, chain and rate-fit
 # are flags only
-_EXPERIMENT_KEYS = "n grid_size seed sweep out workers"
 _COMMANDS = {
     "grid": (_cmd_grid, "input law dim size method seed batch_size steps",
              "seed size out"),
     "chain": (_cmd_chain,
               "model T n seed center mc_paths sizes grid_size sample_budget",
               "seed mc_paths grid_size sizes out binary"),
-    "bsde-bidask": (_experiment("bidask", run_bidask, 20),
-                    f"{_EXPERIMENT_KEYS} mc_paths",
+    "bsde-bidask": (_experiment("bidask", run_bidask, 20), READS["bidask"],
                     "seed mc_paths grid_size sweep out"),
     "bsde-multidim": (_experiment("multidim", run_multidim, 10),
-                      f"{_EXPERIMENT_KEYS} mc_paths dim base_batch",
-                      "seed mc_paths grid_size sweep out"),
+                      READS["multidim"], "seed mc_paths grid_size sweep out"),
     "filter-demo": (_experiment("filter-demo", run_filter_demo, 10),
-                    f"{_EXPERIMENT_KEYS} model", "seed grid_size sweep out"),
+                    READS["filter-demo"], "seed grid_size sweep out"),
     "rate-fit": (_cmd_rate_fit, "pairs csv n_column error_column exponent",
                  "out"),
 }
 # the flag that overrides each config key, and its argparse options
 _FLAGS = {
-    "seed": ("--seed", {"type": int}),
-    "mc_paths": ("--mc-paths", {"type": int}),
-    "grid_size": ("--grid-size", {"type": int}),
-    "size": ("--grid-size", {"type": int, "metavar": "GRID_SIZE"}),
+    "seed": ("--seed", {"type": _flag_value}),
+    "mc_paths": ("--mc-paths", {"type": _flag_value}),
+    "grid_size": ("--grid-size", {"type": _flag_value}),
+    "size": ("--grid-size", {"type": _flag_value, "metavar": "GRID_SIZE"}),
     "sizes": ("--sizes", {"type": lambda text: text.split(","),
                           "help": "comma-separated per-layer sizes"}),
     "sweep": ("--sweep", {"type": _parse_sweep,

@@ -79,6 +79,15 @@ class ExperimentConfig:
         return [int(v) for v in (self.sweep or [self.grid_size])]
 
 
+# the ExperimentConfig keys each experiment reads: the keys its report's
+# provenance lists and the config keys its CLI subcommand accepts
+READS = {
+    "bidask": "n grid_size mc_paths seed sweep out workers",
+    "multidim": "n grid_size mc_paths seed sweep out workers dim base_batch",
+    "filter-demo": "n grid_size seed sweep out workers model",
+}
+
+
 def _integer(value, key: str) -> int:
     """The one integer rule for config values: an int, an integral finite
     float or an integer string. A bool, a non-finite or a non-integral
@@ -341,7 +350,8 @@ def _report(name: str, config: ExperimentConfig, rows: list[dict]) -> dict:
         "experiment": name,
         "rows": rows,
         "provenance": {
-            "config": asdict(config),
+            "config": {k: v for k, v in asdict(config).items()
+                       if k in READS[name].split()},
             "versions": {"quantschemes": __version__,
                          "numpy": np.__version__,
                          "scipy": scipy.__version__},

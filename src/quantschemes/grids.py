@@ -7,8 +7,9 @@ names cell i, and ties always resolve to the smallest index.
 
 `assign` is the one projection entry point. It searches by the grid's
 dimension (bisection on the sorted Voronoi midpoints in 1-D, a kd-tree in
-d >= 2) and sends near-ties to the exact linear scan, which stays as the
-reference its results are checked against.
+d >= 2, which a large call reaches only for the rows that a bin table's
+guesses and Lloyd's certified tests leave) and sends near-ties to the exact
+linear scan, which stays as the reference its results are checked against.
 """
 
 from __future__ import annotations
@@ -34,14 +35,22 @@ _RENORM_WINDOW = 1e-9
 
 # Chunk size (rows) for the scan in nearest-neighbor assignment; keeps the
 # M x N squared-distance block below ~100 MB for the grid sizes we use. The
-# 1-D search runs in row blocks of the same size, so that its temporaries
-# stay small whatever the batch.
+# 1-D search and the d >= 2 guess-table path run in row blocks of the same
+# size, so that their temporaries stay small whatever the batch.
 _ASSIGN_CHUNK = 65536
-# Uniform bins per grid point of the 1-D lookup table (`_bin_table`), and
-# the rows per grid point a call needs before the table is built: on fewer
-# rows, as in Lloyd's re-searches, building it costs more than it saves.
+# Uniform bins per grid point of the 1-D lookup table (`_bin_table`) and of
+# the d >= 2 guess table (`_guess_table`), and the rows per grid point a
+# call needs before either is built: on fewer rows, as in Lloyd's
+# re-searches, building it costs more than it saves.
 _TABLE_BINS_PER_POINT = 16
 _TABLE_ROWS_PER_POINT = 128
+# Largest dimension whose `assign` takes the guess table. On a 1e5-row call
+# over a 150-point Lloyd grid of N(0, I_d) (2-CPU host) the table path takes
+# 11-12.5 ms against the kd-tree's 27-31 ms in d=2 and 27-29 against
+# 36-38 ms in d=3; in d=4 (41-51 against 45-49 ms) and d=5 (61-67 against
+# 54-68 ms) it is no faster, since 43% and 65% of the rows fail both the
+# keep test and the list scan's certificate and go to the kd-tree anyway.
+_GUESS_MAX_DIM = 3
 # Length K = min(4 d, 16) of each grid point's neighbour list in the d >= 2
 # Lloyd sweeps (`_neighbours`), and the rows per block of `_settle`. On a
 # 5e4-row, N=150 Lloyd run K = 8 settles 96% of the re-searched rows in
@@ -205,11 +214,18 @@ def assign(grid: Grid, points: np.ndarray):
     `_ASSIGN_CHUNK`; on a call of at least `_TABLE_ROWS_PER_POINT` rows per
     grid point, a row whose bin of `_bin_table` is pure takes that bin's
     cell without a search. A grid in d >= 2 is searched by a kd-tree query
-    for the two nearest points. A row whose two nearest points may lie
-    within the scan's rounding error of each other (exact ties among them,
-    which neither search breaks by index), or that is not finite, takes the
-    scan's index. Squared distances come from the scan's own expression, so
-    they equal the scan's to the bit.
+    for the two nearest points; in d <= `_GUESS_MAX_DIM`, on a call of at
+    least `_TABLE_ROWS_PER_POINT` rows per grid point whose grid spans more
+    than one bin of `_guess_table`, it runs in row blocks of the same size
+    instead, where each row's guess from `_guess_table` is settled by the
+    keep test, the list scan and, for the rows left, the kd-tree
+    (`_place`). A row whose two nearest points may lie within the scan's
+    rounding error of each other (exact ties among them, which neither
+    search breaks by index), or that is not finite, takes the scan's
+    index. Squared distances come from the scan's own expression, so they
+    equal the scan's to the bit. In d >= 2 a row that is not finite, or
+    whose squared distances overflow, gets the scan's nan or inf without a
+    warning.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -217,28 +233,69 @@ def assign(grid: Grid, points: np.ndarray):
     if pts.shape[1] != grid.dim:
         raise InputError("batch dimension mismatch")
     c = grid.points
-    if grid.dim > 1:
-        idx = _searched(grid, pts, _tree_search)
-        return idx, np.maximum(_sq_dist(pts, c.take(idx, axis=0)), 0.0)
     m = pts.shape[0]
-    table = _bin_table(c) if m >= _TABLE_ROWS_PER_POINT * grid.size else None
+    many = m >= _TABLE_ROWS_PER_POINT * grid.size
+    if grid.dim == 1:
+        return _blocks(pts, _place_1d, grid, _bin_table(c) if many else None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = (_guess_table(c) if many and grid.dim <= _GUESS_MAX_DIM
+                 else None)
+        if table is None:
+            return _tree_assign(grid, pts)
+        return _blocks(pts, _place, grid, table, _neighbours(c))
+
+
+def _blocks(pts: np.ndarray, place, grid: Grid, *tables):
+    """`assign` in row blocks of `_ASSIGN_CHUNK`, each placed by `place`
+    (`_place_1d` or `_place`)."""
+    m = pts.shape[0]
     idx = np.empty(m, dtype=np.int64)
     d2 = np.empty(m)
     for lo in range(0, m, _ASSIGN_CHUNK):
         block = pts[lo:lo + _ASSIGN_CHUNK]
         hi = lo + block.shape[0]
-        if table is None:
-            idx[lo:hi] = _searched(grid, block, _sorted_search)
-        else:
-            cells = _table_lookup(table, block[:, 0])
-            rest = np.flatnonzero(cells < 0)
-            if rest.size:
-                cells[rest] = _searched(grid, block.take(rest, axis=0),
-                                        _sorted_search)
-            idx[lo:hi] = cells
-        np.maximum(_sq_dist(block, c.take(idx[lo:hi], axis=0)), 0.0,
-                   out=d2[lo:hi])
+        idx[lo:hi] = place(grid, block, d2[lo:hi], *tables)
     return idx, d2
+
+
+def _place_1d(grid: Grid, block: np.ndarray, out: np.ndarray, table):
+    """`assign` of one block of 1-D rows, its d2 written to `out`: a row in
+    a pure bin of `table` (`_bin_table`; None: no table) takes its cell,
+    the rest go to the sorted search."""
+    if table is None:
+        idx = _searched(grid, block, _sorted_search)
+    else:
+        idx = _table_lookup(table, block[:, 0])
+        rest = np.flatnonzero(idx < 0)
+        if rest.size:
+            idx[rest] = _searched(grid, block.take(rest, axis=0),
+                                  _sorted_search)
+    np.maximum(_sq_dist(block, grid.points.take(idx, axis=0)), 0.0, out=out)
+    return idx
+
+
+def _place(grid: Grid, block: np.ndarray, out: np.ndarray, table, near):
+    """`assign` of one block of d >= 2 rows, its d2 written to `out`: each
+    row's guess from `table` (`_guess_table`) settled by `_certified`, with
+    `near` the grid's `_neighbours` and T the `_tie_tol` of the block's row
+    of largest norm. A block with a row that is not finite (argmax then
+    finds a nan) or far enough for T to overflow goes to the kd-tree
+    whole."""
+    xx = _sq_norm(block)
+    far = block.take([int(np.argmax(xx))], axis=0)
+    tol = float(_tie_tol(grid.points, far)[0])
+    if not tol < np.inf:
+        idx, out[:] = _tree_assign(grid, block)
+    else:
+        idx, out[:] = _certified(grid, block, xx, _guess(table, block), tol,
+                                 near)
+    return idx
+
+
+def _tree_assign(grid: Grid, pts: np.ndarray):
+    """`assign` of d >= 2 rows by the kd-tree search alone."""
+    idx = _searched(grid, pts, _tree_search)
+    return idx, np.maximum(_sq_dist(pts, grid.points.take(idx, axis=0)), 0.0)
 
 
 def _searched(grid: Grid, pts: np.ndarray, search) -> np.ndarray:
@@ -391,6 +448,62 @@ def _table_lookup(table, x: np.ndarray) -> np.ndarray:
     return cells.take(t.astype(np.intp))
 
 
+def _guess_table(c: np.ndarray):
+    """Guess table of the d >= 2 `assign`: at most `_TABLE_BINS_PER_POINT`
+    uniform bins per grid point over the grid's bounding box, each holding
+    the grid point nearest its centre; None when that is one bin (a
+    one-point grid, or one whose axes all have zero extent).
+
+    An axis of positive extent gets k bins, k the largest integer with
+    k^d' <= 16 N and d' the number of such axes, and an axis of zero extent
+    (or whose 1 / w overflows for bins of width w) one. Returns (lo, 1 / w
+    per axis (0 for one bin), bins per axis, cells), with cells the flat
+    C-order table from one kd-tree query over the bin centres. A guess
+    decides only how fast `_certified` settles a row, never its cell, so
+    neither the rounding of a row's bin nor the query's tie-breaking
+    matters.
+    """
+    n, d = c.shape
+    lo, hi = c.min(axis=0), c.max(axis=0)
+    wide = hi > lo
+    bins, p = _TABLE_BINS_PER_POINT * n, max(1, int(wide.sum()))
+    k = int(bins ** (1.0 / p))
+    k += (k + 1) ** p <= bins
+    k -= k ** p > bins
+    counts = np.where(wide, k, 1)
+    width = hi / counts - lo / counts
+    inv = np.zeros(d)
+    np.divide(1.0, width, out=inv, where=width > 0)
+    inv[~(inv < np.inf)] = 0.0
+    counts[inv == 0] = 1
+    size = int(np.prod(counts))
+    if size == 1:
+        return None
+    centres = np.empty((size, d))
+    flat = np.arange(size)
+    for j in range(d - 1, -1, -1):
+        flat, t = np.divmod(flat, counts[j])
+        centres[:, j] = lo[j] + (t + 0.5) * width[j]
+    cells = cKDTree(c).query(centres)[1].astype(np.int64)
+    return lo, inv, counts, cells
+
+
+def _guess(table, block: np.ndarray) -> np.ndarray:
+    """Each finite d >= 2 row's guess from a `_guess_table` table: the cell
+    of its bin, the bin clamped into the box axis by axis."""
+    lo, inv, counts, cells = table
+    flat = np.zeros(block.shape[0], dtype=np.intp)
+    t = np.empty(block.shape[0])
+    for j in range(block.shape[1]):
+        np.subtract(block[:, j], lo[j], out=t)
+        t *= inv[j]
+        np.floor(t, out=t)
+        np.clip(t, 0.0, counts[j] - 1, out=t)
+        flat *= counts[j]
+        flat += t.astype(np.intp)
+    return cells.take(flat)
+
+
 def _cpu_count() -> int:
     """CPUs this process may run on: its affinity set where the platform
     reports one, else the machine's count."""
@@ -491,7 +604,7 @@ def lloyd(initial: Grid, source: SampleSource, stop: StopCriteria = StopCriteria
     cells are re-seeded near a sample of the most populated cell. Returns
     (grid with empirical weights, final DistortionReport, iterations).
     After the first sweep only the samples whose cell can have changed are
-    searched again (`_bounded_assign`); every sweep's cells, and so the
+    searched again (`_certified`); every sweep's cells, and so the
     results, are those of a full `assign`. A finite batch whose squared
     norms overflow raises NumericError.
 
@@ -525,8 +638,15 @@ def lloyd(initial: Grid, source: SampleSource, stop: StopCriteria = StopCriteria
     it = 0
     idx = None
     for it in range(1, stop.max_iterations + 1):
+        # `far` has the largest row norm, the tolerance grows with the row
+        # norm and every step of it rounds monotonically, so T is at least
+        # every row's
         tol = float(_tie_tol(pts, far)[0])
-        idx, d2 = _bounded_assign(Grid(pts), batch, idx, xx, tol)
+        if idx is None:
+            idx, d2 = assign(Grid(pts), batch)
+        else:
+            idx, d2 = _certified(Grid(pts), batch, xx, idx, tol,
+                                 _neighbours(pts))
         counts, sums = cell_sums(idx, n, batch)
         value = float(d2.mean())
         if (prev is not None
@@ -570,25 +690,22 @@ def _batch_norms(batch: np.ndarray):
     return xx, batch.take([int(np.argmax(xx))], axis=0)
 
 
-def _bounded_assign(grid: Grid, batch: np.ndarray, idx, xx: np.ndarray,
-                    tol: float):
-    """`assign(grid, batch)`, searching only the rows that may not lie in
-    their candidate cells `idx` (None: search every row). `xx` is the
-    batch's row norms from `_batch_norms`, computed once per Lloyd run, and
-    `tol` is T = `_tie_tol(grid.points, far)` for its row `far`.
+def _certified(grid: Grid, batch: np.ndarray, xx: np.ndarray,
+               idx: np.ndarray, tol: float, near):
+    """`assign(grid, batch)` from a candidate cell per row, `idx`, changed
+    in place: Lloyd's cells of the last sweep, or `_guess_table`'s guesses.
+    `xx` is the rows' `_sq_norm`, `tol` a T at least every row's
+    `_tie_tol` and `near` the grid's `_neighbours`.
 
     d2 is `_sq_dist`'s expression for the candidate, with |x|^2 taken from
     `xx`, so it has the bytes `assign` returns. A row keeps its cell a when
-    d2 < thr_a (`_keep_threshold`). `far` has the largest row norm, the
-    tolerance grows with the row norm and every step of it rounds
-    monotonically, so T is at least every row's. A kept index is the
-    scan's unique argmin (proof at `_keep_threshold`). In d >= 2 a row
-    that is not kept is settled, where its certificate holds, by an exact
-    scan of its old cell's nearest grid points (`_settle`); the rest go to
-    `assign`.
+    d2 < thr_a (`_keep_threshold`); a kept index is the scan's unique
+    argmin (proof at `_keep_threshold`). In d >= 2 a row that is not kept
+    is settled, where its certificate holds, by an exact scan of its
+    candidate's nearest grid points (`_settle`); the rest go to the
+    kd-tree search (`_tree_assign`), in 1-D to `assign`. The candidates
+    decide only how many rows each stage takes, never a row's result.
     """
-    if idx is None:
-        return assign(grid, batch)
     c = grid.points
     xc = 2.0 * batch[:, 0]
     xc *= c[:, 0].take(idx)
@@ -599,13 +716,14 @@ def _bounded_assign(grid: Grid, batch: np.ndarray, idx, xx: np.ndarray,
     d2 = np.subtract(xx, xc, out=xc)
     d2 += _sq_norm(c).take(idx)
     np.maximum(d2, 0.0, out=d2)
-    sep, lists, reach = _neighbours(c)
+    sep, lists, reach = near
     thr = _keep_threshold(sep, tol)
     search = np.flatnonzero(~(d2 < thr.take(idx)))
     if search.size and lists is not None:
         search = _settle(c, batch, xx, search, idx, d2, tol, lists, reach)
     if search.size:
-        idx[search], d2[search] = assign(grid, batch.take(search, axis=0))
+        rest = assign if lists is None else _tree_assign
+        idx[search], d2[search] = rest(grid, batch.take(search, axis=0))
     return idx, d2
 
 

@@ -354,6 +354,26 @@ def test_cli_bsde_multidim(tmp_path, capsys):
     assert (tmp_path / "multidim.json").exists()
 
 
+def test_cli_report_provenance_lists_the_keys_read(tmp_path, capsys):
+    """Each experiment's provenance lists the settings it read, those its
+    subcommand accepts, and no other."""
+    common = ["grid_size", "n", "out", "seed", "sweep", "workers"]
+    for command, config, keys in (
+            ("bsde-bidask", {"n": 1, "mc_paths": 200}, common + ["mc_paths"]),
+            ("bsde-multidim", {"n": 1, "mc_paths": 200, "base_batch": 200},
+             common + ["base_batch", "dim", "mc_paths"]),
+            ("filter-demo", {"n": 1}, common + ["model"])):
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps({**config, "sweep": [3], "workers": 1}))
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        printed = json.loads(capsys.readouterr().out)["provenance"]["config"]
+        assert sorted(printed) == sorted(keys), command
+        assert sorted(keys) == sorted(cli._COMMANDS[command][1].split())
+        saved = json.loads(next(out.glob("*.json")).read_text())
+        assert saved["provenance"]["config"] == printed
+
+
 def test_cli_multidim_base_batch_below_grid_size(tmp_path, capsys):
     """In d >= 2 the base grid is a Lloyd grid on `base_batch` samples, so
     a batch smaller than the grid would give a smaller grid than the row
@@ -608,9 +628,17 @@ def test_cli_exit_codes(tmp_path, capsys):
                                           "sweep": [2], "workers": 1})):
         cfg.write_text(json.dumps(bad))
         assert main([command, "--config", str(cfg), "--out", str(cfg)]) == 2
+    # a flag's value is judged after the merge by the config's rule for its
+    # key: one error line, no usage line
+    for command, flag in (("grid", ["--seed", "x"]),
+                          ("chain", ["--mc-paths", "1.5"]),
+                          ("bsde-bidask", ["--grid-size", "ten"]),
+                          ("filter-demo", ["--seed", "true"])):
+        assert main([command, *flag, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.count("error: ") == 54 and "Traceback" not in err
-    assert err.count("must be an integer, got") == 8
+    assert err.count("error: ") == 58 and "Traceback" not in err
+    assert "usage:" not in err
+    assert err.count("must be an integer, got") == 12
     assert err.count("must be a number, got") == 7
     assert err.count("sweep must list at least one grid size") == 1
     assert err.count("must be a path string") == 5
@@ -621,6 +649,13 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert err.count(f"unknown config keys {keys};") == 1
     assert err.count("File exists") == 4
     assert err.count("grid size must be >= 1, got 0") == 2
+    # an integral number is an integer, in a flag as in a config file
+    printed = []
+    for flags in (["--seed", "7.0", "--grid-size", "3.0"],
+                  ["--seed", "7", "--grid-size", "3"]):
+        assert main(["grid", *flags, "--out", str(tmp_path / "out")]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
 
 
 def test_cli_flag_sets():

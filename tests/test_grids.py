@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -307,6 +309,170 @@ def test_assign_1d_blocks_equal_row_by_row():
         assert one_idx[0] == idx[r] and one_d2[0] == d2[r]
 
 
+def _guess_case(d, kind, rng):
+    """Grid of a d >= 2 guess-table case: Gaussian points, an integer
+    lattice (exact ties), one axis of zero extent, duplicated points or
+    one point."""
+    if kind == "lattice":
+        side = {2: 5, 3: 3, 4: 2, 5: 2}[d]
+        c = np.stack(np.meshgrid(*[np.arange(side, dtype=float)] * d,
+                                 indexing="ij"), -1).reshape(-1, d)
+        return rng.permutation(c)
+    c = rng.normal(size=(1 if kind == "one-point" else 12, d))
+    if kind == "flat-axis":
+        c[:, d - 1] = 0.25
+    if kind == "duplicate":
+        c[5] = c[2]
+        c[9] = c[2]
+    return c
+
+
+def _guess_rows(c, m, rng):
+    """m rows: the grid points, midpoints of grid pairs, lattice half
+    points, rows far outside the bounding box and Gaussian rows, shuffled."""
+    n, d = c.shape
+    pairs = rng.integers(n, size=(m // 4, 2))
+    far = rng.normal(size=(m // 8, d))
+    far *= 10.0 ** rng.uniform(1, 6, size=(len(far), 1))
+    rows = np.vstack([c, 0.5 * (c[pairs[:, 0]] + c[pairs[:, 1]]), far,
+                      rng.integers(-1, 4, size=(m // 8, d)) + 0.5,
+                      rng.normal(scale=2.0, size=(m, d))])[:m]
+    return rng.permutation(rows)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["gaussian", "lattice", "flat-axis",
+                                  "duplicate", "one-point"])
+def test_assign_guess_table_matches_scan_oracle(d, kind, monkeypatch):
+    """A d >= 2 call of 128 N rows, which takes the guess table in d <= 3,
+    and one of 128 N - 1 rows, which does not, give every row the scan's
+    index and d2 bytes: rows on grid points, on midpoints of pairs (ties),
+    far outside the grid's bounding box and at random, on Gaussian and
+    lattice grids, a grid with zero extent on one axis, with duplicated
+    points and with one point (which never takes the table)."""
+    rng = np.random.default_rng(d * 10 + len(kind))
+    grid = Grid(_guess_case(d, kind, rng))
+    tables = []
+    build = grids._guess_table
+    monkeypatch.setattr(grids, "_guess_table",
+                        lambda c: tables.append(build(c)) or tables[-1])
+    for m in (grids._TABLE_ROWS_PER_POINT * grid.size - 1,
+              grids._TABLE_ROWS_PER_POINT * grid.size):
+        tables.clear()
+        pts = _guess_rows(grid.points, m, rng)
+        idx, d2 = assign(grid, pts)
+        ref_idx, ref_d2 = _scan_assign(grid, pts)
+        assert np.array_equal(idx, ref_idx), m
+        assert d2.tobytes() == ref_d2.tobytes(), m
+        took = [t for t in tables if t is not None]
+        assert len(took) == (m % grid.size == 0 and grid.size > 1
+                             and d <= grids._GUESS_MAX_DIM), m
+
+
+@pytest.mark.parametrize("d", [2, 3, 10, 33, 65])
+@pytest.mark.parametrize("n", [1, 2, 7, 150, 1000])
+def test_guess_table_has_at_most_16_bins_per_point(d, n):
+    """`_guess_table` builds at most 16 N bins, one kd-tree guess each, and
+    none when they would be a single bin; in d = 33 and 65, beyond numpy's
+    array rank limits, it builds none."""
+    c = np.random.default_rng(d + n).normal(size=(n, d))
+    table = grids._guess_table(c)
+    if table is None:
+        assert n == 1 or 2 ** d > grids._TABLE_BINS_PER_POINT * n
+        return
+    lo, inv, counts, cells = table
+    assert 1 < np.prod(counts) == len(cells)
+    assert len(cells) <= grids._TABLE_BINS_PER_POINT * n
+    assert np.all((counts == counts.max()) | (counts == 1))
+    # one more bin per axis would pass 16 N
+    assert (int(counts.max()) + 1) ** d > grids._TABLE_BINS_PER_POINT * n
+
+
+@pytest.mark.parametrize("d", [4, 33, 65])
+def test_assign_high_dimension_matches_scan_oracle(d):
+    """A call of 128 N rows in d above `_GUESS_MAX_DIM` takes the kd-tree
+    and gives the scan's index and d2 bytes, in d = 65 too."""
+    rng = np.random.default_rng(d)
+    grid = Grid(rng.normal(size=(2, d)))
+    pts = _guess_rows(grid.points, grids._TABLE_ROWS_PER_POINT * 2, rng)
+    idx, d2 = assign(grid, pts)
+    ref_idx, ref_d2 = _scan_assign(grid, pts)
+    assert np.array_equal(idx, ref_idx)
+    assert d2.tobytes() == ref_d2.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_assign_guess_table_non_finite_rows(d, monkeypatch):
+    """A batch that takes the guess table, in blocks of 500 rows, with a
+    nan and an infinite row in one block, and a finite batch whose squared
+    norms overflow, give the kd-tree path's indices and d2 (the scan's on
+    the finite rows) with no warning and no error."""
+    monkeypatch.setattr(grids, "_ASSIGN_CHUNK", 500)
+    rng = np.random.default_rng(d)
+    grid = Grid(rng.normal(size=(12, d)))
+    pts = rng.normal(size=(4 * grids._TABLE_ROWS_PER_POINT * 12, d))
+    pts[700, 0] = np.nan
+    pts[900, d - 1] = -np.inf
+    results = []
+    for batch in (pts, pts * 1e160):
+        with np.errstate(all="ignore"):
+            expect_idx, expect_d2 = grids._tree_assign(grid, batch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            idx, d2 = assign(grid, batch)
+        assert np.array_equal(idx, expect_idx)
+        assert d2.tobytes() == expect_d2.tobytes()
+        results.append((idx, d2))
+    finite = np.all(np.isfinite(pts), axis=1)
+    ref_idx, ref_d2 = _scan_assign(grid, pts[finite])
+    idx, d2 = results[0]
+    assert np.array_equal(idx[finite], ref_idx)
+    assert d2[finite].tobytes() == ref_d2.tobytes()
+
+
+@pytest.fixture(scope="module")
+def lloyd_grid_2d():
+    """A 150-point d=2 Lloyd grid of N(0, I), like a multidim layer."""
+    batch = np.random.default_rng(3).standard_normal((20_000, 2))
+    return lloyd(Grid(batch[:150] * 0.5), SampleSource.from_batch(batch),
+                 StopCriteria(max_iterations=30))[0]
+
+
+def test_assign_guess_table_spares_the_tree(lloyd_grid_2d, monkeypatch):
+    """On a d=2 Lloyd grid, a 1e5-row call sends under 5% of its rows to
+    the kd-tree: the guess table, keep test and list scan place the rest.
+    Its indices and d2 are the scan's."""
+    seen = []
+    search = grids._tree_search
+    monkeypatch.setattr(grids, "_tree_search",
+                        lambda c, p: seen.append(len(p)) or search(c, p))
+    pts = np.random.default_rng(4).standard_normal((100_000, 2))
+    idx, d2 = assign(lloyd_grid_2d, pts)
+    assert 0 < sum(seen) < 0.05 * len(pts)
+    ref_idx, ref_d2 = _scan_assign(lloyd_grid_2d, pts)
+    assert np.array_equal(idx, ref_idx)
+    assert d2.tobytes() == ref_d2.tobytes()
+
+
+def test_assign_guess_table_memory_flat_in_rows(lloyd_grid_2d):
+    """The d >= 2 table path runs in row blocks: a batch 4 times larger
+    raises the tracemalloc peak of `assign` beyond its index and d2
+    outputs (16 bytes a row) by under a quarter, where a whole-batch
+    kd-tree query would hold about 80 bytes a row more."""
+    rng = np.random.default_rng(5)
+    extra = []
+    for m in (2 * _ASSIGN_CHUNK, 8 * _ASSIGN_CHUNK):
+        pts = rng.standard_normal((m, 2))
+        tracemalloc.start()
+        try:
+            assign(lloyd_grid_2d, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - 16 * m)
+    assert 0 < extra[1] < 1.25 * extra[0]
+
+
 # ---------------------------------------------------------------------------
 # distortion and gradient
 # ---------------------------------------------------------------------------
@@ -454,21 +620,21 @@ def test_lloyd_converges_far_from_origin(offset):
 
 def test_lloyd_raises_when_a_sweep_raises_the_distortion(monkeypatch):
     batch = np.random.default_rng(13).standard_normal((4000, 1))
-    bounded = grids._bounded_assign
+    certified = grids._certified
     sweeps = []
 
-    def worse_third_sweep(grid, rows, idx, xx, tol):
-        idx, d2 = bounded(grid, rows, idx, xx, tol)
-        sweeps.append(len(sweeps) + 1)
+    def worse_third_sweep(grid, rows, xx, idx, tol, near):
+        idx, d2 = certified(grid, rows, xx, idx, tol, near)
+        sweeps.append(len(sweeps) + 2)  # sweep 1 is a full `assign`
         if sweeps[-1] == 3:  # every row to another cell
             idx = (idx + 1) % grid.size
             d2 = grids._sq_dist(rows, grid.points.take(idx, axis=0))
         return idx, d2
 
-    monkeypatch.setattr(grids, "_bounded_assign", worse_third_sweep)
+    monkeypatch.setattr(grids, "_certified", worse_third_sweep)
     with pytest.raises(ConvergenceError, match="distortion increased"):
         lloyd(Grid(batch[:10]), SampleSource.from_batch(batch))
-    assert sweeps == [1, 2, 3]
+    assert sweeps == [2, 3]
 
 
 def _lloyd_reference(initial, batch, stop):
@@ -636,7 +802,7 @@ def _bounded_batch(c, rng):
 
 
 def _candidates(c, batch, expect_idx, rng):
-    """Candidate cells of a `_bounded_assign` or `_settle` call: the right
+    """Candidate cells of a `_certified` or `_settle` call: the right
     ones, those of a moved grid, random ones and only wrong ones."""
     n = len(c)
     previous = Grid(c + 0.05 * rng.normal(size=c.shape))
@@ -657,7 +823,8 @@ def _exact_sq(x, y):
 @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
 @pytest.mark.parametrize("kind", ["distinct", "duplicate", "one-point"])
 def test_bounded_assign_matches_assign(d, offset, kind, monkeypatch):
-    """`_bounded_assign` returns `assign`'s index and d2 bytes for correct,
+    """`_certified`, the bounded search of Lloyd's re-sweeps, returns
+    `assign`'s index and d2 bytes for correct,
     stale, random and all-wrong candidates. With no row settled by its
     neighbour list (`_settle`), every row it keeps has an exact gap to each
     other point above the row's own near-tie tolerance, and each keep
@@ -673,19 +840,21 @@ def test_bounded_assign_matches_assign(d, offset, kind, monkeypatch):
     candidates = _candidates(c, batch, expect_idx, rng)
     xx, far = grids._batch_norms(batch)
     T = _tie_tol(c, far)[0]
+    near = grids._neighbours(c)
     for name, cand in candidates.items():
-        idx, d2 = grids._bounded_assign(grid, batch, cand.copy(), xx, T)
+        idx, d2 = grids._certified(grid, batch, xx, cand.copy(), T, near)
         assert idx.tobytes() == expect_idx.tobytes(), name
         assert d2.tobytes() == expect_d2.tobytes(), name
 
     # exact checks on what the keep test decides alone: no row is settled
     # by its neighbour list, and searched rows come back as -1
     monkeypatch.setattr(grids, "_settle", lambda c, b, xx, rows, *rest: rows)
-    monkeypatch.setattr(grids, "assign", lambda g, p: (
-        np.full(len(p), -1), np.full(len(p), np.nan)))
+    for search in ("assign", "_tree_assign"):
+        monkeypatch.setattr(grids, search, lambda g, p: (
+            np.full(len(p), -1), np.full(len(p), np.nan)))
     tol = _tie_tol(c, batch)
     for name, cand in candidates.items():
-        idx, _ = grids._bounded_assign(grid, batch, cand.copy(), xx, T)
+        idx, _ = grids._certified(grid, batch, xx, cand.copy(), T, near)
         kept = np.flatnonzero(idx >= 0)
         assert np.array_equal(idx[kept], cand[kept]), name
         if name == "wrong" and n > 1:

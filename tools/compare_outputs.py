@@ -43,8 +43,13 @@ dtype, shape and bytes:
   (over two row-block boundaries) with points on and one ulp either side
   of every midpoint and on the grid points; on an unsorted 1-D Lloyd grid at its Voronoi midpoints and its
   own points; on a d=3 grid with points on its points and on the
-  midpoints of pairs; and on a 150-point d=3 grid for a batch of 2e5
-  rows, which the kd-tree splits over its workers.
+  midpoints of pairs; on a 150-point d=3 grid for a batch of 2e5 rows;
+- d=2 assign calls of at least 128 rows per grid point (the guess-table
+  path): on the multidim base grid for 2 * 65536 + 123 rows with points
+  on its points and on midpoints of pairs, and on a 7 x 7 integer lattice
+  for rows on the lattice and its half points (exact ties); and the
+  chain estimated from 2e4 paths of 2-D Brownian motion on two 30-point
+  layers.
 
 Only public names that both trees share are used. Each differing output
 is listed with the number of differing entries and their largest absolute
@@ -343,6 +348,34 @@ def _outputs(workdir) -> dict:
         idx, d2 = assign(grid, pts)
         out[f"assign/{name}/index"] = idx
         out[f"assign/{name}/d2"] = d2
+
+    # d=2 calls of at least 128 rows per grid point, which take the guess
+    # table, with ties: on the multidim base grid over two row blocks, and
+    # on an integer lattice; and a 2-D chain estimated from 2e4 paths on
+    # 30-point layers
+    rng = np.random.default_rng(19)
+    base = Grid(out["lloyd/multidim-base/points"])
+    c2 = base.points
+    pairs = rng.integers(len(c2), size=(20_000, 2))
+    ties2 = np.vstack([c2, 0.5 * (c2[:-1] + c2[1:]),
+                       0.5 * (c2[pairs[:, 0]] + c2[pairs[:, 1]])])
+    lattice = Grid(np.stack(np.meshgrid(np.arange(7.0), np.arange(7.0),
+                                        indexing="ij"), -1).reshape(-1, 2))
+    for name, grid, pts in (
+            ("d2-table", base, rng.permutation(np.vstack([
+                ties2, rng.standard_normal((2 * 65536 + 123 - len(ties2),
+                                            2))]))),
+            ("d2-table-lattice", lattice,
+             0.5 * rng.integers(-2, 15, size=(10_000, 2)))):
+        idx, d2 = assign(grid, pts)
+        out[f"assign/{name}/index"] = idx
+        out[f"assign/{name}/d2"] = d2
+    layers = [Grid([[0.0, 0.0]])] + [Grid(0.5 * rng.normal(size=(30, 2)))
+                                     for _ in range(2)]
+    ch = estimate_companions(bm2, TimeMesh(0.5, 2), layers, 20_000, 5)
+    for key in ("marginals", "transitions", "companions", "dead_rows"):
+        for k, a in enumerate(getattr(ch, key)):
+            out[f"estimate/bm2-table/{key}/{k}"] = a
     return out
 
 
