@@ -351,7 +351,8 @@ def save_chain(chain: QuantizedChain, path, binary: bool = False) -> None:
             fh.write(header)
             for b in blocks:
                 flat = np.asarray(b, dtype=float).ravel()
-                fh.write(" ".join(f"{v:.17g}" for v in flat) + "\n")
+                fh.write(" ".join(map("{:.17g}".format, flat.tolist()))
+                         + "\n")
 
 
 def load_chain(path) -> QuantizedChain:

@@ -430,6 +430,32 @@ def test_assign_guess_table_non_finite_rows(d, monkeypatch):
     assert d2[finite].tobytes() == ref_d2.tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("rows", [40, 3 * grids._TABLE_ROWS_PER_POINT])
+def test_assign_one_point_grid(d, rows, monkeypatch):
+    """On a one-point grid every index is 0 and d2 is the scan's, on a nan
+    row and on rows with +inf and -inf, with no search and no warning."""
+    def refused(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(grids, "_sorted_search", refused)
+    monkeypatch.setattr(grids, "_tree_search", refused)
+    rng = np.random.default_rng(d)
+    grid = Grid(rng.normal(size=(1, d)))
+    pts = rng.normal(size=(rows, d))
+    pts[3, 0] = np.nan
+    pts[5, d - 1] = np.inf
+    pts[8, 0] = -np.inf
+    with np.errstate(all="ignore"):
+        expect_idx, expect_d2 = _scan_assign(grid, pts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        idx, d2 = assign(grid, pts)
+    assert idx.dtype == expect_idx.dtype and not idx.any()
+    assert np.array_equal(idx, expect_idx)
+    assert d2.tobytes() == expect_d2.tobytes()
+
+
 @pytest.fixture(scope="module")
 def lloyd_grid_2d():
     """A 150-point d=2 Lloyd grid of N(0, I), like a multidim layer."""
@@ -619,13 +645,37 @@ def test_lloyd_converges_far_from_origin(offset):
 
 
 def test_lloyd_raises_when_a_sweep_raises_the_distortion(monkeypatch):
+    """In 1-D every sweep, the first included, is a `_sorted_sweep`."""
     batch = np.random.default_rng(13).standard_normal((4000, 1))
+    sorted_sweep = grids._sorted_sweep
+    sweeps = []
+
+    def worse_third_sweep(grid, rows, xx, sorted_rows, tol):
+        idx, d2, counts = sorted_sweep(grid, rows, xx, sorted_rows, tol)
+        sweeps.append(len(sweeps) + 1)
+        if sweeps[-1] == 3:  # every row to another cell
+            idx = (idx + 1) % grid.size
+            d2 = grids._sq_dist(rows, grid.points.take(idx, axis=0))
+            counts = np.bincount(idx, minlength=grid.size)
+        return idx, d2, counts
+
+    monkeypatch.setattr(grids, "_sorted_sweep", worse_third_sweep)
+    with pytest.raises(ConvergenceError, match="distortion increased"):
+        lloyd(Grid(batch[:10]), SampleSource.from_batch(batch))
+    assert sweeps == [1, 2, 3]
+
+
+def test_lloyd_raises_when_a_bounded_sweep_raises_the_distortion(
+        monkeypatch):
+    """In d >= 2 sweep 1 is a full `assign` and the later ones go through
+    `_certified`."""
+    batch = np.random.default_rng(13).standard_normal((4000, 2))
     certified = grids._certified
     sweeps = []
 
     def worse_third_sweep(grid, rows, xx, idx, tol, near):
         idx, d2 = certified(grid, rows, xx, idx, tol, near)
-        sweeps.append(len(sweeps) + 2)  # sweep 1 is a full `assign`
+        sweeps.append(len(sweeps) + 2)
         if sweeps[-1] == 3:  # every row to another cell
             idx = (idx + 1) % grid.size
             d2 = grids._sq_dist(rows, grid.points.take(idx, axis=0))
@@ -635,6 +685,19 @@ def test_lloyd_raises_when_a_sweep_raises_the_distortion(monkeypatch):
     with pytest.raises(ConvergenceError, match="distortion increased"):
         lloyd(Grid(batch[:10]), SampleSource.from_batch(batch))
     assert sweeps == [2, 3]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lloyd_rejects_non_finite_rows(d, bad):
+    """A batch row that is not finite is refused before any sweep, with no
+    warning."""
+    batch = np.random.default_rng(4).standard_normal((500, d))
+    batch[7, d - 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="sample batch must be finite"):
+            lloyd(Grid(batch[10:15]), SampleSource.from_batch(batch))
 
 
 def _lloyd_reference(initial, batch, stop):
@@ -823,18 +886,21 @@ def _exact_sq(x, y):
 @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
 @pytest.mark.parametrize("kind", ["distinct", "duplicate", "one-point"])
 def test_bounded_assign_matches_assign(d, offset, kind, monkeypatch):
-    """`_certified`, the bounded search of Lloyd's re-sweeps, returns
-    `assign`'s index and d2 bytes for correct,
-    stale, random and all-wrong candidates. With no row settled by its
-    neighbour list (`_settle`), every row it keeps has an exact gap to each
-    other point above the row's own near-tie tolerance, and each keep
-    threshold is below its exact bound r^2 - T."""
+    """The bounded searches of Lloyd's sweeps return `assign`'s index and
+    d2 bytes: in 1-D `_sorted_sweep` (`_check_sorted_sweep`), in d >= 2
+    `_certified` for correct, stale, random and all-wrong candidates. With
+    no row settled by its neighbour list (`_settle`), every row it keeps
+    has an exact gap to each other point above the row's own near-tie
+    tolerance, and each keep threshold is below its exact bound r^2 - T."""
     rng = np.random.default_rng(d * 100 + int(math.log10(offset + 1)))
     n = {"distinct": 12, "duplicate": 12, "one-point": 1}[kind]
     c = offset + rng.normal(size=(n, d))
     if kind == "duplicate":
         c[5] = c[2]
     batch = _bounded_batch(c, rng)
+    if d == 1:
+        _check_sorted_sweep(c, batch, monkeypatch)
+        return
     grid = Grid(c)
     expect_idx, expect_d2 = assign(grid, batch)
     candidates = _candidates(c, batch, expect_idx, rng)
@@ -849,9 +915,8 @@ def test_bounded_assign_matches_assign(d, offset, kind, monkeypatch):
     # exact checks on what the keep test decides alone: no row is settled
     # by its neighbour list, and searched rows come back as -1
     monkeypatch.setattr(grids, "_settle", lambda c, b, xx, rows, *rest: rows)
-    for search in ("assign", "_tree_assign"):
-        monkeypatch.setattr(grids, search, lambda g, p: (
-            np.full(len(p), -1), np.full(len(p), np.nan)))
+    monkeypatch.setattr(grids, "_tree_assign", lambda g, p: (
+        np.full(len(p), -1), np.full(len(p), np.nan)))
     tol = _tie_tol(c, batch)
     for name, cand in candidates.items():
         idx, _ = grids._certified(grid, batch, xx, cand.copy(), T, near)
@@ -877,6 +942,122 @@ def test_bounded_assign_matches_assign(d, offset, kind, monkeypatch):
         sq, T_, t_ = Fraction(s) ** 2, Fraction(T), Fraction(t)
         # t <= r^2 - T with r = (s^2 - T) / (2 s) > 0
         assert sq > T_ and (t_ + T_) * 4 * sq <= (sq - T_) ** 2
+
+
+def _check_sorted_sweep(c, batch, monkeypatch):
+    """`_sorted_sweep` of a 1-D batch gives `assign`'s index and d2 bytes
+    and its counts. Every row that it places from the edges alone, without
+    `_searched`, has an exact gap to each other point above the sweep's T,
+    which is at least the row's own tolerance."""
+    grid = Grid(c)
+    expect_idx, expect_d2 = assign(grid, batch)
+    xx, far = grids._batch_norms(batch)
+    T = _tie_tol(c, far)[0]
+    rows = grids._sorted_rows(batch)
+    idx, d2, counts = grids._sorted_sweep(grid, batch, xx, rows, T)
+    assert idx.tobytes() == expect_idx.tobytes()
+    assert d2.tobytes() == expect_d2.tobytes()
+    assert np.array_equal(counts, np.bincount(expect_idx, minlength=len(c)))
+
+    searched = []
+    searched_rows = grids._searched
+
+    def recording(g, p, search):
+        searched.append(p[:, 0])
+        return searched_rows(g, p, search)
+
+    monkeypatch.setattr(grids, "_searched", recording)
+    grids._sorted_sweep(grid, batch, xx, rows, T)
+    # equal rows are searched together or not at all
+    placed = np.flatnonzero(~np.isin(batch[:, 0], np.concatenate(
+        searched + [np.empty(0)])))
+    tol = _tie_tol(c, batch)
+    assert np.all(tol <= T)
+    for m in placed:
+        a = idx[m]
+        gaps = (grids._sq_norm(c - batch[m])
+                - grids._sq_norm(c[a] - batch[m]))
+        gaps[a] = np.inf
+        # a gap of 16 tolerances is far beyond rounding: check the rest
+        for b in np.flatnonzero(gaps < 16 * T):
+            exact = _exact_sq(batch[m], c[b]) - _exact_sq(batch[m], c[a])
+            assert exact > Fraction(T), (m, a, b)
+    return placed.size
+
+
+def _edge_rows(c, ulps):
+    """Rows on every Voronoi edge of the 1-D grid c, `ulps` ulps either
+    side of each, and on the grid points."""
+    s = np.sort(c[:, 0])
+    mids = 0.5 * (s[:-1] + s[1:])
+    rows = [s, mids]
+    for side in (-np.inf, np.inf):
+        x = mids
+        for _ in range(ulps):
+            x = np.nextafter(x, side)
+            rows.append(x)
+    return np.concatenate(rows)[:, None]
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+@pytest.mark.parametrize("kind", ["two-point", "lattice", "gaussian"])
+def test_sorted_sweep_on_edges(offset, kind, monkeypatch):
+    """`_sorted_sweep` on rows on the Voronoi edges, within four ulps of
+    them, on the grid points and duplicated, of a two-point grid, an
+    integer lattice (exact ties) and a Gaussian grid, near the origin and
+    far from it: `assign`'s bytes and counts, and every row that it
+    places from the edges alone proven. Near the origin, rows of a
+    Gaussian batch away from the edges need no search (far from it the
+    near-tie tolerance, and so each window, is wide)."""
+    rng = np.random.default_rng(int(math.log10(offset + 1)))
+    c = {"two-point": np.array([[-0.3], [0.9]]),
+         "lattice": np.arange(8.0)[::-1, None],
+         "gaussian": rng.normal(size=(30, 1))}[kind]
+    c = c + offset
+    edges = _edge_rows(c, 4)
+    batch = np.vstack([edges, edges, c.mean() + rng.normal(size=(2000, 1))])
+    placed = _check_sorted_sweep(c, rng.permutation(batch), monkeypatch)
+    if offset == 0.0:
+        assert placed > 2000 - 100
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+def test_lloyd_1d_sorted_sweeps_match_reference(offset, monkeypatch):
+    """A 1-D Lloyd run with duplicated rows, rows on the first grid's edges
+    and a dead far point that is re-seeded gives the bytes of the
+    full-scan loop, calls `assign` once (the final report) and reaches
+    neither `_certified` nor the kd-tree."""
+    rng = np.random.default_rng(5)
+    init = rng.normal(size=(9, 1))
+    batch = rng.normal(size=(600, 1))
+    batch = np.vstack([batch, batch[:200], _edge_rows(init, 2)])
+    init = np.vstack([init, [[50.0]]]) + offset
+    batch = rng.permutation(batch) + offset
+    stop = StopCriteria(max_iterations=40)
+    points, weights, value, gradient, counts, ref_it = _lloyd_reference(
+        init, batch, stop)
+    calls = []
+    original = grids.assign
+
+    def counted(grid, pts):
+        calls.append(len(pts))
+        return original(grid, pts)
+
+    def refused(*args):
+        raise AssertionError("reached")
+
+    monkeypatch.setattr(grids, "assign", counted)
+    monkeypatch.setattr(grids, "_certified", refused)
+    monkeypatch.setattr(grids, "_tree_search", refused)
+    grid, report, it = lloyd(Grid(init), SampleSource.from_batch(batch),
+                             stop)
+    assert calls == [len(batch)]
+    assert grid.points.tobytes() == points.tobytes()
+    assert grid.weights.tobytes() == weights.tobytes()
+    assert report.value == value
+    assert report.gradient.tobytes() == gradient.tobytes()
+    assert np.array_equal(report.cell_counts, counts)
+    assert it == ref_it
 
 
 def _settle_grid(d, offset, kind, rng):

@@ -18,8 +18,11 @@ dtype, shape and bytes:
   whose eight far points die at the first sweep and one re-seeded point
   at the second; a d=3 run at N=100 (30 sweeps on a 2e4 batch); the
   multidim base grid (d=2, N=150, a 5e4 batch
-  from seed 12345, the experiment's stop criteria); and the ten layer
+  from seed 12345, the experiment's stop criteria); the ten layer
   grids of a `chain` build on gbm (T=0.25, n=10, N=50, sample budget 2e4);
+  and 1-D runs: an integer lattice with rows on every midpoint (exact
+  ties), a batch offset by 1e6 with a dead far point, cut after 1, 2 and
+  40 sweeps, and a batch of 128 rows per grid point (N=50);
 - newton_1d grids and weights at N = 10, 150 and 2000;
 - ScalarFilterModel.build_filter layer points, initial weights
   and rows, and its rows at N=2001 (row blocks split over threads);
@@ -44,6 +47,8 @@ dtype, shape and bytes:
   of every midpoint and on the grid points; on an unsorted 1-D Lloyd grid at its Voronoi midpoints and its
   own points; on a d=3 grid with points on its points and on the
   midpoints of pairs; on a 150-point d=3 grid for a batch of 2e5 rows;
+  on one-point grids in d = 1, 2 and 5 with a nan row and rows with +inf
+  and -inf;
 - d=2 assign calls of at least 128 rows per grid point (the guess-table
   path): on the multidim base grid for 2 * 65536 + 123 rows with points
   on its points and on midpoints of pairs, and on a 7 x 7 integer lattice
@@ -164,6 +169,20 @@ def _outputs(workdir) -> dict:
         chain.lloyd = lloyd
     for k, result in enumerate(runs):
         record_lloyd(f"lloyd/cli-chain/{k + 1}", result)
+
+    lattice = np.arange(8.0)[::-1, None]
+    record_lloyd("lloyd/1d-lattice-midpoints", lloyd(
+        Grid(lattice), SampleSource.from_batch(np.vstack(
+            [lattice, lattice + 0.5, lattice - 0.25, lattice - 0.25]))))
+    batch = 1e6 + np.random.default_rng(16).standard_normal((4000, 1))
+    for sweeps in (1, 2, 40):
+        record_lloyd(f"lloyd/1d-offset-1e6-dead/{sweeps}", lloyd(
+            Grid(np.vstack([batch[:10], [[1e6 + 50.0]]])),
+            SampleSource.from_batch(batch),
+            StopCriteria(max_iterations=sweeps)))
+    batch = np.random.default_rng(18).standard_normal((128 * 50, 1))
+    record_lloyd("lloyd/1d-128-rows-per-point", lloyd(
+        Grid(batch[:50]), SampleSource.from_batch(batch)))
 
     for N in (10, 150, 2000):
         grid = newton_1d(Law1D.gaussian(), N)
@@ -341,6 +360,13 @@ def _outputs(workdir) -> dict:
     c3 = grid3.points
     ties3 = np.vstack([c3, 0.5 * (c3[:-1] + c3[1:]),
                        rng.standard_normal((20_000, 3))])
+    for d in (1, 2, 5):
+        pts = rng.standard_normal((1000, d))
+        pts[3, 0], pts[5, d - 1], pts[8, 0] = np.nan, np.inf, -np.inf
+        with np.errstate(all="ignore"):
+            idx, d2 = assign(Grid(rng.standard_normal((1, d))), pts)
+        out[f"assign/one-point/d{d}/index"] = idx
+        out[f"assign/one-point/d{d}/d2"] = d2
     for name, grid, pts in (("lloyd-1d-unsorted", grid1, ties1),
                             ("d3", grid3, ties3),
                             ("d3-batch", Grid(rng.standard_normal((150, 3))),
@@ -416,7 +442,7 @@ def main(argv) -> int:
                     or old[k].tobytes() != new[k].tobytes())
     for key in differ:
         print(f"differs: {key}{_difference(old.get(key), new.get(key))}")
-    print(f"{len(old)} outputs compared, {len(differ)} differ")
+    print(f"old -> new: {len(old)} outputs, {len(differ)} differ")
     return 1 if differ else 0
 
 
