@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputError, NumericError, ParseError
 from .grids import (Grid, SampleSource, StopCriteria, _check_probabilities,
-                    assign, cell_sums, lloyd)
+                    _distinct_rows, assign, cell_sums, lloyd)
 
 
 @dataclass
@@ -235,14 +235,6 @@ def build_layer_grids(model: DiffusionModel, mesh: TimeMesh,
                         _LAYER_STOP)
         out.append(Grid(g.points))
     return out
-
-
-def _distinct_rows(x: np.ndarray) -> int:
-    """Number of distinct rows of an (M, d) array, as np.unique(x, axis=0)
-    counts them, from one lexicographic sort."""
-    s = (np.sort(x, axis=0) if x.shape[1] == 1
-         else x.take(np.lexsort(x.T[::-1]), axis=0))
-    return 1 + int(np.count_nonzero(np.any(s[1:] != s[:-1], axis=1)))
 
 
 # ---------------------------------------------------------------------------

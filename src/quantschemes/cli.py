@@ -72,8 +72,9 @@ def _parse_sweep(text: str) -> list[int]:
         if len(parts) != 3:
             raise InputError("sweep must be start:stop:step or a,b,c")
         a, b, c = _int_list(parts, "sweep")
-        if c < 1 or b < a:
-            raise InputError("sweep needs stop >= start and step >= 1")
+        # a grid size below 1 is rejected here, before the range is built
+        if a < 1 or b < a or c < 1:
+            raise InputError("sweep needs 1 <= start <= stop and step >= 1")
         return list(range(a, b + 1, c))
     return _int_list([p for p in text.split(",") if p], "sweep")
 

@@ -242,6 +242,9 @@ def _multidim_point(args):
         init = batch[:size] * 0.5
         base, _, _ = lloyd(Grid(init), SampleSource.from_batch(batch),
                            _LAYER_STOP)
+        # the base batch is not needed past Lloyd: release it before the
+        # paths of estimate_companions are drawn
+        del batch, init
     layers = [Grid(model.x0[None, :])] + [
         Grid(math.sqrt(t) * base.points) for t in mesh.times[1:]]
     chain = estimate_companions(model, mesh, layers, mc_paths, seed)

@@ -5,11 +5,12 @@ A grid is a finite codebook of N points in R^d; nearest-neighbor projection
 onto it defines the Voronoi cells. Point order is a stable identity: index i
 names cell i, and ties always resolve to the smallest index.
 
-`assign` is the one projection entry point. It searches by the grid's
-dimension (bisection on the sorted Voronoi midpoints in 1-D, a kd-tree in
-d >= 2, which a large call reaches only for the rows that a bin table's
-guesses and Lloyd's certified tests leave) and sends near-ties to the exact
-linear scan, which stays as the reference its results are checked against.
+`assign` is the one projection entry point. A large call in d <= 3
+guesses each row's cell from a bin table and settles the guess with
+Lloyd's certified tests; the rows those leave, and every other call, take
+the exact search of the grid's dimension (bisection on the sorted Voronoi
+midpoints in 1-D, a kd-tree in d >= 2). Near-ties go to the exact linear
+scan, which stays as the reference its results are checked against.
 """
 
 from __future__ import annotations
@@ -35,24 +36,27 @@ _RENORM_WINDOW = 1e-9
 
 # Chunk size (rows) for the scan in nearest-neighbor assignment; keeps the
 # M x N squared-distance block below ~100 MB for the grid sizes we use. The
-# 1-D search and the d >= 2 guess-table path run in row blocks of the same
-# size, so that their temporaries stay small whatever the batch.
+# guess-table path runs in row blocks of the same size, so that its
+# temporaries stay small whatever the batch.
 _ASSIGN_CHUNK = 65536
-# Uniform bins per grid point of the 1-D lookup table (`_bin_table`) and of
-# the d >= 2 guess table (`_guess_table`), and the rows per grid point a
-# call needs before either is built: on fewer rows, as in Lloyd's
-# re-searches, building it costs more than it saves.
+# Uniform bins per grid point of the guess table (`_guess_table`) in
+# d = 1..3, and the rows per grid point a call needs before it is built: on
+# fewer rows, as in Lloyd's re-searches, building it costs more than it
+# saves.
 _TABLE_BINS_PER_POINT = 16
 _TABLE_ROWS_PER_POINT = 128
-# Largest dimension whose `assign` takes the guess table. On a 1e5-row call
-# over a 150-point Lloyd grid of N(0, I_d) (2-CPU host) the table path takes
-# 11-12.5 ms against the kd-tree's 27-31 ms in d=2 and 27-29 against
-# 36-38 ms in d=3; in d=4 (41-51 against 45-49 ms) and d=5 (61-67 against
-# 54-68 ms) it is no faster, since 43% and 65% of the rows fail both the
-# keep test and the list scan's certificate and go to the kd-tree anyway.
+# Largest dimension whose `assign` takes the guess table (d = 1..3). On a
+# 2-CPU host, a 2e5-row call over a 150-point bid-ask layer takes about
+# 6 ms by the table path against 21 ms by the sorted search alone in 1-D.
+# On a 1e5-row call over a 150-point Lloyd grid of N(0, I_d) the table
+# path takes 11-12.5 ms against the kd-tree's 27-31 ms in d=2 and 27-29
+# against 36-38 ms in d=3; in d=4 (41-51 against 45-49 ms) and d=5 (61-67
+# against 54-68 ms) it is no faster, since 43% and 65% of the rows fail
+# both the keep test and the list scan's certificate and go to the
+# kd-tree anyway.
 _GUESS_MAX_DIM = 3
-# Length K = min(4 d, 16) of each grid point's neighbour list in the d >= 2
-# Lloyd sweeps (`_neighbours`), and the rows per block of `_settle`. On a
+# Length K = min(4 d, 16) of each grid point's neighbour list
+# (`_neighbours`), and the rows per block of `_settle`. On a
 # 5e4-row, N=150 Lloyd run K = 8 settles 96% of the re-searched rows in
 # d=2, K = 12 88% in d=3 and K = 16 71% in d=4; longer lists settle more
 # rows but cost more than the rows they save.
@@ -209,24 +213,20 @@ def assign(grid: Grid, points: np.ndarray):
 
     Returns (indices, squared distances), equal to those of the exact
     linear scan `_scan_assign`, ties to the smallest index included. On a
-    one-point grid every index is 0 and no search is made. A 1-D
-    grid is searched by bisection on its sorted Voronoi midpoints, with
-    near-ties judged from the distance to the nearest one, in row blocks of
-    `_ASSIGN_CHUNK`; on a call of at least `_TABLE_ROWS_PER_POINT` rows per
-    grid point, a row whose bin of `_bin_table` is pure takes that bin's
-    cell without a search. A grid in d >= 2 is searched by a kd-tree query
-    for the two nearest points; in d <= `_GUESS_MAX_DIM`, on a call of at
-    least `_TABLE_ROWS_PER_POINT` rows per grid point whose grid spans more
-    than one bin of `_guess_table`, it runs in row blocks of the same size
-    instead, where each row's guess from `_guess_table` is settled by the
-    keep test, the list scan and, for the rows left, the kd-tree
-    (`_place`). A row whose two nearest points may lie within the scan's
-    rounding error of each other (exact ties among them, which neither
-    search breaks by index), or that is not finite, takes the scan's
-    index. Squared distances come from the scan's own expression, so they
-    equal the scan's to the bit. On a one-point grid or in d >= 2, a row
-    that is not finite, or whose squared distances overflow, gets the
-    scan's nan or inf without a warning.
+    one-point grid every index is 0 and no search is made. A call in
+    d <= `_GUESS_MAX_DIM` of at least `_TABLE_ROWS_PER_POINT` rows per
+    grid point, whose grid spans more than one bin of `_guess_table`, runs
+    in row blocks of `_ASSIGN_CHUNK` (`_blocks`): each row's guess from the
+    table is settled by the keep test, the list scan and, for the rows
+    left, the exact search. Any other call takes the exact search alone
+    (`_search_assign`): bisection on the sorted Voronoi midpoints in 1-D, a
+    kd-tree query for the two nearest points in d >= 2. A row whose two
+    nearest points may lie within the scan's rounding error of each other
+    (exact ties among them, which neither search breaks by index), or that
+    is not finite, takes the scan's index. Squared distances come from the
+    scan's own expression, so they equal the scan's to the bit. A row that
+    is not finite, or whose squared distances overflow, gets the scan's nan
+    or inf without a warning.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -234,84 +234,50 @@ def assign(grid: Grid, points: np.ndarray):
     if pts.shape[1] != grid.dim:
         raise InputError("batch dimension mismatch")
     c = grid.points
-    m = pts.shape[0]
-    if grid.size == 1:
-        with np.errstate(over="ignore", invalid="ignore"):
-            d2 = np.maximum(_sq_dist(pts, c), 0.0)
-        return np.zeros(m, dtype=np.int64), d2
-    many = m >= _TABLE_ROWS_PER_POINT * grid.size
-    if grid.dim == 1:
-        return _blocks(pts, _place_1d, grid, _bin_table(c) if many else None)
     with np.errstate(over="ignore", invalid="ignore"):
-        table = (_guess_table(c) if many and grid.dim <= _GUESS_MAX_DIM
-                 else None)
+        if grid.size == 1:
+            d2 = np.maximum(_sq_dist(pts, c), 0.0)
+            return np.zeros(pts.shape[0], dtype=np.int64), d2
+        table = (_guess_table(c) if grid.dim <= _GUESS_MAX_DIM and
+                 pts.shape[0] >= _TABLE_ROWS_PER_POINT * grid.size else None)
         if table is None:
-            return _tree_assign(grid, pts)
-        return _blocks(pts, _place, grid, table, _neighbours(c))
+            return _search_assign(grid, pts)
+        return _blocks(grid, pts, table, _neighbours(c))
 
 
-def _blocks(pts: np.ndarray, place, grid: Grid, *tables):
-    """`assign` in row blocks of `_ASSIGN_CHUNK`, each placed by `place`
-    (`_place_1d` or `_place`)."""
+def _blocks(grid: Grid, pts: np.ndarray, table, near):
+    """`assign` in row blocks of `_ASSIGN_CHUNK`: each row's guess from
+    `table` (`_guess_table`) settled by `_certified`, with `near` the
+    grid's `_neighbours` and T the `_tie_tol` of the block's row of largest
+    norm. A block with a row that is not finite (argmax then finds a nan)
+    or far enough for T to overflow takes the exact search whole."""
     m = pts.shape[0]
     idx = np.empty(m, dtype=np.int64)
     d2 = np.empty(m)
     for lo in range(0, m, _ASSIGN_CHUNK):
         block = pts[lo:lo + _ASSIGN_CHUNK]
         hi = lo + block.shape[0]
-        idx[lo:hi] = place(grid, block, d2[lo:hi], *tables)
+        xx = _sq_norm(block)
+        far = block.take([int(np.argmax(xx))], axis=0)
+        tol = float(_tie_tol(grid.points, far)[0])
+        if tol < np.inf:
+            idx[lo:hi], d2[lo:hi] = _certified(grid, block, xx,
+                                               _guess(table, block), tol, near)
+        else:
+            idx[lo:hi], d2[lo:hi] = _search_assign(grid, block)
     return idx, d2
 
 
-def _place_1d(grid: Grid, block: np.ndarray, out: np.ndarray, table):
-    """`assign` of one block of 1-D rows, its d2 written to `out`: a row in
-    a pure bin of `table` (`_bin_table`; None: no table) takes its cell,
-    the rest go to the sorted search."""
-    if table is None:
-        idx = _searched(grid, block, _sorted_search)
-    else:
-        idx = _table_lookup(table, block[:, 0])
-        rest = np.flatnonzero(idx < 0)
-        if rest.size:
-            idx[rest] = _searched(grid, block.take(rest, axis=0),
-                                  _sorted_search)
-    np.maximum(_sq_dist(block, grid.points.take(idx, axis=0)), 0.0, out=out)
-    return idx
-
-
-def _place(grid: Grid, block: np.ndarray, out: np.ndarray, table, near):
-    """`assign` of one block of d >= 2 rows, its d2 written to `out`: each
-    row's guess from `table` (`_guess_table`) settled by `_certified`, with
-    `near` the grid's `_neighbours` and T the `_tie_tol` of the block's row
-    of largest norm. A block with a row that is not finite (argmax then
-    finds a nan) or far enough for T to overflow goes to the kd-tree
-    whole."""
-    xx = _sq_norm(block)
-    far = block.take([int(np.argmax(xx))], axis=0)
-    tol = float(_tie_tol(grid.points, far)[0])
-    if not tol < np.inf:
-        idx, out[:] = _tree_assign(grid, block)
-    else:
-        idx, out[:] = _certified(grid, block, xx, _guess(table, block), tol,
-                                 near)
-    return idx
-
-
-def _tree_assign(grid: Grid, pts: np.ndarray):
-    """`assign` of d >= 2 rows by the kd-tree search alone."""
-    idx = _searched(grid, pts, _tree_search)
-    return idx, np.maximum(_sq_dist(pts, grid.points.take(idx, axis=0)), 0.0)
-
-
-def _searched(grid: Grid, pts: np.ndarray, search) -> np.ndarray:
-    """Indices from `search` (`_sorted_search` or `_tree_search`), with the
-    rows whose gap does not clear `_tie_tol` taken from the scan."""
+def _search_assign(grid: Grid, pts: np.ndarray):
+    """`assign` by the exact search alone, `_sorted_search` in 1-D and
+    `_tree_search` in d >= 2, with the rows whose gap does not clear
+    `_tie_tol` taken from the scan."""
     c = grid.points
-    idx, gap = search(c, pts)
+    idx, gap = (_sorted_search if grid.dim == 1 else _tree_search)(c, pts)
     near = np.flatnonzero(~(gap > _tie_tol(c, pts)))
     if near.size:
         idx[near] = _scan_assign(grid, pts.take(near, axis=0))[0]
-    return idx
+    return idx, np.maximum(_sq_dist(pts, c.take(idx, axis=0)), 0.0)
 
 
 def _tie_tol(c: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -388,85 +354,20 @@ def _sorted_search(c: np.ndarray, pts: np.ndarray):
     return order.take(pos), np.minimum(below, above) * (1.0 - 4 * _EPS)
 
 
-def _bin_table(c: np.ndarray):
-    """Lookup table of the 1-D `assign`: `_TABLE_BINS_PER_POINT` uniform
-    bins per grid point over the span [lo, hi] of the inner Voronoi edges.
-
-    Returns (lo, 1 / w, cells) for bins of width w, where cells[b + 1] is
-    the grid index that every row of a pure bin b takes, and -1 for an
-    impure bin and at both ends (rows outside the span); or None when the
-    inner edges span no width (N <= 2, or all points within rounding).
-
-    `_table_lookup` puts a row x in bin floor((x - lo) (1 / w)). That
-    expression rounds three times, which moves a bin boundary by at most
-    about 1.5 eps (hi - lo) <= 3 eps max(|lo|, |hi|); the bin ends below
-    round by at most 2 eps max(|lo|, |hi|) more. So each row of bin b lies
-    in [a, e] = [lo + b w, lo + (b + 1) w] widened by a slack of
-    8 eps max(|lo|, |hi|) plus 1e-9 w. A bin is pure when, at a and at e, a
-    lower bound of the exact gap to the nearer neighbour of the cell that a
-    lies in exceeds twice `_tie_tol`. The bound is `_sorted_search`'s with
-    wider margins: 2 spacing times the distance to the cell's edge less
-    2 eps R, times 1 - 16 eps. It is positive only strictly inside the
-    cell, so no edge
-    lies in [a, e] and every row of the bin is in that one cell. The exact
-    gap is linear towards each neighbour, so their minimum is concave, and
-    the tolerance is convex; the gap thus exceeds the tolerance on all of
-    [a, e], and the cell's point is the scan's unique argmin on every row
-    of the bin.
-    """
-    order, s, edges, spacing = _sorted_cells(c)
-    inner = edges[1:-1]
-    if inner.size < 2:
-        return None
-    lo, hi = inner[0], inner[-1]
-    nbins = _TABLE_BINS_PER_POINT * c.shape[0]
-    w = (hi - lo) / nbins
-    if not (0.0 < w < np.inf and 1.0 / w < np.inf):
-        return None
-    slack = 1e-9 * w + 8 * _EPS * max(abs(lo), abs(hi))
-    ends = lo + np.arange(nbins + 1) * w
-    a, e = ends[:-1] - slack, ends[1:] + slack
-    pos = np.searchsorted(inner, a)
-    pure = np.ones(nbins, dtype=bool)
-    margin = 2 * _EPS * max(-s[0], s[-1])
-    for y in (a, e):
-        below = spacing.take(pos) * (y - edges.take(pos) - margin)
-        above = spacing.take(pos + 1) * (edges.take(pos + 1) - y - margin)
-        gap = 2.0 * np.minimum(below, above) * (1.0 - 16 * _EPS)
-        pure &= gap > 2.0 * _tie_tol(c, y[:, None])
-    cells = np.full(nbins + 2, -1, dtype=np.int64)
-    cells[1:-1][pure] = order.take(pos[pure])
-    return lo, 1.0 / w, cells
-
-
-def _table_lookup(table, x: np.ndarray) -> np.ndarray:
-    """The cell of each 1-D row from a `_bin_table` table: -1 where the
-    row's bin is impure, or the row is outside the span or not finite."""
-    lo, inv, cells = table
-    t = x - lo
-    t *= inv
-    np.floor(t, out=t)
-    # fmax takes nan to -1; both clamps land on a -1 end of the table
-    np.fmax(t, -1.0, out=t)
-    np.fmin(t, cells.size - 2, out=t)
-    t += 1.0
-    return cells.take(t.astype(np.intp))
-
-
 def _guess_table(c: np.ndarray):
-    """Guess table of the d >= 2 `assign`: at most `_TABLE_BINS_PER_POINT`
-    uniform bins per grid point over the grid's bounding box, each holding
-    the grid point nearest its centre; None when that is one bin (a grid
-    whose axes all have zero extent).
+    """Guess table of the table path of `assign`: at most
+    `_TABLE_BINS_PER_POINT` uniform bins per grid point over the grid's
+    bounding box, each holding a grid point near its centre; None when
+    that is one bin (a grid whose axes all have zero extent).
 
     An axis of positive extent gets k bins, k the largest integer with
     k^d' <= 16 N and d' the number of such axes, and an axis of zero extent
     (or whose 1 / w overflows for bins of width w) one. Returns (lo, 1 / w
     per axis (0 for one bin), bins per axis, cells), with cells the flat
-    C-order table from one kd-tree query over the bin centres. A guess
-    decides only how fast `_certified` settles a row, never its cell, so
-    neither the rounding of a row's bin nor the query's tie-breaking
-    matters.
+    C-order table of the bin centres' candidates: `_sorted_search`'s in
+    1-D, one kd-tree query's in d >= 2. A guess decides only how fast
+    `_certified` settles a row, never its cell, so neither the rounding of
+    a row's bin nor the search's tie-breaking matters.
     """
     n, d = c.shape
     lo, hi = c.min(axis=0), c.max(axis=0)
@@ -489,12 +390,13 @@ def _guess_table(c: np.ndarray):
     for j in range(d - 1, -1, -1):
         flat, t = np.divmod(flat, counts[j])
         centres[:, j] = lo[j] + (t + 0.5) * width[j]
-    cells = cKDTree(c).query(centres)[1].astype(np.int64)
+    cells = (_sorted_search(c, centres)[0] if d == 1
+             else cKDTree(c).query(centres)[1].astype(np.int64))
     return lo, inv, counts, cells
 
 
 def _guess(table, block: np.ndarray) -> np.ndarray:
-    """Each finite d >= 2 row's guess from a `_guess_table` table: the cell
+    """Each finite row's guess from a `_guess_table` table: the cell
     of its bin, the bin clamped into the box axis by axis."""
     lo, inv, counts, cells = table
     flat = np.zeros(block.shape[0], dtype=np.intp)
@@ -615,7 +517,10 @@ def lloyd(initial: Grid, source: SampleSource, stop: StopCriteria = StopCriteria
     samples whose cell can have changed (`_certified`). Either way every
     sweep's cells, and so the results, are those of a full `assign`. A
     batch with a row that is not finite raises InputError, and a finite
-    batch whose squared norms overflow NumericError, before any sweep.
+    batch whose squared norms overflow NumericError, before any sweep. A
+    batch with fewer distinct rows than grid points raises InputError after
+    the first sweep that leaves a cell empty (a sweep that leaves none has
+    proven N distinct rows).
 
     A sweep whose distortion rises by more than 1e-12 of the last one plus
     (T_prev + T) / 4 raises ConvergenceError, where T = `_tie_tol(pts, far)`
@@ -647,7 +552,7 @@ def lloyd(initial: Grid, source: SampleSource, stop: StopCriteria = StopCriteria
         rows = _sorted_rows(batch)
     prev = prev_tol = None
     it = 0
-    idx = None
+    idx = distinct = None
     for it in range(1, stop.max_iterations + 1):
         # `far` has the largest row norm, the tolerance grows with the row
         # norm and every step of it rounds monotonically, so T is at least
@@ -672,6 +577,12 @@ def lloyd(initial: Grid, source: SampleSource, stop: StopCriteria = StopCriteria
         np.divide(sums, counts[:, None], out=means, where=counts[:, None] > 0)
         dead = np.flatnonzero(counts == 0)
         if dead.size:
+            if distinct is None:
+                distinct = (1 + int(np.count_nonzero(np.diff(rows[2])))
+                            if initial.dim == 1 else _distinct_rows(batch))
+                if distinct < n:
+                    raise InputError(f"fewer distinct sample rows "
+                                     f"({distinct}) than grid points ({n})")
             donor = int(np.argmax(counts))
             donors = np.flatnonzero(idx == donor)
             for i in dead:
@@ -693,6 +604,14 @@ def lloyd(initial: Grid, source: SampleSource, stop: StopCriteria = StopCriteria
     report = distortion_and_gradient(grid, source)
     weights = report.cell_counts / batch.shape[0]
     return grid.with_weights(weights), report, it
+
+
+def _distinct_rows(x: np.ndarray) -> int:
+    """Number of distinct rows of an (M, d) array, as np.unique(x, axis=0)
+    counts them, from one lexicographic sort."""
+    s = (np.sort(x, axis=0) if x.shape[1] == 1
+         else x.take(np.lexsort(x.T[::-1]), axis=0))
+    return 1 + int(np.count_nonzero(np.any(s[1:] != s[:-1], axis=1)))
 
 
 def _batch_norms(batch: np.ndarray):
@@ -733,10 +652,10 @@ def _sorted_sweep(grid: Grid, batch: np.ndarray, xx: np.ndarray, rows,
     sorted points at computed spacing p, the window [m - w, m + w] with
     w = T / (2 p) (1 + 8 eps) + 2 eps R (R = max |c|), each step rounded
     and the ends clamped to the edges on either side, holds every row for
-    which that edge is not proven clear; its rows go to the exact
-    `_searched(grid, rows, _sorted_search)`. d2 is `_sq_dist`'s expression
-    for each row's cell (`_cell_d2`), in the batch's own row order, so it
-    has the bytes `assign` returns.
+    which that edge is not proven clear; its rows go to the exact search
+    (`_search_assign`). d2 is `_sq_dist`'s expression for each row's cell
+    (`_cell_d2`), in the batch's own row order, so it has the bytes
+    `assign` returns.
 
     Proof that a row x outside every window, with m_j <= x < m_{j+1}, has
     sorted point j as the scan's unique argmin: the window at m_j starts
@@ -780,7 +699,7 @@ def _sorted_sweep(grid: Grid, batch: np.ndarray, xx: np.ndarray, rows,
     if wide.size:
         near = perm.take(np.unique(np.concatenate(
             [np.arange(lo[k], hi[k]) for k in wide])))
-        cells = _searched(grid, batch.take(near, axis=0), _sorted_search)
+        cells = _search_assign(grid, batch.take(near, axis=0))[0]
         counts -= np.bincount(idx.take(near), minlength=c.shape[0])
         counts += np.bincount(cells, minlength=c.shape[0])
         idx[near] = cells
@@ -806,7 +725,7 @@ def _cell_d2(c: np.ndarray, batch: np.ndarray, xx: np.ndarray,
 
 def _certified(grid: Grid, batch: np.ndarray, xx: np.ndarray,
                idx: np.ndarray, tol: float, near):
-    """`assign(grid, batch)` of a d >= 2 batch from a candidate cell per
+    """`assign(grid, batch)` from a candidate cell per
     row, `idx`, changed in place: Lloyd's cells of the last sweep, or
     `_guess_table`'s guesses. `xx` is the rows' `_sq_norm`, `tol` a T at
     least every row's `_tie_tol` and `near` the grid's `_neighbours`.
@@ -816,7 +735,7 @@ def _certified(grid: Grid, batch: np.ndarray, xx: np.ndarray,
     is the scan's unique argmin (proof at `_keep_threshold`). A row that is
     not kept is settled, where its certificate holds, by an exact scan of
     its candidate's nearest grid points (`_settle`); the rest go to the
-    kd-tree search (`_tree_assign`). The candidates decide only how many
+    exact search (`_search_assign`). The candidates decide only how many
     rows each stage takes, never a row's result.
     """
     c = grid.points
@@ -827,8 +746,8 @@ def _certified(grid: Grid, batch: np.ndarray, xx: np.ndarray,
     if search.size:
         search = _settle(c, batch, xx, search, idx, d2, tol, lists, reach)
     if search.size:
-        idx[search], d2[search] = _tree_assign(grid,
-                                               batch.take(search, axis=0))
+        idx[search], d2[search] = _search_assign(
+            grid, batch.take(search, axis=0))
     return idx, d2
 
 
@@ -858,8 +777,8 @@ def _keep_threshold(sep: np.ndarray, tol: float) -> np.ndarray:
     delta < r - 3T / (8 r) <= r - 3T / (4 s). Hence
     s (s - 2 delta) >= s (s - 2r) + 1.5 T = 2.5 T. Every other point b is
     at least s' - delta from x, where the exact separation s' is
-    s (1 - e) with e <= (d + 2) eps (a kd-tree's rounded norm), so the
-    exact gap
+    s (1 - e) with e <= (d + 2) eps (a kd-tree's rounded norm; in 1-D a
+    rounded difference), so the exact gap
     |x - b|^2 - delta^2 >= s' (s' - 2 delta)
     >= (1 - e) (2.5 T - e s^2) > T, since T >= 4 (d + 3) eps R^2 and
     s <= 2R (R = max |c|) give e s^2 < T. A gap over T, which is at
@@ -875,39 +794,72 @@ def _keep_threshold(sep: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _neighbours(c: np.ndarray):
-    """Per point a of a d >= 2 grid: its separation s_a, the distance to
-    the nearest other point (0 for a duplicated point, inf on a one-point
+    """Per point a of a grid: its separation s_a, the distance to the
+    nearest other point (0 for a duplicated point, inf on a one-point
     grid), its neighbour list and its reach r_a.
 
-    One kd-tree query for the K + 1 nearest points of each point
-    (K = `_list_size(d)`) gives all three. Row a of the (N, min(N, K))
-    list holds a's K nearest grid points, a included unless K others
-    coincide with it, sorted by grid index; s_a is the query's second
-    distance. r_a is a lower bound of the exact distance from a to every
-    point outside the list, inf when the list is the whole grid (N <= K).
-    Every such point is at a computed distance of at least D, the
-    (K + 1)-th one. A computed distance is off by a relative
-    (d + 4) eps / 4 (d rounded squares summed, a square root), plus what
-    the squares lose to underflow, below tiny in all and so below
-    sqrt(tiny) once rooted. So r_a = D (1 - 4 (d + 2) eps) - sqrt(tiny),
-    which rounds by a relative eps / 2 twice and is clamped at 0, is below
-    the exact distance; the shrink is over ten times the distance's
-    rounding, which also covers the rounding of the tree's pruning bounds.
+    The K + 1 nearest points of each point (K = `_list_size(d)`), by
+    computed distance (`_nearest`), give all three. Row a of the
+    (N, min(N, K)) list holds a's K nearest grid points, a included unless
+    K others coincide with it, sorted by grid index; s_a is the second
+    distance. r_a is a lower bound of the exact
+    distance from a to every point outside the list, inf when the list is
+    the whole grid (N <= K). Every such point is at a computed distance of
+    at least D, the (K + 1)-th one. A computed distance is off by a
+    relative (d + 4) eps / 4 (d rounded squares summed, a square root; in
+    1-D one rounded subtraction), plus what the squares lose to underflow,
+    below tiny in all and so below sqrt(tiny) once rooted. So
+    r_a = D (1 - 4 (d + 2) eps) - sqrt(tiny), which rounds by a relative
+    eps / 2 twice and is clamped at 0, is below the exact distance; the
+    shrink is over ten times the distance's rounding, which also covers
+    the rounding of the kd-tree's pruning bounds.
     """
     n, d = c.shape
     k = _list_size(d)
     if n <= k:
-        sep = (cKDTree(c).query(c, k=2)[0][:, 1] if n > 1
-               else np.full(1, np.inf))
+        sep = _nearest(c, 2)[0][:, 1] if n > 1 else np.full(1, np.inf)
         lists = np.broadcast_to(np.arange(n, dtype=np.int64), (n, n))
         return sep, lists, np.full(n, np.inf)
-    dist, near = cKDTree(c).query(c, k=k + 1)
+    dist, near = _nearest(c, k + 1)
     reach = dist[:, k] * (1.0 - 4 * (d + 2) * _EPS) - math.sqrt(_TINY)
     return dist[:, 1], np.sort(near[:, :k], axis=1), np.maximum(reach, 0.0)
 
 
+def _nearest(c: np.ndarray, j: int):
+    """The computed distances from each point of a grid of at least j >= 2
+    points to its j nearest grid points, in increasing order, and their
+    indices: one kd-tree query in d >= 2.
+
+    In 1-D, for each point a, they are the first j of the points within
+    j - 1 sorted positions of a, sorted stably by computed distance
+    |fl(b - a)|; these are the j nearest of the whole grid. Such a window holds at least j points. A
+    point b at sorted offset over j - 1 from a, say above it, has a and the
+    j - 1 points above a in the window, each at a computed distance of at
+    most b's, since rounding is monotone. So the j-th smallest distance in
+    the window is at most b's, and every point outside the first j
+    columns, in the window or not, is at a computed distance of at least
+    the j-th.
+    """
+    if c.shape[1] > 1:
+        return cKDTree(c).query(c, k=j)
+    order, s, _, _ = _sorted_cells(c)
+    n = s.size
+    pos = np.arange(n)[:, None] + np.arange(1 - j, j)
+    inside = (pos >= 0) & (pos < n)
+    np.clip(pos, 0, n - 1, out=pos)
+    dist = np.abs(s.take(pos) - s[:, None])
+    dist[~inside] = np.inf
+    pick = np.argsort(dist, axis=1, kind="stable")[:, :j]
+    dist = np.take_along_axis(dist, pick, axis=1)
+    near = order.take(np.take_along_axis(pos, pick, axis=1))
+    # rows are in sorted order: put row a back at grid index a
+    rank = np.empty_like(order)
+    rank[order] = np.arange(n)
+    return dist.take(rank, axis=0), near.take(rank, axis=0)
+
+
 def _list_size(d: int) -> int:
-    """K, the length of each grid point's neighbour list in d >= 2."""
+    """K, the length of each grid point's neighbour list."""
     return min(_LIST_SIZE_PER_DIM * d, _LIST_SIZE_MAX)
 
 

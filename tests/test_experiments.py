@@ -201,6 +201,9 @@ def test_parse_sweep():
         _parse_sweep("10:5:1")
     with pytest.raises(InputError):
         _parse_sweep("1:2:3:4")
+    # a start below 1 is rejected before a range of 1e20 sizes is built
+    with pytest.raises(InputError, match="1 <= start"):
+        _parse_sweep("-99999999999999999999:4:1")
 
 
 def test_cli_grid_newton(tmp_path, capsys):

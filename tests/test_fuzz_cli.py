@@ -1,13 +1,16 @@
-"""Config fuzzing of every CLI subcommand.
+"""Config and flag fuzzing of every CLI subcommand.
 
 Each config is drawn from the keys its subcommand reads (chain's model
 parameters among them), with awkward JSON values: bools, null, ±0,
 NaN/Infinity tokens, 1e308, 20-digit integers, strings, lists and nested
-objects; some configs get one key the subcommand does not read. Sizes,
-path counts, step counts and sample budgets are clamped to a small budget
-before the call, since a valid `n` or `steps` of 1e9 is a legal run that
-would not end in a test. Every run must exit 0 with strict JSON on stdout,
-or exit 2 or 3 with one `error:` line; never a traceback or a warning.
+objects; some configs get one key the subcommand does not read. The
+numeric flags (--seed, --mc-paths, --grid-size, --sizes, --sweep) get
+awkward texts: the same kinds of numbers and words, and lists and ranges
+of them with empty parts. Sizes, path counts, step counts and sample
+budgets are clamped to a small budget before the call, since a valid `n`
+or `steps` of 1e9 is a legal run that would not end in a test. Every run
+must exit 0 with strict JSON on stdout, or exit 2 or 3 with one `error:`
+line; never a traceback or a warning.
 """
 
 import contextlib
@@ -19,10 +22,10 @@ import tempfile
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from quantschemes.cli import main
+from quantschemes.cli import _COMMANDS, _FLAGS, _flag_value, main
 from quantschemes.errors import InputError
 from quantschemes.experiments import _integer
 from quantschemes.grids import Law1D, newton_1d, save_grid
@@ -88,6 +91,15 @@ SANE = {
 }
 
 
+# texts of the numeric flags, and of each part of a --sizes or --sweep list
+TEXTS = ["", "0", "1", "2", "3", "4", "-1", "-0", "0.0", "1.5", "3.0",
+         "1e308", "-1e308", "1e-320", "NaN", "Infinity", "-Infinity", "nan",
+         "99999999999999999999", "-99999999999999999999", "x", " 3", "1_0",
+         "0x3", "true", "null", "[2]", '"2"', "{}"]
+# the flags that take numbers; grid's --grid-size sets its `size`
+NUMERIC = ("seed", "mc_paths", "grid_size", "size", "sizes", "sweep")
+
+
 def _mostly(sane, awkward):
     """One of the `sane` values three times in four, else an awkward one."""
     return st.integers(0, 3).flatmap(
@@ -144,46 +156,85 @@ def configs(draw, command):
     return cfg, unknown
 
 
+def _clamp_text(text, cap, parse=lambda t: t):
+    """text, or `cap` if it spells an integer above `cap` (after `parse`,
+    the flag's own conversion)."""
+    number = _as_int(parse(text))
+    return str(cap) if number is not None and number > cap else text
+
+
+@st.composite
+def flags(draw, command):
+    """Numeric flags of `command` with drawn texts, each as one --flag=TEXT
+    argument (so that a text starting with '-' is not read as a flag). A
+    text, or each part of a list or range, is sane three times in four."""
+    names = [k for k in _COMMANDS[command][2].split() if k in NUMERIC]
+    awkward = st.sampled_from(TEXTS)
+    argv = []
+    for name in draw(st.lists(st.sampled_from(names), unique=True)):
+        cap = {**CAPS, **BUDGET[command]}.get(name, math.inf)
+        if name in ("sizes", "sweep"):
+            parts = [_clamp_text(t, cap) for t in draw(st.lists(
+                _mostly(["1", "2", "3", "4"], awkward), max_size=4))]
+            text = draw(st.sampled_from([",", ":"])).join(parts)
+        else:
+            text = _clamp_text(draw(_mostly([str(v) for v in SANE[name]],
+                                            awkward)), cap, _flag_value)
+        argv.append(f"{_FLAGS[name][0]}={text}")
+    return argv
+
+
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON token {token}")
+
+
+def _setup(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    save_grid(newton_1d(Law1D.gaussian(), 4), "g.txt")
+    (tmp_path / "t.csv").write_text("N,error\n10,0.4\n20,0.25\n40,0.175\n")
+
+
+def _run(command, cfg, argv, tmp_path):
+    """main on `cfg` and `argv`: its exit code and error line, after the
+    checks every run must pass."""
+    with tempfile.NamedTemporaryFile("w", suffix=".json", dir=tmp_path,
+                                     delete=False) as fh:
+        json.dump(cfg, fh)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main([command, "--config", fh.name, *argv])
+    os.unlink(fh.name)
+    out, err = out.getvalue(), err.getvalue()
+    # the one warning allowed: the solver's notice that a path count this
+    # small left cells unvisited
+    caught = [str(w.message) for w in caught]
+    assert not [w for w in caught
+                if not w.startswith("chain has unvisited cells")], caught
+    assert "Traceback" not in err
+    assert code in (0, 2, 3), (code, cfg, argv, err)
+    if code == 0:
+        assert err == ""
+        json.loads(out, parse_constant=_reject_constant)
+    else:
+        assert out == "" and err.startswith("error: ")
+        assert err.count("\n") == 1, err
+    return code, err
 
 
 @pytest.mark.parametrize("command", sorted(KEYS))
 def test_cli_configs_exit_0_2_or_3_with_one_error_line(command, tmp_path,
                                                         monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    save_grid(newton_1d(Law1D.gaussian(), 4), "g.txt")
-    (tmp_path / "t.csv").write_text("N,error\n10,0.4\n20,0.25\n40,0.175\n")
+    _setup(tmp_path, monkeypatch)
 
     @settings(max_examples=150, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(drawn=configs(command))
     def run(drawn):
         cfg, unknown = drawn
-        with tempfile.NamedTemporaryFile("w", suffix=".json", dir=tmp_path,
-                                         delete=False) as fh:
-            json.dump(cfg, fh)
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            warnings.simplefilter("always")
-            code = main([command, "--config", fh.name])
-        os.unlink(fh.name)
-        out, err = out.getvalue(), err.getvalue()
-        # the one warning allowed: the solver's notice that a path count
-        # this small left cells unvisited
-        caught = [str(w.message) for w in caught]
-        assert not [w for w in caught
-                    if not w.startswith("chain has unvisited cells")], caught
-        assert "Traceback" not in err
-        assert code in (0, 2, 3), (code, cfg, err)
-        if code == 0:
-            assert err == ""
-            json.loads(out, parse_constant=_reject_constant)
-        else:
-            assert out == "" and err.startswith("error: ")
-            assert err.count("\n") == 1, err
+        code, err = _run(command, cfg, [], tmp_path)
         if unknown is not None:
             # a chain model that is no MODELS name is reported first
             assert code == 2, (cfg, err)
@@ -191,5 +242,26 @@ def test_cli_configs_exit_0_2_or_3_with_one_error_line(command, tmp_path,
                     or "model must be one of" in err), (cfg, err)
         else:
             assert "unknown config keys" not in err, (cfg, err)
+
+    run()
+
+
+@pytest.mark.parametrize("command", sorted(set(KEYS) - {"rate-fit"}))
+def test_cli_flags_exit_0_2_or_3_with_one_error_line(command, tmp_path,
+                                                      monkeypatch):
+    """The numeric flags' texts, over configs with no unknown key, follow
+    the same rule as the configs."""
+    _setup(tmp_path, monkeypatch)
+    # a range whose start is below 1, and too long to build
+    long_range = (["--sweep=-99999999999999999999:4:1"]
+                  if "sweep" in _COMMANDS[command][2].split() else [])
+
+    @settings(max_examples=100, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(drawn=configs(command).filter(lambda d: d[1] is None),
+           argv=flags(command))
+    @example(drawn=(dict(BUDGET[command]), None), argv=long_range)
+    def run(drawn, argv):
+        _run(command, drawn[0], argv, tmp_path)
 
     run()

@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantschemes import grids
 from quantschemes.errors import ConvergenceError, InputError, ParseError
 from quantschemes.grids import (_ASSIGN_CHUNK, Grid, Law1D, SampleSource,
-                                StopCriteria, _bin_table, _scan_assign,
+                                StopCriteria, _scan_assign,
                                 _sorted_search, _tie_tol,
                                 assign, cell_sums, clvq,
                                 distortion_and_gradient, lloyd, load_grid,
@@ -209,44 +209,11 @@ def test_assign_1d_midpoint_gap_far_from_origin(seed, n, log_offset,
     test_assign_matches_scan_oracle,
     test_assign_1d_midpoint_gap_far_from_origin])
 def test_assign_table_matches_scan_oracle(monkeypatch, oracle_test):
-    """The scan-oracle tests again, with the 1-D lookup table built on every
-    call however few its rows, so that their grids and tie points go
-    through the pure-bin path too."""
+    """The scan-oracle tests again, with the guess table built on every
+    call in d <= 3 however few its rows, so that their grids and tie points
+    go through the keep test and the list scan too."""
     monkeypatch.setattr(grids, "_TABLE_ROWS_PER_POINT", 0)
     oracle_test()
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 30), st.floats(-3, 6),
-       st.floats(-6, 0), st.booleans())
-# bins about as wide as the near-tie reach around each edge
-@example(seed=0, n=3, log_offset=0.0, log_spacing=-6.0, duplicate=False)
-@example(seed=1, n=20, log_offset=6.0, log_spacing=-6.0, duplicate=True)
-def test_bin_table_places_only_what_the_search_accepts(seed, n, log_offset,
-                                                       log_spacing,
-                                                       duplicate):
-    """Every row the lookup table places, at and one ulp either side of
-    each bin end and across the span, gets the sorted search's candidate
-    with a gap that clears the near-tie tolerance."""
-    rng = np.random.default_rng(seed)
-    offset = 10.0 ** log_offset
-    spacing = offset * 10.0 ** log_spacing
-    c = rng.permutation(offset + spacing * np.cumsum(rng.uniform(0.1, 1, n)))
-    if duplicate:
-        c[rng.integers(1, n)] = c[0]
-    table = _bin_table(c[:, None])
-    if table is None:
-        return
-    lo, inv, cells = table
-    ends = lo + np.arange(cells.size - 1) / inv
-    x = np.concatenate([ends, np.nextafter(ends, -np.inf),
-                        np.nextafter(ends, np.inf),
-                        rng.uniform(ends[0], ends[-1], 2000)])
-    placed = grids._table_lookup(table, x)
-    x, placed = x[placed >= 0, None], placed[placed >= 0]
-    cand, gap = _sorted_search(c[:, None], x)
-    assert np.array_equal(cand, placed)
-    assert np.all(gap > _tie_tol(c[:, None], x))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -276,13 +243,11 @@ def test_tree_search_does_not_depend_on_the_worker_count(d, monkeypatch):
 
 
 def test_assign_1d_blocks_equal_row_by_row():
-    """A batch over two row-block boundaries that takes the lookup table
+    """A batch over two row-block boundaries that takes the guess table
     gives every row the scan's index and squared distance, and what the row
     gets in small batches (no table) and alone."""
     base = newton_1d(Law1D.gaussian(), 150)
     grid = Grid(100.0 * np.exp(0.01 + 0.07 * base.points))  # a bid-ask layer
-    table = _bin_table(grid.points)
-    assert np.mean(table[2] >= 0) > 0.8
     rng = np.random.default_rng(5)
     m = 2 * _ASSIGN_CHUNK + 123
     assert m >= grids._TABLE_ROWS_PER_POINT * grid.size
@@ -309,12 +274,37 @@ def test_assign_1d_blocks_equal_row_by_row():
         assert one_idx[0] == idx[r] and one_d2[0] == d2[r]
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "lattice", "duplicate"])
+def test_assign_1d_table_builds_no_kd_tree(kind, monkeypatch):
+    """A 1-D call of 128 N rows takes the guess table, whose guesses,
+    neighbour lists and leftovers all come from sorted searches: with
+    `cKDTree` refused it gives the scan's indices and d2 bytes, on rows at
+    the grid points, on midpoints (ties) and far away."""
+    def refused(*args, **kwargs):
+        raise AssertionError("kd-tree built")
+
+    rng = np.random.default_rng(len(kind))
+    grid = Grid(_guess_case(1, kind, rng))
+    tables = []
+    build = grids._guess_table
+    monkeypatch.setattr(grids, "_guess_table",
+                        lambda c: tables.append(build(c)) or tables[-1])
+    monkeypatch.setattr(grids, "cKDTree", refused)
+    pts = _guess_rows(grid.points, grids._TABLE_ROWS_PER_POINT * grid.size,
+                      rng)
+    idx, d2 = assign(grid, pts)
+    assert len(tables) == 1 and tables[0] is not None
+    ref_idx, ref_d2 = _scan_assign(grid, pts)
+    assert np.array_equal(idx, ref_idx)
+    assert d2.tobytes() == ref_d2.tobytes()
+
+
 def _guess_case(d, kind, rng):
-    """Grid of a d >= 2 guess-table case: Gaussian points, an integer
-    lattice (exact ties), one axis of zero extent, duplicated points or
-    one point."""
+    """Grid of a guess-table case: Gaussian points, an integer lattice
+    (exact ties), one axis of zero extent (in 1-D, all points equal),
+    duplicated points or one point."""
     if kind == "lattice":
-        side = {2: 5, 3: 3, 4: 2, 5: 2}[d]
+        side = {1: 12, 2: 5, 3: 3, 4: 2, 5: 2}[d]
         c = np.stack(np.meshgrid(*[np.arange(side, dtype=float)] * d,
                                  indexing="ij"), -1).reshape(-1, d)
         return rng.permutation(c)
@@ -340,16 +330,17 @@ def _guess_rows(c, m, rng):
     return rng.permutation(rows)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("kind", ["gaussian", "lattice", "flat-axis",
                                   "duplicate", "one-point"])
 def test_assign_guess_table_matches_scan_oracle(d, kind, monkeypatch):
-    """A d >= 2 call of 128 N rows, which takes the guess table in d <= 3,
-    and one of 128 N - 1 rows, which does not, give every row the scan's
-    index and d2 bytes: rows on grid points, on midpoints of pairs (ties),
-    far outside the grid's bounding box and at random, on Gaussian and
-    lattice grids, a grid with zero extent on one axis, with duplicated
-    points and with one point (which never takes the table)."""
+    """A call of 128 N rows, which takes the guess table in d <= 3, and one
+    of 128 N - 1 rows, which does not, give every row the scan's index and
+    d2 bytes: rows on grid points, on midpoints of pairs (ties), far
+    outside the grid's bounding box and at random, on Gaussian and lattice
+    grids, a grid with zero extent on one axis, with duplicated points and
+    with one point. A one-point grid, and in 1-D a grid whose points all
+    coincide, never take the table."""
     rng = np.random.default_rng(d * 10 + len(kind))
     grid = Grid(_guess_case(d, kind, rng))
     tables = []
@@ -365,14 +356,15 @@ def test_assign_guess_table_matches_scan_oracle(d, kind, monkeypatch):
         assert np.array_equal(idx, ref_idx), m
         assert d2.tobytes() == ref_d2.tobytes(), m
         took = [t for t in tables if t is not None]
-        assert len(took) == (m % grid.size == 0 and grid.size > 1
+        spans = np.ptp(grid.points, axis=0).any()
+        assert len(took) == (m % grid.size == 0 and spans
                              and d <= grids._GUESS_MAX_DIM), m
 
 
-@pytest.mark.parametrize("d", [2, 3, 10, 33, 65])
+@pytest.mark.parametrize("d", [1, 2, 3, 10, 33, 65])
 @pytest.mark.parametrize("n", [1, 2, 7, 150, 1000])
 def test_guess_table_has_at_most_16_bins_per_point(d, n):
-    """`_guess_table` builds at most 16 N bins, one kd-tree guess each, and
+    """`_guess_table` builds at most 16 N bins, one guess each, and
     none when they would be a single bin; in d = 33 and 65, beyond numpy's
     array rank limits, it builds none."""
     c = np.random.default_rng(d + n).normal(size=(n, d))
@@ -401,11 +393,11 @@ def test_assign_high_dimension_matches_scan_oracle(d):
     assert d2.tobytes() == ref_d2.tobytes()
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_assign_guess_table_non_finite_rows(d, monkeypatch):
     """A batch that takes the guess table, in blocks of 500 rows, with a
     nan and an infinite row in one block, and a finite batch whose squared
-    norms overflow, give the kd-tree path's indices and d2 (the scan's on
+    norms overflow, give the exact search's indices and d2 (the scan's on
     the finite rows) with no warning and no error."""
     monkeypatch.setattr(grids, "_ASSIGN_CHUNK", 500)
     rng = np.random.default_rng(d)
@@ -416,7 +408,7 @@ def test_assign_guess_table_non_finite_rows(d, monkeypatch):
     results = []
     for batch in (pts, pts * 1e160):
         with np.errstate(all="ignore"):
-            expect_idx, expect_d2 = grids._tree_assign(grid, batch)
+            expect_idx, expect_d2 = grids._search_assign(grid, batch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             idx, d2 = assign(grid, batch)
@@ -480,18 +472,21 @@ def test_assign_guess_table_spares_the_tree(lloyd_grid_2d, monkeypatch):
     assert d2.tobytes() == ref_d2.tobytes()
 
 
-def test_assign_guess_table_memory_flat_in_rows(lloyd_grid_2d):
-    """The d >= 2 table path runs in row blocks: a batch 4 times larger
-    raises the tracemalloc peak of `assign` beyond its index and d2
-    outputs (16 bytes a row) by under a quarter, where a whole-batch
-    kd-tree query would hold about 80 bytes a row more."""
+@pytest.mark.parametrize("d", [1, 2])
+def test_assign_guess_table_memory_flat_in_rows(d, lloyd_grid_2d):
+    """The table path runs in row blocks: a batch 4 times larger raises
+    the tracemalloc peak of `assign` beyond its index and d2 outputs (16
+    bytes a row) by under a quarter, where a whole-batch search would hold
+    about 80 bytes a row more in d=2 (a kd-tree query) and about 32 in 1-D
+    (the sorted search's temporaries)."""
+    grid = lloyd_grid_2d if d == 2 else newton_1d(Law1D.gaussian(), 150)
     rng = np.random.default_rng(5)
     extra = []
     for m in (2 * _ASSIGN_CHUNK, 8 * _ASSIGN_CHUNK):
-        pts = rng.standard_normal((m, 2))
+        pts = rng.standard_normal((m, d))
         tracemalloc.start()
         try:
-            assign(lloyd_grid_2d, pts)
+            assign(grid, pts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -620,6 +615,37 @@ def test_lloyd_input_validation():
               SampleSource.from_batch([[0.0], [1.0]]))
     with pytest.raises(InputError):
         lloyd(Grid([[0.0], [0.0]]), SampleSource.from_batch([[0.0], [1.0]]))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_lloyd_rejects_fewer_distinct_rows_than_points(d):
+    """100 copies of one row with two points (1-D), and 100 copies of two
+    rows with three points (d=2), raise InputError instead of re-seeding
+    the dead cell for 200 sweeps and returning a zero-weight point."""
+    if d == 1:
+        batch, init = np.ones((100, 1)), [[0.0], [5.0]]
+    else:
+        batch = np.repeat([[0.0, 0.0], [1.0, 1.0]], 50, axis=0)
+        init = [[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]]
+    with pytest.raises(InputError, match="fewer distinct sample rows"):
+        lloyd(Grid(init), SampleSource.from_batch(batch))
+
+
+def test_lloyd_counts_distinct_rows_once_after_a_dead_cell(monkeypatch):
+    """In d=2 the distinct rows are counted only after a sweep leaves a
+    cell empty, and only once: not at all on a run whose cells all live,
+    once on a run that re-seeds a far point."""
+    counted = []
+    count = grids._distinct_rows
+    monkeypatch.setattr(grids, "_distinct_rows",
+                        lambda x: counted.append(len(x)) or count(x))
+    batch = np.random.default_rng(9).standard_normal((500, 2))
+    lloyd(Grid(batch[:4]), SampleSource.from_batch(batch))
+    assert counted == []
+    grid, report, _ = lloyd(Grid(np.vstack([batch[:3], [[40.0, 40.0]]])),
+                            SampleSource.from_batch(batch))
+    assert counted == [500]
+    assert np.all(report.cell_counts > 0)
 
 
 def test_lloyd_reseeds_dead_cells():
@@ -886,9 +912,10 @@ def _exact_sq(x, y):
 @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
 @pytest.mark.parametrize("kind", ["distinct", "duplicate", "one-point"])
 def test_bounded_assign_matches_assign(d, offset, kind, monkeypatch):
-    """The bounded searches of Lloyd's sweeps return `assign`'s index and
-    d2 bytes: in 1-D `_sorted_sweep` (`_check_sorted_sweep`), in d >= 2
-    `_certified` for correct, stale, random and all-wrong candidates. With
+    """The bounded searches of Lloyd's sweeps and of `assign`'s table path
+    return `assign`'s index and d2 bytes: in 1-D `_sorted_sweep`
+    (`_check_sorted_sweep`), and in every d `_certified` for correct,
+    stale, random and all-wrong candidates. With
     no row settled by its neighbour list (`_settle`), every row it keeps
     has an exact gap to each other point above the row's own near-tie
     tolerance, and each keep threshold is below its exact bound r^2 - T."""
@@ -900,7 +927,6 @@ def test_bounded_assign_matches_assign(d, offset, kind, monkeypatch):
     batch = _bounded_batch(c, rng)
     if d == 1:
         _check_sorted_sweep(c, batch, monkeypatch)
-        return
     grid = Grid(c)
     expect_idx, expect_d2 = assign(grid, batch)
     candidates = _candidates(c, batch, expect_idx, rng)
@@ -915,7 +941,7 @@ def test_bounded_assign_matches_assign(d, offset, kind, monkeypatch):
     # exact checks on what the keep test decides alone: no row is settled
     # by its neighbour list, and searched rows come back as -1
     monkeypatch.setattr(grids, "_settle", lambda c, b, xx, rows, *rest: rows)
-    monkeypatch.setattr(grids, "_tree_assign", lambda g, p: (
+    monkeypatch.setattr(grids, "_search_assign", lambda g, p: (
         np.full(len(p), -1), np.full(len(p), np.nan)))
     tol = _tie_tol(c, batch)
     for name, cand in candidates.items():
@@ -947,8 +973,8 @@ def test_bounded_assign_matches_assign(d, offset, kind, monkeypatch):
 def _check_sorted_sweep(c, batch, monkeypatch):
     """`_sorted_sweep` of a 1-D batch gives `assign`'s index and d2 bytes
     and its counts. Every row that it places from the edges alone, without
-    `_searched`, has an exact gap to each other point above the sweep's T,
-    which is at least the row's own tolerance."""
+    `_search_assign`, has an exact gap to each other point above the
+    sweep's T, which is at least the row's own tolerance."""
     grid = Grid(c)
     expect_idx, expect_d2 = assign(grid, batch)
     xx, far = grids._batch_norms(batch)
@@ -960,13 +986,13 @@ def _check_sorted_sweep(c, batch, monkeypatch):
     assert np.array_equal(counts, np.bincount(expect_idx, minlength=len(c)))
 
     searched = []
-    searched_rows = grids._searched
+    searched_rows = grids._search_assign
 
-    def recording(g, p, search):
+    def recording(g, p):
         searched.append(p[:, 0])
-        return searched_rows(g, p, search)
+        return searched_rows(g, p)
 
-    monkeypatch.setattr(grids, "_searched", recording)
+    monkeypatch.setattr(grids, "_search_assign", recording)
     grids._sorted_sweep(grid, batch, xx, rows, T)
     # equal rows are searched together or not at all
     placed = np.flatnonzero(~np.isin(batch[:, 0], np.concatenate(
@@ -1066,7 +1092,7 @@ def _settle_grid(d, offset, kind, rng):
     each list) or 60 points."""
     k = grids._list_size(d)
     if kind == "lattice":
-        side = {2: 5, 3: 3}[d]
+        side = {1: 12, 2: 5, 3: 3}[d]
         c = np.stack(np.meshgrid(*[np.arange(side, dtype=float)] * d,
                                  indexing="ij"), -1).reshape(-1, d)
         return offset + c
@@ -1077,7 +1103,7 @@ def _settle_grid(d, offset, kind, rng):
     return c
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
 @pytest.mark.parametrize("kind", ["whole-grid", "duplicate", "lattice",
                                   "many"])
@@ -1087,7 +1113,9 @@ def test_settle_matches_scan(d, offset, kind):
     all-wrong candidates. Every grid point outside the list of a settled
     row's candidate has an exact squared-distance gap to the settled point
     of more than half the row's near-tie tolerance; and each reach r_a is
-    at most the exact distance from a to every point outside a's list."""
+    at most the exact distance from a to every point outside a's list.
+    Where the lists reach well beyond the near-tie distance, the list scan
+    settles most rows of correct candidates."""
     rng = np.random.default_rng(d * 1000 + int(math.log10(offset + 1)))
     c = _settle_grid(d, offset, kind, rng)
     n = len(c)
@@ -1114,7 +1142,9 @@ def test_settle_matches_scan(d, offset, kind):
         assert np.array_equal(idx[untouched], cand[untouched]), name
         if n <= grids._list_size(d):
             assert left.size == 0, name
-        elif name == "correct":
+        elif name == "correct" and np.median(reach) > 3 * math.sqrt(T):
+            # the certificate needs r_a > 2 sqrt(d2 + T): at 1e6 a 1-D
+            # grid's reach is about sqrt(T), and few rows can be settled
             assert settled.size > len(batch) // 2, name
         assert idx[settled].tobytes() == expect_idx[settled].tobytes(), name
         assert d2[settled].tobytes() == expect_d2[settled].tobytes(), name

@@ -54,7 +54,11 @@ dtype, shape and bytes:
   on its points and on midpoints of pairs, and on a 7 x 7 integer lattice
   for rows on the lattice and its half points (exact ties); and the
   chain estimated from 2e4 paths of 2-D Brownian motion on two 30-point
-  layers.
+  layers;
+- 1-D assign calls of at least 128 rows per grid point (the same path): on
+  a 40-point Gaussian grid with a duplicated point, for rows on its points,
+  on the midpoints of pairs and at random, and on an unsorted 30-point
+  integer lattice for rows on every midpoint (exact ties) and point.
 
 Only public names that both trees share are used. Each differing output
 is listed with the number of differing entries and their largest absolute
@@ -402,6 +406,25 @@ def _outputs(workdir) -> dict:
     for key in ("marginals", "transitions", "companions", "dead_rows"):
         for k, a in enumerate(getattr(ch, key)):
             out[f"estimate/bm2-table/{key}/{k}"] = a
+
+    # 1-D calls of at least 128 rows per grid point, which take the same
+    # table path: a grid with a duplicated point, and an integer lattice
+    # with rows on every midpoint (exact ties)
+    rng = np.random.default_rng(20)
+    c1 = rng.standard_normal((40, 1))
+    c1[17] = c1[3]
+    pairs = rng.integers(40, size=(2000, 2))
+    lattice = np.arange(30.0)[::-1, None]
+    for name, grid, pts in (
+            ("1d-table-duplicate", Grid(c1), rng.permutation(np.vstack([
+                c1, 0.5 * (c1[pairs[:, 0]] + c1[pairs[:, 1]]),
+                rng.standard_normal((128 * 40, 1))]))),
+            ("1d-table-lattice", Grid(lattice), np.concatenate([
+                np.arange(-1.0, 30.0) + 0.5,
+                0.5 * rng.integers(-4, 62, size=128 * 30)])[:, None])):
+        idx, d2 = assign(grid, pts)
+        out[f"assign/{name}/index"] = idx
+        out[f"assign/{name}/d2"] = d2
     return out
 
 
