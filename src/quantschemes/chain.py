@@ -212,6 +212,11 @@ def build_layer_grids(model: DiffusionModel, mesh: TimeMesh,
     """One Lloyd grid per time layer, fitted to the empirical layer
     marginal of a fresh Euler simulation.
 
+    Each layer is fitted as `_euler_steps` yields it and then dropped, so
+    only one (M, d) layer of samples is held, whatever the step count. The
+    starting points come from their own generator (seed + 1), so the
+    samples are those of `euler_paths` with the same seed.
+
     A grid mapped from a base N(0, I) grid needs no builder:
     `[Grid(model.x0[None, :])] + [Grid(f(t, base.points)) for t in
     mesh.times[1:]]`.
@@ -219,11 +224,10 @@ def build_layer_grids(model: DiffusionModel, mesh: TimeMesh,
     sizes = [int(s) for s in sizes]
     if len(sizes) != mesh.steps + 1 or any(s < 1 for s in sizes):
         raise InputError("sizes must list n+1 positive layer sizes")
-    paths, _ = euler_paths(model, mesh, sample_budget, seed)
     rng = np.random.default_rng(seed + 1)
     out = []
-    for k, nk in enumerate(sizes):
-        layer = paths[:, k, :]
+    for k, layer, _ in _euler_steps(model, mesh, sample_budget, seed):
+        nk = sizes[k]
         if _distinct_rows(layer) <= nk:
             # degenerate support (e.g. sigma = 0): the support itself
             out.append(Grid(np.unique(layer, axis=0)))

@@ -75,6 +75,11 @@ def _parse_sweep(text: str) -> list[int]:
         # a grid size below 1 is rejected here, before the range is built
         if a < 1 or b < a or c < 1:
             raise InputError("sweep needs 1 <= start <= stop and step >= 1")
+        # sizes are not capped, but a list longer than sys.maxsize cannot
+        # be built at all (range raises OverflowError)
+        if (b - a) // c + 1 > sys.maxsize:
+            raise InputError(f"sweep {text} lists more than {sys.maxsize} "
+                             "sizes")
         return list(range(a, b + 1, c))
     return _int_list([p for p in text.split(",") if p], "sweep")
 

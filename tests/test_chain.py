@@ -295,6 +295,22 @@ def test_estimate_peak_memory_flat_in_steps():
     assert large <= 1.5 * small, (small, large)
 
 
+def test_layer_grids_peak_memory_flat_in_steps():
+    # one layer of samples in memory: the peak must not grow with the step
+    # count (stacked paths made it 3.6, 6.4 and 24.7 MiB at n = 5, 10, 40)
+    def peak(n):
+        tracemalloc.start()
+        try:
+            build_layer_grids(gbm(), TimeMesh(1.0, n), [1] + [20] * n,
+                              sample_budget=20_000, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(5), peak(40)
+    assert large <= 1.5 * small, (small, large)
+
+
 def test_joint_transitions_match_path_loop():
     rng = np.random.default_rng(4)
     M, n_prev, n_next = 200, 4, 3

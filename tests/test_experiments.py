@@ -204,6 +204,13 @@ def test_parse_sweep():
     # a start below 1 is rejected before a range of 1e20 sizes is built
     with pytest.raises(InputError, match="1 <= start"):
         _parse_sweep("-99999999999999999999:4:1")
+    # a range longer than sys.maxsize cannot be built: InputError, not
+    # range's OverflowError
+    for text in ("1:99999999999999999999:1",
+                 f"1:{sys.maxsize + 1}:1", f"2:{2 * sys.maxsize + 2}:2"):
+        with pytest.raises(InputError, match="more than"):
+            _parse_sweep(text)
+    assert _parse_sweep(f"1:{10 ** 30}:{10 ** 30}") == [1]
 
 
 def test_cli_grid_newton(tmp_path, capsys):
@@ -697,6 +704,40 @@ def test_cli_import_leaves_out_scipy_stats():
             "sys.exit(int('scipy.stats' in sys.modules))")
     assert subprocess.run([sys.executable, "-c", code], env=env,
                           timeout=120).returncode == 0
+
+
+def test_one_dimensional_runs_leave_out_scipy_spatial(tmp_path):
+    """A gbm chain build, a bid-ask sweep and a filter sweep search only in
+    1-D, so a fresh process that runs all three never loads scipy.spatial,
+    the kd-tree's module; a d=2 assign then loads it."""
+    src = os.path.dirname(os.path.dirname(quantschemes.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    runs = [("chain", {"model": "gbm", "T": 0.25, "n": 3,
+                       "sample_budget": 3000},
+             ["--grid-size", "10", "--mc-paths", "5000"]),
+            ("bsde-bidask", {"n": 3, "workers": 1},
+             ["--sweep", "6,10", "--mc-paths", "5000"]),
+            ("filter-demo", {"n": 3, "model": "sin-cube", "workers": 1},
+             ["--sweep", "5,10"])]
+    argvs = []
+    for command, config, flags in runs:
+        (tmp_path / f"{command}.json").write_text(json.dumps(config))
+        argvs.append([command, "--config", str(tmp_path / f"{command}.json"),
+                      "--out", str(tmp_path / command), *flags])
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from quantschemes import cli, grids\n"
+        f"codes = [cli.main(argv) for argv in {argvs!r}]\n"
+        "assert codes == [0, 0, 0], codes\n"
+        "assert 'scipy.spatial' not in sys.modules\n"
+        "grid = grids.Grid(np.random.default_rng(0).standard_normal((9, 2)))\n"
+        "grids.assign(grid, np.zeros((5, 2)))\n"
+        "assert 'scipy.spatial' in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_filter_demo_forks_its_pool_after_threaded_rows():

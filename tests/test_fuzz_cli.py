@@ -252,15 +252,18 @@ def test_cli_flags_exit_0_2_or_3_with_one_error_line(command, tmp_path,
     """The numeric flags' texts, over configs with no unknown key, follow
     the same rule as the configs."""
     _setup(tmp_path, monkeypatch)
-    # a range whose start is below 1, and too long to build
-    long_range = (["--sweep=-99999999999999999999:4:1"]
-                  if "sweep" in _COMMANDS[command][2].split() else [])
+    # ranges too long to build: one whose start is below 1, and one whose
+    # length exceeds sys.maxsize
+    sweeps = "sweep" in _COMMANDS[command][2].split()
+    long_range = ["--sweep=-99999999999999999999:4:1"] if sweeps else []
+    longer_range = ["--sweep=1:99999999999999999999:1"] if sweeps else []
 
     @settings(max_examples=100, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(drawn=configs(command).filter(lambda d: d[1] is None),
            argv=flags(command))
     @example(drawn=(dict(BUDGET[command]), None), argv=long_range)
+    @example(drawn=(dict(BUDGET[command]), None), argv=longer_range)
     def run(drawn, argv):
         _run(command, drawn[0], argv, tmp_path)
 

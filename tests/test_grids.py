@@ -221,13 +221,17 @@ def test_tree_search_does_not_depend_on_the_worker_count(d, monkeypatch):
     """One kd-tree worker and four give the same candidates and gaps, on
     rows at grid points, at midpoints of pairs and not finite."""
     workers = []
+    build = grids._kdtree
 
-    class Recording(grids.cKDTree):
+    class Recording:
+        def __init__(self, c):
+            self.tree = build(c)
+
         def query(self, *args, **kwargs):
             workers.append(kwargs["workers"])
-            return super().query(*args, **kwargs)
+            return self.tree.query(*args, **kwargs)
 
-    monkeypatch.setattr(grids, "cKDTree", Recording)
+    monkeypatch.setattr(grids, "_kdtree", Recording)
     rng = np.random.default_rng(d)
     c = rng.standard_normal((60, d))
     pts = np.vstack([rng.standard_normal((20_000, d)), c,
@@ -278,7 +282,7 @@ def test_assign_1d_blocks_equal_row_by_row():
 def test_assign_1d_table_builds_no_kd_tree(kind, monkeypatch):
     """A 1-D call of 128 N rows takes the guess table, whose guesses,
     neighbour lists and leftovers all come from sorted searches: with
-    `cKDTree` refused it gives the scan's indices and d2 bytes, on rows at
+    `_kdtree` refused it gives the scan's indices and d2 bytes, on rows at
     the grid points, on midpoints (ties) and far away."""
     def refused(*args, **kwargs):
         raise AssertionError("kd-tree built")
@@ -289,7 +293,7 @@ def test_assign_1d_table_builds_no_kd_tree(kind, monkeypatch):
     build = grids._guess_table
     monkeypatch.setattr(grids, "_guess_table",
                         lambda c: tables.append(build(c)) or tables[-1])
-    monkeypatch.setattr(grids, "cKDTree", refused)
+    monkeypatch.setattr(grids, "_kdtree", refused)
     pts = _guess_rows(grid.points, grids._TABLE_ROWS_PER_POINT * grid.size,
                       rng)
     idx, d2 = assign(grid, pts)

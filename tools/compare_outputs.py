@@ -20,6 +20,8 @@ dtype, shape and bytes:
   multidim base grid (d=2, N=150, a 5e4 batch
   from seed 12345, the experiment's stop criteria); the ten layer
   grids of a `chain` build on gbm (T=0.25, n=10, N=50, sample budget 2e4);
+  the layer grids of builds on 2-D Brownian motion (n=3, N=30) and on gbm
+  with n=40 (N=20), each from 5e3 samples;
   and 1-D runs: an integer lattice with rows on every midpoint (exact
   ties), a batch offset by 1e6 with a dead far point, cut after 1, 2 and
   40 sweeps, and a batch of 128 rows per grid point (N=50);
@@ -173,6 +175,16 @@ def _outputs(workdir) -> dict:
         chain.lloyd = lloyd
     for k, result in enumerate(runs):
         record_lloyd(f"lloyd/cli-chain/{k + 1}", result)
+    # layer grids of 2-D Brownian motion, and of a 1-D build of 40 steps
+    for name, model, mesh, sizes in (
+            ("brownian-d2", chain.MODELS["brownian"](2), TimeMesh(0.5, 3),
+             [1] + [30] * 3),
+            ("gbm-n40", chain.MODELS["gbm"](), TimeMesh(1.0, 40),
+             [1] + [20] * 40)):
+        layers = chain.build_layer_grids(model, mesh, sizes,
+                                         sample_budget=5_000, seed=2)
+        for k, g in enumerate(layers):
+            out[f"layer-grids/{name}/{k}"] = g.points
 
     lattice = np.arange(8.0)[::-1, None]
     record_lloyd("lloyd/1d-lattice-midpoints", lloyd(
