@@ -267,8 +267,8 @@ def estimate_companions(model: DiffusionModel, mesh: TimeMesh,
             trans, pi, deadk = joint_transitions(idx_prev, idx, counts_prev,
                                                  layers[k].size, dw_prev)
             if center:
-                alive = np.setdiff1d(np.arange(layers[k - 1].size), deadk)
-                pi[alive] -= pi[alive].sum(axis=1, keepdims=True) / pi.shape[1]
+                # dead rows are zero and stay zero
+                pi -= pi.sum(axis=1, keepdims=True) / pi.shape[1]
             transitions.append(trans)
             companions.append(pi)
             dead.append(deadk)

@@ -19,6 +19,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from .chain import (MODELS, TimeMesh, build_layer_grids, estimate_companions,
                     save_chain)
 from .errors import InputError, QuantError
@@ -76,11 +78,12 @@ def _parse_sweep(text: str) -> list[int]:
         if a < 1 or b < a or c < 1:
             raise InputError("sweep needs 1 <= start <= stop and step >= 1")
         # sizes are not capped, but a list longer than sys.maxsize cannot
-        # be built at all (range raises OverflowError)
-        if (b - a) // c + 1 > sys.maxsize:
-            raise InputError(f"sweep {text} lists more than {sys.maxsize} "
-                             "sizes")
-        return list(range(a, b + 1, c))
+        # be built at all (OverflowError), and one too long for memory
+        # fails at its allocation (MemoryError)
+        try:
+            return list(range(a, b + 1, c))
+        except (OverflowError, MemoryError):
+            raise InputError(f"sweep {text} lists more than memory can hold")
     return _int_list([p for p in text.split(",") if p], "sweep")
 
 
@@ -111,42 +114,57 @@ def _load_config(path) -> dict:
     return cfg
 
 
+# the laws of the grid subcommand: each name's Law1D for Newton, and its
+# sampler (rng, m, d) -> (m, d) rows for Lloyd, CLVQ and the distortion
+# report
+_LAWS = {
+    "gaussian": (Law1D.gaussian,
+                 lambda rng, m, d: rng.standard_normal((m, d))),
+    "uniform": (Law1D.uniform01, lambda rng, m, d: rng.random((m, d))),
+}
+
+
 def _cmd_grid(cfg: dict) -> dict:
     if "input" in cfg:
         grid = load_grid(_string(cfg, "input", what="path string"))
         return {"size": grid.size, "dim": grid.dim,
                 "has_weights": grid.weights is not None}
     law = _string(cfg, "law", "gaussian")
-    dim = _option(cfg, "dim", int, 1)
+    dim = _at_least(cfg, "dim", 1, 1, "dim")
     size = _at_least(cfg, "size", 100, 1, "grid size")
     method = cfg.get("method", "newton" if dim == 1 else "lloyd")
     seed = _at_least(cfg, "seed", 0, 0, "seed")
-    batch_size = _option(cfg, "batch_size", int, 1_000_000)
+    if law not in _LAWS:
+        raise InputError(f"unknown law {law!r}")
+    law1d, sample = _LAWS[law]
+
+    def stream(rng_seed):
+        """draw(m): the next m rows of the law from default_rng(rng_seed)."""
+        rng = np.random.default_rng(rng_seed)
+        return lambda m: sample(rng, m, dim)
+
     extra = {}
     if method == "newton":
         if dim != 1:
             raise InputError("newton method is one-dimensional")
-        law1d = {"gaussian": Law1D.gaussian,
-                 "uniform": Law1D.uniform01}.get(law)
-        if law1d is None:
-            raise InputError(f"unknown law {law!r}")
         grid = newton_1d(law1d(), size)
-    elif method in ("lloyd", "clvq"):
-        source = SampleSource(law=law, dim=dim, seed=seed)
-        init = Grid(source.draw(size))
-        if method == "lloyd":
-            frozen = SampleSource.from_batch(source.draw(batch_size))
-            grid, _, extra["iterations"] = lloyd(init, frozen, StopCriteria())
-        else:
-            grid = clvq(init, source, steps=_option(cfg, "steps", int, 500_000))
+    elif method == "lloyd":
+        batch_size = _at_least(cfg, "batch_size", 1_000_000, 1, "batch size")
+        grid, _, extra["iterations"] = lloyd(
+            Grid(stream(seed)(size)),
+            SampleSource.from_batch(stream(seed)(batch_size)), StopCriteria())
+    elif method == "clvq":
+        grid = clvq(Grid(stream(seed)(size)), stream(seed),
+                    steps=_option(cfg, "steps", int, 500_000))
     else:
         raise InputError(f"unknown method {method!r}")
     outdir = Path(cfg.get("out") or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "grid.txt"
     save_grid(grid, path)
+    # the reported distortion is over 1e6 rows of a stream of its own
     report = distortion_and_gradient(
-        grid, SampleSource(law=law, dim=dim, seed=seed + 1))
+        grid, SampleSource.from_batch(stream(seed + 1)(1_000_000)))
     return {"size": grid.size, "dim": grid.dim, "distortion": report.value,
             "path": str(path), **extra}
 

@@ -68,8 +68,6 @@ _GUESS_MAX_DIM = 3
 _LIST_SIZE_PER_DIM = 4
 _LIST_SIZE_MAX = 16
 _SETTLE_BLOCK = 8192
-# Draws per distortion or L^s error estimate from a generator source.
-_GENERATOR_DRAW = 1_000_000
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
@@ -145,68 +143,25 @@ class StopCriteria:
 
 
 class SampleSource:
-    """Either a frozen batch of points or a seeded i.i.d. generator.
+    """A frozen, validated (M, d) batch of sample points, M >= 1; a 1-D
+    array is read as M rows of one coordinate."""
 
-    Generator mode draws from a named law ("gaussian" = standard normal,
-    "uniform" = unit cube). Same seed always yields the same stream.
-    """
-
-    def __init__(self, batch=None, law=None, dim=None, seed=0):
-        if batch is not None:
-            b = np.asarray(batch, dtype=float)
-            if b.ndim == 1:
-                b = b[:, None]
-            if b.ndim != 2 or b.shape[0] == 0:
-                raise InputError("batch must be a nonempty (M, d) array")
-            self._batch = b
-            self.dim = b.shape[1]
-            self.law = None
-            self.seed = None
-        else:
-            if dim is None or dim < 1:
-                raise InputError("generator source needs a positive dim")
-            if law not in ("gaussian", "uniform"):
-                raise InputError(f"unknown law {law!r}")
-            self._batch = None
-            self.dim = int(dim)
-            self.law = law
-            self.seed = int(seed)
+    def __init__(self, batch):
+        b = np.asarray(batch, dtype=float)
+        if b.ndim == 1:
+            b = b[:, None]
+        if b.ndim != 2 or b.shape[0] == 0:
+            raise InputError("batch must be a nonempty (M, d) array")
+        self.batch = b
 
     @classmethod
     def from_batch(cls, batch) -> "SampleSource":
-        return cls(batch=batch)
-
-    @classmethod
-    def gaussian(cls, dim, seed=0) -> "SampleSource":
-        return cls(law="gaussian", dim=dim, seed=seed)
-
-    @classmethod
-    def uniform(cls, dim, seed=0) -> "SampleSource":
-        return cls(law="uniform", dim=dim, seed=seed)
+        return cls(batch)
 
     @property
     def is_batch(self) -> bool:
-        return self._batch is not None
-
-    @property
-    def batch(self) -> np.ndarray:
-        if self._batch is None:
-            raise InputError("source is in generator mode, no frozen batch")
-        return self._batch
-
-    def stream(self):
-        """Fresh RNG positioned at the start of the stream."""
-        if self.is_batch:
-            raise InputError("batch source has no stream")
-        return np.random.default_rng(self.seed)
-
-    def draw(self, size, rng=None) -> np.ndarray:
-        if self.is_batch:
-            raise InputError("batch source cannot draw")
-        rng = self.stream() if rng is None else rng
-        if self.law == "gaussian":
-            return rng.standard_normal((size, self.dim))
-        return rng.random((size, self.dim))
+        """Always true: every source is a batch."""
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -483,16 +438,14 @@ def cell_sums(index: np.ndarray, size: int, values: np.ndarray):
 
 def distortion_and_gradient(grid: Grid,
                             source: SampleSource) -> DistortionReport:
-    """Empirical quadratic distortion D_{N,2} with gradient and occupancies,
-    over the source's batch or `_GENERATOR_DRAW` fresh draws.
+    """Empirical quadratic distortion D_{N,2} with gradient and occupancies
+    over the source's batch.
 
     value    = (1/M) sum_m min_i |xi_m - x_i|^2
     grad_i   = (2/M) sum over cell i of (x_i - xi_m)
     Empty cells get a zero gradient entry.
     """
-    batch = source.batch if source.is_batch else source.draw(_GENERATOR_DRAW)
-    if batch.shape[0] == 0:
-        raise InputError("empty sample batch")
+    batch = source.batch
     idx, d2 = assign(grid, batch)
     counts, sums = cell_sums(idx, grid.size, batch)
     grad = 2.0 * (counts[:, None] * grid.points - sums) / batch.shape[0]
@@ -501,14 +454,11 @@ def distortion_and_gradient(grid: Grid,
 
 
 def ls_error(grid: Grid, source: SampleSource, s: float) -> float:
-    """L^s mean quantization error ((1/M) sum dist^s)^(1/s), over the
-    source's batch or `_GENERATOR_DRAW` fresh draws."""
+    """L^s mean quantization error ((1/M) sum dist^s)^(1/s) over the
+    source's batch."""
     if s <= 0:
         raise InputError("s must be positive")
-    batch = source.batch if source.is_batch else source.draw(_GENERATOR_DRAW)
-    if batch.shape[0] == 0:
-        raise InputError("empty sample batch")
-    _, d2 = assign(grid, batch)
+    _, d2 = assign(grid, source.batch)
     return float(np.mean(d2 ** (s / 2.0)) ** (1.0 / s))
 
 
@@ -548,8 +498,6 @@ def lloyd(initial: Grid, source: SampleSource, stop: StopCriteria = StopCriteria
     the rounding of the mean of d2 (about log2(M) eps); rounded cell means
     add a second-order term, about (M eps |far|)^2, far below T.
     """
-    if not source.is_batch:
-        raise InputError("Lloyd needs a fixed-batch source")
     batch = source.batch
     n = initial.size
     if batch.shape[0] < n:
@@ -947,16 +895,16 @@ def _settle(c: np.ndarray, batch: np.ndarray, xx: np.ndarray,
 # grid search: CLVQ (competitive learning / stochastic gradient)
 # ---------------------------------------------------------------------------
 
-def clvq(initial: Grid, source: SampleSource, steps: int,
+def clvq(initial: Grid, draw: Callable[[int], np.ndarray], steps: int,
          schedule: tuple[float, float] = (1.0, 9.0),
          weight_pass: int = 100_000) -> Grid:
     """Competitive learning vector quantization with step a / (b + t).
 
-    Per draw, only the winner moves: x* <- x* - gamma_t (x* - xi_t).
-    Weights come from a final frequency pass of `weight_pass` fresh draws.
+    `draw(m)` returns the next m rows, an (m, d) array, of one i.i.d.
+    stream of the law; CLVQ asks it for blocks of at most 4096 rows. Per
+    draw, only the winner moves: x* <- x* - gamma_t (x* - xi_t). Weights
+    come from a final frequency pass over the next `weight_pass` rows.
     """
-    if source.is_batch:
-        raise InputError("CLVQ needs a seeded generator source")
     if steps < 1:
         raise InputError("steps must be >= 1")
     a, b = schedule
@@ -965,12 +913,10 @@ def clvq(initial: Grid, source: SampleSource, steps: int,
     if a / (b + 1.0) >= 1.0:
         raise InputError("first step gamma_1 >= 1 would overshoot")
     pts = initial.points.copy()
-    grid = Grid(pts)
-    rng = source.stream()
     block = 4096
     done = 0
     while done < steps:
-        draws = source.draw(min(block, steps - done), rng=rng)
+        draws = draw(min(block, steps - done))
         for xi in draws:
             d2 = np.sum((pts - xi) ** 2, axis=1)
             w = int(np.argmin(d2))
@@ -978,7 +924,7 @@ def clvq(initial: Grid, source: SampleSource, steps: int,
             gamma = a / (b + done)
             pts[w] -= gamma * (pts[w] - xi)
     grid = Grid(pts)
-    freq = source.draw(weight_pass, rng=rng)
+    freq = draw(weight_pass)
     idx, _ = assign(grid, freq)
     weights = np.bincount(idx, minlength=grid.size) / weight_pass
     return grid.with_weights(weights)

@@ -204,10 +204,11 @@ def test_parse_sweep():
     # a start below 1 is rejected before a range of 1e20 sizes is built
     with pytest.raises(InputError, match="1 <= start"):
         _parse_sweep("-99999999999999999999:4:1")
-    # a range longer than sys.maxsize cannot be built: InputError, not
-    # range's OverflowError
+    # a range longer than sys.maxsize cannot be built, nor one of
+    # sys.maxsize sizes: InputError, not OverflowError or MemoryError
     for text in ("1:99999999999999999999:1",
-                 f"1:{sys.maxsize + 1}:1", f"2:{2 * sys.maxsize + 2}:2"):
+                 f"1:{sys.maxsize + 1}:1", f"2:{2 * sys.maxsize + 2}:2",
+                 f"1:{sys.maxsize}:1"):
         with pytest.raises(InputError, match="more than"):
             _parse_sweep(text)
     assert _parse_sweep(f"1:{10 ** 30}:{10 ** 30}") == [1]
@@ -233,9 +234,9 @@ def test_cli_grid_lloyd_reports_iterations(tmp_path, capsys):
                                "size": 5, "batch_size": 2000}))
     assert main(["grid", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     out = json.loads(capsys.readouterr().out)
-    source = SampleSource(law="gaussian", dim=1, seed=0)
-    init = Grid(source.draw(5))
-    _, _, it = lloyd(init, SampleSource.from_batch(source.draw(2000)))
+    init = Grid(np.random.default_rng(0).standard_normal((5, 1)))
+    batch = np.random.default_rng(0).standard_normal((2000, 1))
+    _, _, it = lloyd(init, SampleSource.from_batch(batch))
     assert out["iterations"] == it and 1 <= it <= StopCriteria().max_iterations
     for method in ("newton", "clvq"):
         cfg.write_text(json.dumps({"method": method, "size": 5,

@@ -18,6 +18,7 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 import warnings
 
@@ -228,10 +229,18 @@ def _run(command, cfg, argv, tmp_path):
 def test_cli_configs_exit_0_2_or_3_with_one_error_line(command, tmp_path,
                                                         monkeypatch):
     _setup(tmp_path, monkeypatch)
+    # grid's Lloyd with a negative batch size and with a dimension below 1;
+    # other commands run their budget config
+    pinned = [dict(BUDGET[command]) for _ in range(2)]
+    if command == "grid":
+        pinned[0].update(method="lloyd", batch_size=-1)
+        pinned[1].update(method="lloyd", dim=0)
 
     @settings(max_examples=150, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(drawn=configs(command))
+    @example(drawn=(pinned[0], None))
+    @example(drawn=(pinned[1], None))
     def run(drawn):
         cfg, unknown = drawn
         code, err = _run(command, cfg, [], tmp_path)
@@ -252,11 +261,12 @@ def test_cli_flags_exit_0_2_or_3_with_one_error_line(command, tmp_path,
     """The numeric flags' texts, over configs with no unknown key, follow
     the same rule as the configs."""
     _setup(tmp_path, monkeypatch)
-    # ranges too long to build: one whose start is below 1, and one whose
-    # length exceeds sys.maxsize
+    # ranges too long to build: one whose start is below 1, one whose
+    # length exceeds sys.maxsize, and one of sys.maxsize sizes
     sweeps = "sweep" in _COMMANDS[command][2].split()
     long_range = ["--sweep=-99999999999999999999:4:1"] if sweeps else []
     longer_range = ["--sweep=1:99999999999999999999:1"] if sweeps else []
+    maxsize_range = [f"--sweep=1:{sys.maxsize}:1"] if sweeps else []
 
     @settings(max_examples=100, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -264,6 +274,7 @@ def test_cli_flags_exit_0_2_or_3_with_one_error_line(command, tmp_path,
            argv=flags(command))
     @example(drawn=(dict(BUDGET[command]), None), argv=long_range)
     @example(drawn=(dict(BUDGET[command]), None), argv=longer_range)
+    @example(drawn=(dict(BUDGET[command]), None), argv=maxsize_range)
     def run(drawn, argv):
         _run(command, drawn[0], argv, tmp_path)
 

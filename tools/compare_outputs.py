@@ -40,7 +40,8 @@ dtype, shape and bytes:
 - chain files written by the `chain` subcommand for each builtin model;
 - the stdout, exit code and output files of every subcommand on one small
   accepted config at fixed seeds, run with relative paths from one work
-  directory: `grid` newton, lloyd and clvq, `chain`, the three
+  directory: `grid` newton, lloyd and clvq on the Gaussian law, and
+  lloyd at d=2 and clvq on the uniform law, `chain`, the three
   experiments with `workers` 1, and `rate-fit` from pairs and from CSV;
 - assign indices and squared distances on the bid-ask layer grids (N=150,
   n=20), and the marginals, transitions, companions and dead rows of its
@@ -315,6 +316,12 @@ def _outputs(workdir) -> dict:
                                 "batch_size": 3000}, ["--seed", "3"]),
         "grid-clvq": ("grid", {"method": "clvq", "size": 7, "steps": 2000},
                       ["--seed", "3"]),
+        "grid-lloyd-uniform": ("grid", {"law": "uniform", "dim": 2,
+                                        "method": "lloyd", "size": 7,
+                                        "batch_size": 3000}, ["--seed", "3"]),
+        "grid-clvq-uniform": ("grid", {"law": "uniform", "method": "clvq",
+                                       "size": 7, "steps": 2000},
+                              ["--seed", "3"]),
         "chain": ("chain", {"model": "ou", "kappa": 2.0, "T": 0.5, "n": 2,
                             "sample_budget": 2000},
                   ["--grid-size", "5", "--mc-paths", "3000", "--seed", "4"]),
