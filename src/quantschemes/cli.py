@@ -328,6 +328,11 @@ def main(argv=None) -> int:
     except QuantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # sizes are not capped: one too large for memory fails at allocation
+        print(f"error: not enough memory for the requested sizes"
+              f"{': ' if str(exc) else ''}{exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

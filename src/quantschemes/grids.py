@@ -57,8 +57,8 @@ _TABLE_ROWS_PER_POINT = 128
 # path takes 11-12.5 ms against the kd-tree's 27-31 ms in d=2 and 27-29
 # against 36-38 ms in d=3; in d=4 (41-51 against 45-49 ms) and d=5 (61-67
 # against 54-68 ms) it is no faster, since 43% and 65% of the rows fail
-# both the keep test and the list scan's certificate and go to the
-# kd-tree anyway.
+# the keep test at both radii (`_keep_threshold`) and go to the kd-tree
+# anyway.
 _GUESS_MAX_DIM = 3
 # Length K = min(4 d, 16) of each grid point's neighbour list
 # (`_neighbours`), and the rows per block of `_settle`. On a
@@ -196,8 +196,8 @@ def assign(grid: Grid, points: np.ndarray):
     c = grid.points
     with np.errstate(over="ignore", invalid="ignore"):
         if grid.size == 1:
-            d2 = np.maximum(_sq_dist(pts, c), 0.0)
-            return np.zeros(pts.shape[0], dtype=np.int64), d2
+            idx = np.zeros(pts.shape[0], dtype=np.int64)
+            return idx, _cell_d2(c, pts, _sq_norm(pts), idx)
         table = (_guess_table(c) if grid.dim <= _GUESS_MAX_DIM and
                  pts.shape[0] >= _TABLE_ROWS_PER_POINT * grid.size else None)
         if table is None:
@@ -237,7 +237,7 @@ def _search_assign(grid: Grid, pts: np.ndarray):
     near = np.flatnonzero(~(gap > _tie_tol(c, pts)))
     if near.size:
         idx[near] = _scan_assign(grid, pts.take(near, axis=0))[0]
-    return idx, np.maximum(_sq_dist(pts, c.take(idx, axis=0)), 0.0)
+    return idx, _cell_d2(c, pts, _sq_norm(pts), idx)
 
 
 def _tie_tol(c: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -478,8 +478,9 @@ def lloyd(initial: Grid, source: SampleSource, stop: StopCriteria = StopCriteria
     sweep is a full `assign` and each later one searches again only the
     samples whose cell can have changed (`_certified`). Either way every
     sweep's cells, and so the results, are those of a full `assign`. A
-    batch with a row that is not finite raises InputError, and a finite
-    batch whose squared norms overflow NumericError, before any sweep. A
+    batch whose width is not the grid's dimension, or with a row that is
+    not finite, raises InputError, and a finite batch whose squared norms
+    overflow NumericError, before any sweep. A
     batch with fewer distinct rows than grid points raises InputError after
     the first sweep that leaves a cell empty (a sweep that leaves none has
     proven N distinct rows).
@@ -500,6 +501,8 @@ def lloyd(initial: Grid, source: SampleSource, stop: StopCriteria = StopCriteria
     """
     batch = source.batch
     n = initial.size
+    if batch.shape[1] != initial.dim:
+        raise InputError("batch dimension mismatch")
     if batch.shape[0] < n:
         raise InputError("fewer samples than grid points")
     pts = initial.points.copy()
@@ -538,8 +541,7 @@ def lloyd(initial: Grid, source: SampleSource, stop: StopCriteria = StopCriteria
         dead = np.flatnonzero(counts == 0)
         if dead.size:
             if distinct is None:
-                distinct = (1 + int(np.count_nonzero(np.diff(rows[2])))
-                            if initial.dim == 1 else _distinct_rows(batch))
+                distinct = _distinct_rows(batch)
                 if distinct < n:
                     raise InputError(f"fewer distinct sample rows "
                                      f"({distinct}) than grid points ({n})")
@@ -690,36 +692,45 @@ def _certified(grid: Grid, batch: np.ndarray, xx: np.ndarray,
     `_guess_table`'s guesses. `xx` is the rows' `_sq_norm`, `tol` a T at
     least every row's `_tie_tol` and `near` the grid's `_neighbours`.
 
-    d2 is the candidate's (`_cell_d2`), with the bytes `assign` returns. A
-    row keeps its cell a when d2 < thr_a (`_keep_threshold`); a kept index
-    is the scan's unique argmin (proof at `_keep_threshold`). A row that is
-    not kept is settled, where its certificate holds, by an exact scan of
-    its candidate's nearest grid points (`_settle`); the rest go to the
-    exact search (`_search_assign`). The candidates decide only how many
-    rows each stage takes, never a row's result.
+    d2 is the candidate's (`_cell_d2`), with the bytes `assign` returns.
+    A row of candidate a keeps it when d2 is below `_keep_threshold` at
+    a's separation (a is the scan's unique argmin); else `_settle` scans
+    a's neighbour list when d2 is below it at a's reach (the argmin is in
+    the list); the rest go to the exact search (`_search_assign`). The
+    candidates decide only how many rows each stage takes, never a row's
+    result.
     """
     c = grid.points
     d2 = _cell_d2(c, batch, xx, idx)
     sep, lists, reach = near
-    thr = _keep_threshold(sep, tol)
-    search = np.flatnonzero(~(d2 < thr.take(idx)))
-    if search.size:
-        search = _settle(c, batch, xx, search, idx, d2, tol, lists, reach)
+    search = np.flatnonzero(~(d2 < _keep_threshold(sep, tol).take(idx)))
+    listed = (d2.take(search)
+              < _keep_threshold(reach, tol).take(idx.take(search)))
+    _settle(c, batch, xx, search[listed], idx, d2, lists)
+    search = search[~listed]
     if search.size:
         idx[search], d2[search] = _search_assign(
             grid, batch.take(search, axis=0))
     return idx, d2
 
 
-def _keep_threshold(sep: np.ndarray, tol: float) -> np.ndarray:
-    """Per grid point a at separation s = sep[a] (`_neighbours`), the
-    squared distance below which a row of cell a needs no search:
-    thr_a = r^2 - T - (4 eps s^2 + tiny) with r = (s^2 - T) / (2 s) and
-    T = `tol`; -inf where fl(s^2 - T) <= 0 or s^2 overflows (a duplicated
-    point, s = 0, included) and +inf on a one-point grid (s = inf).
+def _keep_threshold(radius: np.ndarray, tol: float) -> np.ndarray:
+    """Per grid point a at radius s = radius[a], the squared distance
+    below which a row of cell a is more than T nearer to a than to every
+    point of a set S_a: thr_a = r^2 - T - (4 eps s^2 + tiny) with
+    r = (s^2 - T) / (2 s) and T = `tol`; -inf where fl(s^2 - T) <= 0 or
+    s^2 overflows (s = 0 included) and +inf where s = inf.
 
-    This is Hamerly's (2010) half-separation test. In exact arithmetic
-    d2 < r^2 - T with r > 0 says s (s - 2 sqrt(d2 + T)) > T.
+    Every point of S_a must lie at an exact distance of at least s (1 - e)
+    from a, with e <= (d + 2) eps and s <= 2R (1 + e) (R = max |c|).
+    `_certified` takes two radii of `_neighbours`. At a's separation S_a
+    is every other point (e a kd-tree's rounded norm; in 1-D a rounded
+    difference), and a is the scan's unique argmin: Hamerly's (2010)
+    half-separation test. At a's reach S_a is the points outside a's list
+    (e = 0); a's scan value, in the list, is below each of theirs, so the
+    scan's argmin is in the list, and an index-sorted scan of it with a
+    strict < keeps the tie rule. In exact arithmetic d2 < r^2 - T with
+    r > 0 says s (s - 2 sqrt(d2 + T)) > T.
 
     Rounding of thr (u = eps / 2, s and T taken as exact): s^2 rounds by
     at most u s^2; so fl(s^2 - T) is (s^2 - T + e1)(1 + e2) with
@@ -729,40 +740,39 @@ def _keep_threshold(sep: np.ndarray, tol: float) -> np.ndarray:
     the shrink each round once more; all of it adds at most 3.8 u s^2 to
     r^2 - T, less than the shrink 8 u s^2 (and tiny covers underflow). So
     thr_a <= r^2 - T. If r <= 0 then T >= s^2 > r^2, so thr_a < 0 and no
-    row (d2 >= 0) is kept.
+    row (d2 >= 0) passes.
 
-    Proof that a kept row x (0 <= d2 < thr_a) has a as the scan's unique
-    argmin: `_tie_tol` puts the scan's d2 within T / 4 of the exact
-    squared distance delta^2 = |x - a|^2, so delta^2 < r^2 - 3T/4 and
-    delta < r - 3T / (8 r) <= r - 3T / (4 s). Hence
-    s (s - 2 delta) >= s (s - 2r) + 1.5 T = 2.5 T. Every other point b is
-    at least s' - delta from x, where the exact separation s' is
-    s (1 - e) with e <= (d + 2) eps (a kd-tree's rounded norm; in 1-D a
-    rounded difference), so the exact gap
+    Proof that a row x with 0 <= d2 < thr_a is more than T nearer to a
+    than to each b in S_a: `_tie_tol` puts the scan's d2 within T / 4 of
+    the exact squared distance delta^2 = |x - a|^2, so
+    delta^2 < r^2 - 3T/4 and delta < r - 3T / (8 r) <= r - 3T / (4 s).
+    Hence s (s - 2 delta) >= s (s - 2r) + 1.5 T = 2.5 T. b is at least
+    s' - delta from x, s' = s (1 - e), so the exact gap
     |x - b|^2 - delta^2 >= s' (s' - 2 delta)
     >= (1 - e) (2.5 T - e s^2) > T, since T >= 4 (d + 3) eps R^2 and
-    s <= 2R (R = max |c|) give e s^2 < T. A gap over T, which is at
-    least the row's own tolerance, fixes the scan's argmin.
+    s <= 2R (1 + e) give e s^2 < T. A gap over T, which is at least the
+    row's own tolerance, puts b's scan value above a's.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sq = sep * sep
+        sq = radius * radius
         q = sq - tol
-        thr = (q / (2.0 * sep)) ** 2 - tol - (4 * _EPS * sq + _TINY)
+        thr = (q / (2.0 * radius)) ** 2 - tol - (4 * _EPS * sq + _TINY)
     thr[~((q > 0) & (sq < np.inf))] = -np.inf
-    thr[sep == np.inf] = np.inf
+    thr[radius == np.inf] = np.inf
     return thr
 
 
 def _neighbours(c: np.ndarray):
     """Per point a of a grid: its separation s_a, the distance to the
     nearest other point (0 for a duplicated point, inf on a one-point
-    grid), its neighbour list and its reach r_a.
+    grid), its neighbour list and its reach r_a: the two radii of
+    `_keep_threshold`, and the list `_settle` scans.
 
     The K + 1 nearest points of each point (K = `_list_size(d)`), by
     computed distance (`_nearest`), give all three. Row a of the
     (N, min(N, K)) list holds a's K nearest grid points, a included unless
-    K others coincide with it, sorted by grid index; s_a is the second
-    distance. r_a is a lower bound of the exact
+    K others coincide with it (then r_a = 0), sorted by grid index; s_a is
+    the second distance. r_a is a lower bound of the exact
     distance from a to every point outside the list, inf when the list is
     the whole grid (N <= K). Every such point is at a computed distance of
     at least D, the (K + 1)-th one. A computed distance is off by a
@@ -824,48 +834,23 @@ def _list_size(d: int) -> int:
 
 
 def _settle(c: np.ndarray, batch: np.ndarray, xx: np.ndarray,
-            rows: np.ndarray, idx: np.ndarray, d2: np.ndarray, tol: float,
-            lists: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    """Give `rows` of a Lloyd batch the scan's index and d2 in place, by a
-    scan of the neighbour list of each row's candidate a = idx[m] alone
-    (`_neighbours`), where a certificate shows that the scan's argmin is
-    in that list. Returns the rows left to search.
-
-    `xx` is the batch's row norms, `d2` the computed squared distance to
-    a and `tol` the sweep's T, at least every row's `_tie_tol`. Each value
-    of the scan is `_sq_dist`'s expression, coordinates summed in order,
-    so it has the scan's bytes; a running minimum with a strict < keeps
-    the smallest index of a tie, since each list is sorted by index.
-
-    Certificate: u = sqrt(d2 + T) (1 + 8 eps) and the computed
-    (r_a - 2 u) r_a > 2 T, with r_a the reach of a. A nan (a row that is
-    not finite) or an overflow fails it. The three roundings of u lose
-    less than 8 eps, so u >= sqrt(d2 + T); and the subtraction and the
-    product each round by a relative eps / 2 at most (a positive product
-    over 2 T is normal), so the exact (r_a - 2 u) r_a exceeds T, with
-    r_a - 2 u > 0. `_tie_tol` puts the scan's d2 within T / 4 of the exact
-    squared distance, so the exact |x - a| is at most delta =
-    sqrt(d2 + T / 4) < u. Every point b outside the list is at least
-    r_a - delta > 0 from x, so
-    |x - b|^2 >= r_a (r_a - 2 delta) + delta^2 > T + |x - a|^2.
-    Its scan value is then above the exact |x - a|^2 + 3 T / 4, and so
-    above the scan value of a, which is in the list: the scan's argmin,
-    with its tie rule, lies in the list.
+            rows: np.ndarray, idx: np.ndarray, d2: np.ndarray,
+            lists: np.ndarray) -> None:
+    """Give `rows` of a batch the scan's index and d2 in place, by a scan
+    of the neighbour list of each row's candidate a = idx[m] alone
+    (`_neighbours`), in blocks of `_SETTLE_BLOCK` rows; `_certified` has
+    proven each row's argmin in that list. `xx` is the batch's row norms.
+    Each value of the scan is `_sq_dist`'s expression, coordinates summed
+    in order, so it has the scan's bytes; a running minimum with a strict
+    < keeps the smallest index of a tie, since each list is sorted by
+    index.
     """
     cc = _sq_norm(c)
     cols = np.ascontiguousarray(c.T)
     slots = np.ascontiguousarray(lists.T)
-    left = []
     for lo in range(0, rows.size, _SETTLE_BLOCK):
         block = rows[lo:lo + _SETTLE_BLOCK]
         a = idx.take(block)
-        r = reach.take(a)
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = np.sqrt(d2.take(block) + tol)
-            u *= 1.0 + 8 * _EPS
-            ok = (r - 2.0 * u) * r > 2.0 * tol
-        left.append(block[~ok])
-        block, a = block[ok], a[ok]
         x2 = np.ascontiguousarray((2.0 * batch.take(block, axis=0)).T)
         xb = xx.take(block)
         term = np.empty(block.size)
@@ -888,7 +873,6 @@ def _settle(c: np.ndarray, batch: np.ndarray, xx: np.ndarray,
                 np.copyto(best, value, where=better)
         idx[block] = best_idx
         d2[block] = np.maximum(best, 0.0)
-    return np.concatenate(left) if left else rows
 
 
 # ---------------------------------------------------------------------------
@@ -901,7 +885,8 @@ def clvq(initial: Grid, draw: Callable[[int], np.ndarray], steps: int,
     """Competitive learning vector quantization with step a / (b + t).
 
     `draw(m)` returns the next m rows, an (m, d) array, of one i.i.d.
-    stream of the law; CLVQ asks it for blocks of at most 4096 rows. Per
+    stream of the law; CLVQ asks it for blocks of at most 4096 rows, and
+    a draw of another shape raises InputError before its rows are used. Per
     draw, only the winner moves: x* <- x* - gamma_t (x* - xi_t). Weights
     come from a final frequency pass over the next `weight_pass` rows.
     """
@@ -913,10 +898,18 @@ def clvq(initial: Grid, draw: Callable[[int], np.ndarray], steps: int,
     if a / (b + 1.0) >= 1.0:
         raise InputError("first step gamma_1 >= 1 would overshoot")
     pts = initial.points.copy()
+
+    def rows(m):
+        x = draw(m)
+        if np.shape(x) != (m, initial.dim):
+            raise InputError(f"draw({m}) must return an ({m}, {initial.dim})"
+                             f" array, got shape {np.shape(x)}")
+        return x
+
     block = 4096
     done = 0
     while done < steps:
-        draws = draw(min(block, steps - done))
+        draws = rows(min(block, steps - done))
         for xi in draws:
             d2 = np.sum((pts - xi) ** 2, axis=1)
             w = int(np.argmin(d2))
@@ -924,8 +917,7 @@ def clvq(initial: Grid, draw: Callable[[int], np.ndarray], steps: int,
             gamma = a / (b + done)
             pts[w] -= gamma * (pts[w] - xi)
     grid = Grid(pts)
-    freq = draw(weight_pass)
-    idx, _ = assign(grid, freq)
+    idx, _ = assign(grid, rows(weight_pass))
     weights = np.bincount(idx, minlength=grid.size) / weight_pass
     return grid.with_weights(weights)
 

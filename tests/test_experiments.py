@@ -501,6 +501,39 @@ def test_cli_non_finite_report_value_exits_3(command, tmp_path, capsys,
     assert not list(out.glob("*.json"))
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 745. GiB for an array")
+
+
+# per subcommand: a small config, and the callee patched to fail as an
+# allocation too large for memory would
+OUT_OF_MEMORY = {
+    "grid": ({"size": 3}, (cli, "newton_1d")),
+    "chain": ({"n": 1, "grid_size": 2}, (cli, "build_layer_grids")),
+    "bsde-bidask": ({"n": 1, "mc_paths": 10, "sweep": [2], "workers": 1},
+                    (experiments, "_bidask_point")),
+    "filter-demo": ({"n": 1, "sweep": [2], "workers": 1},
+                    (experiments, "_filter_point")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_OF_MEMORY))
+def test_cli_out_of_memory_exits_2(command, tmp_path, capsys, monkeypatch):
+    """Sizes are not capped: one too large for memory fails at its
+    allocation, and the CLI reports that MemoryError as one error line
+    with exit 2, not as a traceback."""
+    config, (module, name) = OUT_OF_MEMORY[command]
+    monkeypatch.setattr(module, name, _out_of_memory)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    printed, err = capsys.readouterr()
+    assert printed == "" and err.count("error:") == 1
+    assert err.startswith("error: not enough memory")
+    assert "745. GiB" in err and "Traceback" not in err
+
+
 def test_cli_rate_fit(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(

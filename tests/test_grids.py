@@ -608,6 +608,22 @@ def test_lloyd_input_validation():
         lloyd(Grid([[0.0], [0.0]]), SampleSource.from_batch([[0.0], [1.0]]))
 
 
+@pytest.mark.parametrize("grid_dim, batch_dim", [(1, 2), (2, 1), (2, 3)])
+def test_lloyd_rejects_a_batch_of_another_width(grid_dim, batch_dim,
+                                                monkeypatch):
+    """A batch whose width is not the grid's dimension raises InputError
+    before the first sweep, instead of sweeping on its first columns."""
+    def refused(*args):
+        raise AssertionError("swept")
+
+    for name in ("assign", "_sorted_sweep", "_certified"):
+        monkeypatch.setattr(grids, name, refused)
+    rng = np.random.default_rng(3)
+    with pytest.raises(InputError, match="batch dimension mismatch"):
+        lloyd(Grid(rng.standard_normal((4, grid_dim))),
+              SampleSource.from_batch(rng.standard_normal((50, batch_dim))))
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_lloyd_rejects_fewer_distinct_rows_than_points(d):
     """100 copies of one row with two points (1-D), and 100 copies of two
@@ -899,17 +915,18 @@ def _exact_sq(x, y):
     return sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(x, y))
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
 @pytest.mark.parametrize("kind", ["distinct", "duplicate", "one-point"])
 def test_bounded_assign_matches_assign(d, offset, kind, monkeypatch):
     """The bounded searches of Lloyd's sweeps and of `assign`'s table path
     return `assign`'s index and d2 bytes: in 1-D `_sorted_sweep`
     (`_check_sorted_sweep`), and in every d `_certified` for correct,
-    stale, random and all-wrong candidates. With
-    no row settled by its neighbour list (`_settle`), every row it keeps
+    stale, random and all-wrong candidates. With a zero reach, so that no
+    row is settled by its neighbour list (`_settle`), every row it keeps
     has an exact gap to each other point above the row's own near-tie
-    tolerance, and each keep threshold is below its exact bound r^2 - T."""
+    tolerance; and each keep threshold, at the separations and at the
+    reaches, is below its exact bound r^2 - T."""
     rng = np.random.default_rng(d * 100 + int(math.log10(offset + 1)))
     n = {"distinct": 12, "duplicate": 12, "one-point": 1}[kind]
     c = offset + rng.normal(size=(n, d))
@@ -929,14 +946,16 @@ def test_bounded_assign_matches_assign(d, offset, kind, monkeypatch):
         assert idx.tobytes() == expect_idx.tobytes(), name
         assert d2.tobytes() == expect_d2.tobytes(), name
 
-    # exact checks on what the keep test decides alone: no row is settled
-    # by its neighbour list, and searched rows come back as -1
-    monkeypatch.setattr(grids, "_settle", lambda c, b, xx, rows, *rest: rows)
+    # exact checks on what the keep test decides alone: a zero reach
+    # settles no row by its neighbour list, and searched rows come back
+    # as -1
     monkeypatch.setattr(grids, "_search_assign", lambda g, p: (
         np.full(len(p), -1), np.full(len(p), np.nan)))
+    sep, lists, reach = near
+    unlisted = (sep, lists, np.zeros_like(reach))
     tol = _tie_tol(c, batch)
     for name, cand in candidates.items():
-        idx, _ = grids._certified(grid, batch, xx, cand.copy(), T, near)
+        idx, _ = grids._certified(grid, batch, xx, cand.copy(), T, unlisted)
         kept = np.flatnonzero(idx >= 0)
         assert np.array_equal(idx[kept], cand[kept]), name
         if name == "wrong" and n > 1:
@@ -951,14 +970,14 @@ def test_bounded_assign_matches_assign(d, offset, kind, monkeypatch):
                 exact = (_exact_sq(batch[m], c[b])
                          - _exact_sq(batch[m], c[a]))
                 assert exact > Fraction(tol[m]), (name, m, a, b)
-    sep = grids._neighbours(c)[0]
-    thr = grids._keep_threshold(sep, T)
-    for s, t in zip(sep, thr):
-        if t <= 0 or s == np.inf:  # keeps no row (d2 >= 0), or every row
-            continue
-        sq, T_, t_ = Fraction(s) ** 2, Fraction(T), Fraction(t)
-        # t <= r^2 - T with r = (s^2 - T) / (2 s) > 0
-        assert sq > T_ and (t_ + T_) * 4 * sq <= (sq - T_) ** 2
+    for radius in (sep, reach):
+        thr = grids._keep_threshold(radius, T)
+        for s, t in zip(radius, thr):
+            if t <= 0 or s == np.inf:  # passes no row (d2 >= 0), or every
+                continue
+            sq, T_, t_ = Fraction(s) ** 2, Fraction(T), Fraction(t)
+            # t <= r^2 - T with r = (s^2 - T) / (2 s) > 0
+            assert sq > T_ and (t_ + T_) * 4 * sq <= (sq - T_) ** 2
 
 
 def _check_sorted_sweep(c, batch, monkeypatch):
@@ -1083,7 +1102,7 @@ def _settle_grid(d, offset, kind, rng):
     each list) or 60 points."""
     k = grids._list_size(d)
     if kind == "lattice":
-        side = {1: 12, 2: 5, 3: 3}[d]
+        side = {1: 12, 2: 5, 3: 3, 4: 3}[d]
         c = np.stack(np.meshgrid(*[np.arange(side, dtype=float)] * d,
                                  indexing="ij"), -1).reshape(-1, d)
         return offset + c
@@ -1094,19 +1113,20 @@ def _settle_grid(d, offset, kind, rng):
     return c
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
 @pytest.mark.parametrize("kind", ["whole-grid", "duplicate", "lattice",
                                   "many"])
 def test_settle_matches_scan(d, offset, kind):
-    """`_settle` gives each row it settles the scan's index and d2 bytes,
-    ties to the smallest index included, for correct, stale, random and
-    all-wrong candidates. Every grid point outside the list of a settled
-    row's candidate has an exact squared-distance gap to the settled point
-    of more than half the row's near-tie tolerance; and each reach r_a is
-    at most the exact distance from a to every point outside a's list.
-    Where the lists reach well beyond the near-tie distance, the list scan
-    settles most rows of correct candidates."""
+    """`_settle` gives each row below its candidate's keep threshold at
+    the reach (`_keep_threshold`) the scan's index and d2 bytes, ties to
+    the smallest index included, for correct, stale, random and all-wrong
+    candidates. Every grid point outside the list of a settled row's
+    candidate has an exact squared-distance gap to the settled point of
+    more than half the row's near-tie tolerance; and each reach r_a is at
+    most the exact distance from a to every point outside a's list. Where
+    the lists reach well beyond the near-tie distance, the threshold
+    passes most rows of correct candidates."""
     rng = np.random.default_rng(d * 1000 + int(math.log10(offset + 1)))
     c = _settle_grid(d, offset, kind, rng)
     n = len(c)
@@ -1123,18 +1143,18 @@ def test_settle_matches_scan(d, offset, kind):
     for a in range(n):
         for b in np.flatnonzero(outside[a]):
             assert Fraction(reach[a]) ** 2 <= _exact_sq(c[a], c[b]), (a, b)
-    rows = np.arange(len(batch))
+    thr = grids._keep_threshold(reach, T)
     for name, cand in candidates.items():
         idx = cand.copy()
         d2 = np.maximum(grids._sq_dist(batch, c.take(idx, axis=0)), 0.0)
-        left = grids._settle(c, batch, xx, rows, idx, d2, T, lists, reach)
-        settled = np.setdiff1d(rows, left)
-        untouched = np.isin(rows, left)
-        assert np.array_equal(idx[untouched], cand[untouched]), name
+        listed = d2 < thr.take(cand)
+        settled, left = np.flatnonzero(listed), np.flatnonzero(~listed)
+        grids._settle(c, batch, xx, settled, idx, d2, lists)
+        assert np.array_equal(idx[left], cand[left]), name
         if n <= grids._list_size(d):
             assert left.size == 0, name
         elif name == "correct" and np.median(reach) > 3 * math.sqrt(T):
-            # the certificate needs r_a > 2 sqrt(d2 + T): at 1e6 a 1-D
+            # the threshold needs r_a > 2 sqrt(d2 + T): at 1e6 a 1-D
             # grid's reach is about sqrt(T), and few rows can be settled
             assert settled.size > len(batch) // 2, name
         assert idx[settled].tobytes() == expect_idx[settled].tobytes(), name
@@ -1181,6 +1201,27 @@ def test_clvq_matches_lloyd_distortion():
               schedule=(100.0, 1000.0))
     repc = distortion_and_gradient(gc, SampleSource.from_batch(batch))
     assert repc.value <= 1.05 * repl.value
+
+
+@pytest.mark.parametrize("shape", [lambda m: (m, 2), lambda m: (m,),
+                                   lambda m: (m - 1, 1)],
+                         ids=["wide", "flat", "short"])
+@pytest.mark.parametrize("bad_draw", [1, 3])
+def test_clvq_rejects_draws_of_another_shape(shape, bad_draw):
+    """A draw(m) whose shape is not (m, d) raises InputError at that draw:
+    at the first block, before any point moves, or at the weight pass."""
+    good = _gaussian_draw(1, 0)
+    calls = []
+
+    def draw(m):
+        calls.append(m)
+        if len(calls) == bad_draw:
+            return np.zeros(shape(m))
+        return good(m)
+
+    with pytest.raises(InputError, match="must return an"):
+        clvq(Grid([[0.0]]), draw, steps=5000, weight_pass=10)
+    assert len(calls) == bad_draw
 
 
 def test_clvq_validation():

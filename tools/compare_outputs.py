@@ -16,7 +16,9 @@ dtype, shape and bytes:
   1-D batch offset by 1e6; a d=3 run with a dead-cell re-seed that uses
   up its 7 iterations; a d=2 run at N=40 on 400 rows repeated ten times,
   whose eight far points die at the first sweep and one re-seeded point
-  at the second; a d=3 run at N=100 (30 sweeps on a 2e4 batch); the
+  at the second; a d=3 run at N=100 (30 sweeps on a 2e4 batch); d=4 and
+  d=5 runs at N=60 and N=80 (30 sweeps each on a 2e4 batch; neighbour
+  lists of K = 16 points, the cap); the
   multidim base grid (d=2, N=150, a 5e4 batch
   from seed 12345, the experiment's stop criteria); the ten layer
   grids of a `chain` build on gbm (T=0.25, n=10, N=50, sample budget 2e4);
@@ -158,6 +160,11 @@ def _outputs(workdir) -> dict:
     record_lloyd("lloyd/d3-n100", lloyd(
         Grid(batch[:100] * 0.5), SampleSource.from_batch(batch),
         StopCriteria(max_iterations=30)))
+    for d, n in ((4, 60), (5, 80)):
+        batch = np.random.default_rng(12 + d).standard_normal((20_000, d))
+        record_lloyd(f"lloyd/d{d}-n{n}", lloyd(
+            Grid(batch[:n] * 0.5), SampleSource.from_batch(batch),
+            StopCriteria(max_iterations=30)))
 
     batch = np.random.default_rng(12345).standard_normal((50_000, 2))
     record_lloyd("lloyd/multidim-base", lloyd(
