@@ -14,8 +14,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InputError, NumericError, ParseError
-from .grids import (Grid, SampleSource, StopCriteria, _check_probabilities,
-                    _distinct_rows, assign, cell_sums, lloyd)
+from .grids import (Grid, Law1D, SampleSource, StopCriteria,
+                    _check_probabilities, _distinct_rows, _newton_residual,
+                    assign, cell_sums, lloyd, newton_1d)
 
 
 @dataclass
@@ -209,13 +210,16 @@ _LAYER_STOP = StopCriteria(max_iterations=60,
 def build_layer_grids(model: DiffusionModel, mesh: TimeMesh,
                       sizes: Sequence[int], sample_budget: int = 100_000,
                       seed: int = 0) -> list[Grid]:
-    """One Lloyd grid per time layer, fitted to the empirical layer
-    marginal of a fresh Euler simulation.
+    """One Lloyd grid per time layer, fitted to the layer's law.
 
-    Each layer is fitted as `_euler_steps` yields it and then dropped, so
-    only one (M, d) layer of samples is held, whatever the step count. The
-    starting points come from their own generator (seed + 1), so the
-    samples are those of `euler_paths` with the same seed.
+    In 1-D that law is exact (`_exact_layer_grids`): no sample is drawn,
+    and `sample_budget` and `seed` are not read. In d >= 2 each grid is
+    fitted to the empirical layer marginal of a fresh Euler simulation of
+    `sample_budget` paths. Each layer is fitted as `_euler_steps` yields it
+    and then dropped, so only one (M, d) layer of samples is held, whatever
+    the step count. The starting points come from their own generator
+    (seed + 1), so the samples are those of `euler_paths` with the same
+    seed.
 
     A grid mapped from a base N(0, I) grid needs no builder:
     `[Grid(model.x0[None, :])] + [Grid(f(t, base.points)) for t in
@@ -224,6 +228,8 @@ def build_layer_grids(model: DiffusionModel, mesh: TimeMesh,
     sizes = [int(s) for s in sizes]
     if len(sizes) != mesh.steps + 1 or any(s < 1 for s in sizes):
         raise InputError("sizes must list n+1 positive layer sizes")
+    if model.dim_x == 1:
+        return _exact_layer_grids(model, mesh, sizes)
     rng = np.random.default_rng(seed + 1)
     out = []
     for k, layer, _ in _euler_steps(model, mesh, sample_budget, seed):
@@ -239,6 +245,96 @@ def build_layer_grids(model: DiffusionModel, mesh: TimeMesh,
                         _LAYER_STOP)
         out.append(Grid(g.points))
     return out
+
+
+def _exact_layer_grids(model: DiffusionModel, mesh: TimeMesh,
+                       sizes: list[int]) -> list[Grid]:
+    """Recursive marginal quantization of a 1-D model (Pages & Sagna,
+    2015): given layer k's points x_i and weights p_i, one Euler step has
+    the law sum_i p_i N(x_i + b(x_i) dt, |sigma(x_i)|^2 dt)
+    (`Law1D.gaussian_mixture`). Layer k + 1 is fitted to that law by
+    `_law_lloyd`, from the law's moment-matched Gaussian grid (mean + sd
+    times the Newton N(0, 1) grid of its size), and its cell masses under
+    the law are the next step's weights. Where sd is below the float
+    spacing at the mean, that grid has fewer distinct points, and so has
+    the layer, as a sampled layer with fewer distinct rows than its size
+    is its support in d >= 2.
+
+    A step whose stds are all zero moves the layer without noise: the
+    next layer is that support (InputError if it has more points than the
+    layer's size). A step that mixes zero and positive stds has no density
+    and raises InputError. A non-finite coefficient, an Euler law whose
+    variance overflows and a fitted grid that overflows raise
+    NumericError. Any of these names the step.
+    """
+    dt = mesh.dt
+    x, p = model.x0.copy(), np.ones(1)
+    out = [Grid(x[:, None])]
+    base = {}
+    for k in range(mesh.steps):
+        nk = sizes[k + 1]
+        # overflow is reported by the finiteness checks, not by numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = np.asarray(model.drift(mesh.times[k], x[:, None]), dtype=float)
+            sig = np.asarray(model.diffusion(mesh.times[k], x[:, None]),
+                             dtype=float)
+            if not (np.all(np.isfinite(b)) and np.all(np.isfinite(sig))):
+                bad = int(np.flatnonzero(~np.isfinite(b).all(axis=1)
+                                         | ~np.isfinite(sig).all(axis=(1, 2)))[0])
+                raise NumericError(f"non-finite coefficient at step {k}, "
+                                   f"grid point {bad}")
+            m = x + dt * b[:, 0]
+            s = np.sqrt(dt * np.sum(sig[:, 0, :] ** 2, axis=1))
+            mean = float(p @ m)
+            var = float(p @ (s * s + (m - mean) ** 2))
+        if not (np.all(np.isfinite(m)) and np.isfinite(var)):
+            raise NumericError(f"the variance of the Euler law of step {k} "
+                               f"overflows")
+        if not np.any(s > 0):
+            x, cell = np.unique(m, return_inverse=True)
+            if x.size > nk:
+                raise InputError(f"step {k} moves the layer without noise "
+                                 f"onto {x.size} points, more than its "
+                                 f"size {nk}")
+            p = np.bincount(cell, weights=p, minlength=x.size)
+        elif not np.all(s > 0):
+            raise InputError(f"step {k} mixes zero and positive diffusion: "
+                             f"its Euler law has no density")
+        else:
+            if nk not in base:
+                base[nk] = newton_1d(Law1D.gaussian(), nk).points[:, 0]
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = np.unique(mean + np.sqrt(var) * base[nk])
+            x, p = _law_lloyd(Law1D.gaussian_mixture(p, m, s), x)
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
+                raise NumericError(f"the grid fitted to the Euler law of "
+                                   f"step {k} overflows")
+        out.append(Grid(x[:, None]))
+    return out
+
+
+def _law_lloyd(law, x: np.ndarray):
+    """Lloyd's sweeps x_j <- (K(m_{j+1}) - K(m_j)) / (F(m_{j+1}) - F(m_j))
+    on a scalar law, from sorted points x with midpoints m_j, through
+    `_newton_residual`. Stops when no point would move by more than
+    `_LAYER_STOP.stationarity_tolerance` (1 + |x_j|), or after
+    `_LAYER_STOP.max_iterations` sweeps, with no error at the cap. A cell
+    of zero computed mass keeps its point, and every new point is held in
+    its cell, so the points stay sorted. Returns the points and their cell
+    masses, with a mass that rounds below 0 set to 0."""
+    stop = _LAYER_STOP
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        grad, mass, mid = _newton_residual(x, law)
+        for _ in range(stop.max_iterations):
+            move = np.divide(grad, 2.0 * mass, out=np.zeros_like(x),
+                             where=mass > 0)
+            if np.all(np.abs(move)
+                      <= stop.stationarity_tolerance * (1.0 + np.abs(x))):
+                break
+            x = np.clip(x - move, np.concatenate(([-np.inf], mid)),
+                        np.concatenate((mid, [np.inf])))
+            grad, mass, mid = _newton_residual(x, law)
+    return x, np.maximum(mass, 0.0)
 
 
 # ---------------------------------------------------------------------------

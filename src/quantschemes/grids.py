@@ -16,7 +16,8 @@ Every kd-tree comes from `_kdtree`, which imports `scipy.spatial` at the
 first d >= 2 search: a process whose searches are all 1-D (bid-ask, the
 filter, every 1-D chain) never loads it, which saves 0.04-0.08 s and about
 5.5 MiB. `scipy.special` and `scipy.linalg` are imported with the module:
-the Gaussian Newton grids and the filter's rows call them.
+the Gaussian Newton grids, the 1-D chain layers' mixture laws and the
+filter's rows call them.
 """
 
 from __future__ import annotations
@@ -934,7 +935,10 @@ def _norm_pdf(x):
 
 @dataclass
 class Law1D:
-    """Scalar law descriptor for the 1D Newton search.
+    """Scalar law descriptor for the 1D Newton search, and for the Lloyd
+    sweeps with which `chain.build_layer_grids` fits each 1-D layer to the
+    exact law of its Euler step (`gaussian_mixture`): those layers draw no
+    samples, so `sample_budget` is read only for d >= 2.
 
     first_moment is the partial first moment K(t) = int_{-inf}^t xi phi(xi) dxi.
     ppf is optional and only used to build the starting grid.
@@ -962,6 +966,47 @@ class Law1D:
             return 0.5 * np.clip(np.asarray(t, dtype=float), 0.0, 1.0) ** 2
         return cls(density=pdf, cdf=cdf, first_moment=pm,
                    ppf=lambda u: np.asarray(u, dtype=float), mean=0.5)
+
+    @classmethod
+    def gaussian_mixture(cls, p, m, s) -> "Law1D":
+        """The mixture sum_i p_i N(m_i, s_i^2), every s_i > 0. An Euler step
+        from a quantized layer (points x_i, weights p_i) has this law, with
+        m_i = x_i + b(x_i) dt and s_i = |sigma(x_i)| sqrt(dt). With
+        z_i = (t - m_i) / s_i,
+          F(t) = sum_i p_i Phi(z_i),  K(t) = sum_i p_i (m_i Phi(z_i) - s_i phi(z_i)).
+        The density, F and K come together, read-only, from one ndtr and
+        one phi per component and point, and the last argument's are kept,
+        since `_newton_residual` asks for F and K at the same midpoints: a
+        Lloyd sweep of a layer of N_{k+1} points on a mixture of N_k costs
+        N_k N_{k+1} of each."""
+        p, m, s = (np.asarray(a, dtype=float).reshape(-1) for a in (p, m, s))
+        last = {}
+
+        def values(t):
+            t = np.asarray(t, dtype=float)
+            if not (last and np.array_equal(last["t"], t)):
+                last["t"], last["v"] = t.copy(), _mixture_values(t, p, m, s)
+            return last["v"]
+
+        return cls(density=lambda t: values(t)[0], cdf=lambda t: values(t)[1],
+                   first_moment=lambda t: values(t)[2], mean=float(p @ m))
+
+
+def _mixture_values(t, p, m, s):
+    """Density, cdf and partial first moment of sum_i p_i N(m_i, s_i^2) at
+    each entry of t, in blocks of entries whose (block, N) temporaries
+    hold about `_ASSIGN_CHUNK` values."""
+    flat = t.reshape(-1)
+    out = np.empty((3, flat.size))
+    step = max(1, _ASSIGN_CHUNK // m.size)
+    for lo in range(0, flat.size, step):
+        z = (flat[lo:lo + step, None] - m) / s
+        phi, big = _norm_pdf(z), ndtr(z)
+        out[:, lo:lo + step] = (phi @ (p / s), big @ p,
+                                big @ (p * m) - phi @ (p * s))
+    # the law hands these to every caller at the same argument
+    out.flags.writeable = False
+    return tuple(out.reshape((3,) + t.shape))
 
 
 def _newton_residual(x, law):
@@ -1096,9 +1141,11 @@ def load_grid(path) -> Grid:
         return Grid(pts)
     if np.any(weights < 0):
         raise ParseError("negative weight (only -1 marks unknown)")
-    if abs(weights.sum() - 1) > _RENORM_WINDOW:
-        raise ParseError(f"weights sum to {weights.sum()!r}, not 1")
-    return Grid(pts, weights / weights.sum())
+    with np.errstate(over="ignore"):
+        total = weights.sum()
+    if abs(total - 1) > _RENORM_WINDOW:
+        raise ParseError(f"weights sum to {float(total)}, not 1")
+    return Grid(pts, weights / total)
 
 
 def _parse_rows(rows, width, offset):

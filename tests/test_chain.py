@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from quantschemes.chain import (MODELS, DiffusionModel, QuantizedChain,
                                 estimate_companions, euler_paths, gbm,
                                 joint_transitions, load_chain, ou, save_chain)
 from quantschemes.errors import InputError, NumericError, ParseError
-from quantschemes.grids import (Grid, Law1D, SampleSource, assign,
+from quantschemes.grids import (_PROB_TOL, Grid, Law1D, SampleSource,
+                                _newton_residual, assign,
                                 distortion_and_gradient, newton_1d)
 
 
@@ -150,6 +152,85 @@ def test_layer_grids_lloyd_beats_mapped_grid_for_gbm():
     d_fit = distortion_and_gradient(fitted[-1], src).value
     d_map = distortion_and_gradient(mapped[-1], src).value
     assert d_fit <= d_map * 1.001
+
+
+def _exact_weights(model, mesh, layers):
+    """The weights of 1-D layers under the exact Euler law of each step:
+    the mixture of the step from the layer before, with its weights."""
+    p, out = np.ones(1), [np.ones(1)]
+    for k in range(mesh.steps):
+        x = layers[k].points
+        m = x[:, 0] + mesh.dt * model.drift(mesh.times[k], x)[:, 0]
+        s = np.sqrt(mesh.dt) * np.abs(model.diffusion(mesh.times[k], x)[:, 0, 0])
+        law = Law1D.gaussian_mixture(p, m, s)
+        p = _newton_residual(layers[k + 1].points[:, 0], law)[1]
+        out.append(p)
+    return out
+
+
+@pytest.mark.parametrize("name", ["gbm", "ou", "brownian"])
+def test_layer_grids_1d_sorted_with_exact_weights(name):
+    model, mesh = MODELS[name](), TimeMesh(1.0, 6)
+    layers = build_layer_grids(model, mesh, [1, 3, 10, 1, 7, 20, 40])
+    assert [g.size for g in layers] == [1, 3, 10, 1, 7, 20, 40]
+    for g in layers:
+        assert np.all(np.isfinite(g.points)) and np.all(np.diff(g.points[:, 0]) > 0)
+    for p in _exact_weights(model, mesh, layers):
+        assert np.all(p >= 0) and abs(p.sum() - 1.0) <= _PROB_TOL
+
+
+def test_layer_grids_1d_do_not_read_seed_or_sample_budget():
+    mesh, sizes = TimeMesh(0.25, 4), [1] + [12] * 4
+    runs = [build_layer_grids(gbm(), mesh, sizes, sample_budget=b, seed=s)
+            for b, s in ((100_000, 0), (10, 7), (2_000, 123))]
+    for other in runs[1:]:
+        assert all(a.points.tobytes() == b.points.tobytes()
+                   for a, b in zip(runs[0], other))
+
+
+@pytest.mark.parametrize("model", [ou(kappa=2.0, sigma=0.5, x0=1.5),
+                                   brownian()])
+def test_layer_grids_1d_first_layer_is_the_newton_grid(model):
+    # one step from a point mass is one Gaussian, whose optimal grid is the
+    # Newton N(0, 1) grid moved to its mean and scaled by its sd
+    mesh = TimeMesh(0.5, 2)
+    layers = build_layer_grids(model, mesh, [1, 15, 15])
+    x0 = model.x0[None, :]
+    mean = x0[0, 0] + mesh.dt * model.drift(0.0, x0)[0, 0]
+    sd = np.sqrt(mesh.dt) * model.diffusion(0.0, x0)[0, 0, 0]
+    expected = mean + sd * newton_1d(Law1D.gaussian(), 15).points[:, 0]
+    assert np.allclose(layers[1].points[:, 0], expected, rtol=0, atol=1e-12)
+
+
+def test_layer_grids_1d_law_below_float_spacing():
+    # sd 0.7 around a mean of 5e19, where floats are 8192 apart: the
+    # moment-matched grid has one distinct point, and so has the layer
+    layers = build_layer_grids(ou(x0=1e20), TimeMesh(1.0, 2), [1, 5, 5])
+    assert [g.points.tolist() for g in layers] == [[[1e20]], [[5e19]],
+                                                  [[2.5e19]]]
+
+
+def test_layer_grids_1d_mixed_zero_and_positive_stds():
+    # sigma(x) = max(x, 0) vanishes on the part of layer 1 below 0
+    model = DiffusionModel(1, 1, lambda t, x: np.zeros_like(x),
+                           lambda t, x: np.maximum(x, 0.0)[..., None], [0.1])
+    with pytest.raises(InputError, match="step 1 mixes zero and positive"):
+        build_layer_grids(model, TimeMesh(1.0, 2), [1, 5, 5])
+
+
+def test_layer_grids_1d_non_finite_coefficients():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError,
+                           match="non-finite coefficient at step 0"):
+            build_layer_grids(ou(kappa=math.inf), TimeMesh(1.0, 2), [1, 4, 4])
+        # finite at x0 = 1, overflowing at layer 1's points above 710
+        model = DiffusionModel(1, 1, lambda t, x: np.exp(x),
+                               lambda t, x: 1e3 * np.ones(x.shape + (1,)),
+                               [1.0])
+        with pytest.raises(NumericError,
+                           match="non-finite coefficient at step 1"):
+            build_layer_grids(model, TimeMesh(1.0, 2), [1, 4, 4])
 
 
 def test_layer_grids_validation():
@@ -296,19 +377,24 @@ def test_estimate_peak_memory_flat_in_steps():
 
 
 def test_layer_grids_peak_memory_flat_in_steps():
-    # one layer of samples in memory: the peak must not grow with the step
-    # count (stacked paths made it 3.6, 6.4 and 24.7 MiB at n = 5, 10, 40)
-    def peak(n):
+    # d >= 2 holds one layer of samples: the peak must not grow with the
+    # step count (stacked paths made it 3.6, 6.4 and 24.7 MiB at n = 5, 10,
+    # 40 in 1-D, from 2e4 samples; 2-D Lloyd runs under tracemalloc are
+    # slow, so n = 20 stands in for 40). 1-D draws no samples: its peak
+    # stays below one 2e4-row layer of them.
+    def peak(model, n, budget):
         tracemalloc.start()
         try:
-            build_layer_grids(gbm(), TimeMesh(1.0, n), [1] + [20] * n,
-                              sample_budget=20_000, seed=0)
+            build_layer_grids(model, TimeMesh(1.0, n), [1] + [20] * n,
+                              sample_budget=budget, seed=0)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    small, large = peak(5), peak(40)
+    peak(brownian(2), 1, 5_000)  # the lazy imports of the 2-D search
+    small, large = (peak(brownian(2), n, 5_000) for n in (5, 20))
     assert large <= 1.5 * small, (small, large)
+    assert peak(gbm(), 40, 20_000) < 20_000 * 8
 
 
 def test_joint_transitions_match_path_loop():

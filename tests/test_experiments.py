@@ -303,10 +303,13 @@ def test_cli_chain_overflow_exits_3_without_warnings(tmp_path, capsys):
     """A coefficient or a layer that overflows ends in one NumericError
     line, with no numpy RuntimeWarning before it."""
     cfg = tmp_path / "cfg.json"
-    # with one step no coefficient sees the overflowing layer; Lloyd does
-    for n, message in ((3, "non-finite coefficient"),
-                       (1, "squared norms of Lloyd's sample batch overflow")):
-        cfg.write_text(json.dumps({"model": "gbm", "sigma": 1e200, "n": n,
+    # the drift overflows at x0; with sigma = 1e200 the variance of the
+    # first step's Euler law, which the 1-D layer grid is fitted to, does
+    for n, bad, message in (
+            (3, {"mu": 1e308}, "non-finite coefficient at step 0"),
+            (1, {"sigma": 1e200},
+             "the variance of the Euler law of step 0 overflows")):
+        cfg.write_text(json.dumps({"model": "gbm", **bad, "n": n,
                                    "sample_budget": 2000, "mc_paths": 2000,
                                    "grid_size": 4}))
         with warnings.catch_warnings(record=True) as caught:
@@ -819,6 +822,22 @@ def test_cli_grid_non_utf8_input_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "not UTF-8" in err
+
+
+def test_cli_grid_weights_summing_past_the_float_range(tmp_path, capsys):
+    """Finite weights whose sum overflows: one error line that names the
+    sum as a plain float, and no numpy RuntimeWarning."""
+    grid = tmp_path / "g.txt"
+    grid.write_text("1 2\n0.0 1e308\n1.0 1e308\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input": str(grid)}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["grid", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "weights sum to inf, not 1" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_cli_sweep_override(tmp_path, capsys):

@@ -1280,6 +1280,36 @@ def test_newton_singular_system():
         newton_1d(law, 3)
 
 
+def test_gaussian_mixture_matches_quadrature():
+    from scipy.integrate import quad
+    p, m, s = [0.2, 0.5, 0.3], [-1.0, 0.5, 3.0], [0.4, 1.0, 2.5]
+    law = Law1D.gaussian_mixture(p, m, s)
+
+    def density(u):
+        return sum(pi * math.exp(-0.5 * ((u - mi) / si) ** 2)
+                   / (si * math.sqrt(2 * math.pi))
+                   for pi, mi, si in zip(p, m, s))
+
+    assert law.mean == pytest.approx(np.dot(p, m), rel=1e-15)
+    t = np.array([-3.0, -0.7, 0.0, 0.5, 2.0, 6.0])
+    cdf = [quad(density, -np.inf, u, epsabs=1e-13, epsrel=1e-12)[0]
+           for u in t]
+    moment = [quad(lambda u: u * density(u), -np.inf, v, epsabs=1e-13,
+                   epsrel=1e-12)[0] for v in t]
+    assert np.allclose(law.density(t), [density(u) for u in t],
+                       rtol=1e-13, atol=0)
+    assert np.allclose(law.cdf(t), cdf, rtol=1e-10, atol=1e-12)
+    assert np.allclose(law.first_moment(t), moment, rtol=1e-10, atol=1e-12)
+    # array shapes are kept, the kept values are read-only, and the blocks
+    # of a long argument agree
+    assert law.cdf(t.reshape(2, 3)).shape == (2, 3)
+    with pytest.raises(ValueError):
+        law.first_moment(t.reshape(2, 3))[0, 0] = 0.0
+    long = np.linspace(-5.0, 8.0, 70_001)
+    assert np.allclose(law.cdf(long)[[0, 35_000, -1]],
+                       law.cdf(long[[0, 35_000, -1]]), rtol=1e-15, atol=0)
+
+
 def _dense_newton(law, N, tol=1e-10):
     """Reference damped Newton on the dense N x N Jacobian, assembled
     entry by entry and solved by LU."""

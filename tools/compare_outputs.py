@@ -18,15 +18,15 @@ dtype, shape and bytes:
   whose eight far points die at the first sweep and one re-seeded point
   at the second; a d=3 run at N=100 (30 sweeps on a 2e4 batch); d=4 and
   d=5 runs at N=60 and N=80 (30 sweeps each on a 2e4 batch; neighbour
-  lists of K = 16 points, the cap); the
-  multidim base grid (d=2, N=150, a 5e4 batch
-  from seed 12345, the experiment's stop criteria); the ten layer
-  grids of a `chain` build on gbm (T=0.25, n=10, N=50, sample budget 2e4);
-  the layer grids of builds on 2-D Brownian motion (n=3, N=30) and on gbm
-  with n=40 (N=20), each from 5e3 samples;
-  and 1-D runs: an integer lattice with rows on every midpoint (exact
-  ties), a batch offset by 1e6 with a dead far point, cut after 1, 2 and
-  40 sweeps, and a batch of 128 rows per grid point (N=50);
+  lists of K = 16 points, the cap); the multidim base grid (d=2, N=150, a
+  5e4 batch from seed 12345, the experiment's stop criteria); and 1-D
+  runs: an integer lattice with rows on every midpoint (exact ties), a
+  batch offset by 1e6 with a dead far point, cut after 1, 2 and 40
+  sweeps, and a batch of 128 rows per grid point (N=50);
+- the layer grids that build_layer_grids returns for gbm as the cli-chain
+  benchmark builds it (T=0.25, n=10, N=50) and with n=40 (N=20), both fitted
+  to the exact law of each Euler step, and for 2-D Brownian motion (n=3,
+  N=30), fitted by Lloyd to 5e3 samples;
 - newton_1d grids and weights at N = 10, 150 and 2000;
 - ScalarFilterModel.build_filter layer points, initial weights
   and rows, and its rows at N=2001 (row blocks split over threads);
@@ -171,20 +171,11 @@ def _outputs(workdir) -> dict:
         Grid(batch[:150] * 0.5), SampleSource.from_batch(batch),
         StopCriteria(max_iterations=60, relative_distortion_tolerance=1e-6,
                      stationarity_tolerance=1e-6)))
-    runs = []
-    def recording_lloyd(*args):
-        runs.append(lloyd(*args))
-        return runs[-1]
-    chain.lloyd = recording_lloyd
-    try:
-        chain.build_layer_grids(chain.MODELS["gbm"](), TimeMesh(0.25, 10),
-                                [1] + [50] * 10, sample_budget=20_000, seed=1)
-    finally:
-        chain.lloyd = lloyd
-    for k, result in enumerate(runs):
-        record_lloyd(f"lloyd/cli-chain/{k + 1}", result)
-    # layer grids of 2-D Brownian motion, and of a 1-D build of 40 steps
+    # layer grids of the cli-chain build, of 2-D Brownian motion and of a
+    # 1-D build of 40 steps
     for name, model, mesh, sizes in (
+            ("cli-chain", chain.MODELS["gbm"](), TimeMesh(0.25, 10),
+             [1] + [50] * 10),
             ("brownian-d2", chain.MODELS["brownian"](2), TimeMesh(0.5, 3),
              [1] + [30] * 3),
             ("gbm-n40", chain.MODELS["gbm"](), TimeMesh(1.0, 40),
