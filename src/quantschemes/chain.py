@@ -181,19 +181,27 @@ def _euler_steps(model: DiffusionModel, mesh: TimeMesh, num_paths: int,
     times = mesh.times
     x = np.tile(model.x0, (num_paths, 1))
     for k in range(n):
-        # overflow is reported by the finiteness check, not by numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            b = np.asarray(model.drift(times[k], x), dtype=float)
-            s = np.asarray(model.diffusion(times[k], x), dtype=float)
-        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(s))):
-            bad = int(np.flatnonzero(~np.isfinite(b).all(axis=-1)
-                                     | ~np.isfinite(s).all(axis=(-2, -1)))[0])
-            raise NumericError(f"non-finite coefficient at step {k}, path {bad}")
+        b, s = _coefficients(model, k, times[k], x, "path")
         dw = sq * rng.standard_normal((num_paths, q))
         yield k, x, dw
         with np.errstate(over="ignore", invalid="ignore"):
             x = x + dt * b + np.einsum("mdq,mq->md", s, dw)
     yield n, x, None
+
+
+def _coefficients(model: DiffusionModel, k: int, t: float, x: np.ndarray,
+                  row: str):
+    """b(t, x) (M, d) and sigma(t, x) (M, d, q) at step k; NumericError
+    naming the first `row` of x with a non-finite value. Overflow is
+    reported by this check, not by numpy warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = np.asarray(model.drift(t, x), dtype=float)
+        s = np.asarray(model.diffusion(t, x), dtype=float)
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(s))):
+        bad = int(np.flatnonzero(~np.isfinite(b).all(axis=-1)
+                                 | ~np.isfinite(s).all(axis=(-2, -1)))[0])
+        raise NumericError(f"non-finite coefficient at step {k}, {row} {bad}")
+    return b, s
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +281,10 @@ def _exact_layer_grids(model: DiffusionModel, mesh: TimeMesh,
     base = {}
     for k in range(mesh.steps):
         nk = sizes[k + 1]
-        # overflow is reported by the finiteness checks, not by numpy warnings
+        b, sig = _coefficients(model, k, mesh.times[k], x[:, None],
+                               "grid point")
+        # overflow is reported by the finiteness check, not by numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            b = np.asarray(model.drift(mesh.times[k], x[:, None]), dtype=float)
-            sig = np.asarray(model.diffusion(mesh.times[k], x[:, None]),
-                             dtype=float)
-            if not (np.all(np.isfinite(b)) and np.all(np.isfinite(sig))):
-                bad = int(np.flatnonzero(~np.isfinite(b).all(axis=1)
-                                         | ~np.isfinite(sig).all(axis=(1, 2)))[0])
-                raise NumericError(f"non-finite coefficient at step {k}, "
-                                   f"grid point {bad}")
             m = x + dt * b[:, 0]
             s = np.sqrt(dt * np.sum(sig[:, 0, :] ** 2, axis=1))
             mean = float(p @ m)
