@@ -6,8 +6,9 @@ the observation enters through weighted kernels H_k[i, j] = g_k(x_i, y_{k-1},
 x_j, y_k) p_k[i, j]. The filter follows either the forward recursion
 pi_k = pi_{k-1} H_k (normalized per step, with a log-mass ledger) or the
 equivalent backward recursion u_{k-1} = H_k u_k. Either needs one step at
-a time, so the exact scalar model builds its transition rows per step, and
-H_k is applied in blocks without being held whole.
+a time, so H_k is formed for one step, applied in column (row) blocks and
+dropped; the exact scalar model fills, checks and weights its transition
+rows into H_k in the same threaded pass.
 """
 
 from __future__ import annotations
@@ -41,7 +42,9 @@ class FilterModel:
 
     `transitions` is a stored list of matrices, checked here, or the
     `_ExactRows` of a scalar model, which builds and checks the matrix of
-    step k each time it is asked for it.
+    step k each time it is asked for it. The filter forms each step's
+    kernel H_k whole: as g_k * p_k from a stored matrix, or weighted by
+    g_k in the buffer of the exact rows as they are filled.
     """
 
     layers: list[Grid]
@@ -115,33 +118,38 @@ def _likelihood(model: FilterModel, y: np.ndarray, k: int) -> np.ndarray:
                          f"which does not broadcast to {shape}") from None
 
 
-# Entries per block of `_apply` (2 MiB), and of the scratch that all the
+# Entries per block of `_product` (2 MiB), and of the scratch that all the
 # threads of one `_gaussian_ar1_rows` call hold at once. OpenBLAS runs a
 # matrix-vector product this small on one thread, so no BLAS thread is left
 # spinning while the next step's rows are built.
 _BLOCK_ENTRIES = 1 << 18
 
 
-def _apply(g: np.ndarray, p: np.ndarray, v: np.ndarray,
-           left: bool) -> np.ndarray:
-    """v @ H (`left`) or H @ v for H = g * p, g broadcast to p's shape.
+def _kernel(model: FilterModel, y: np.ndarray, k: int) -> np.ndarray:
+    """H_k = g_k * p_k, held whole: filled, checked and weighted in the row
+    threads of the exact scalar model, or the product of the likelihood
+    and a stored transition matrix."""
+    g = _likelihood(model, y, k)
+    if isinstance(model.transitions, _ExactRows):
+        return model.transitions.weighted(k - 1, g)
+    return g * model.transitions[k - 1]
 
-    Each column (row) block of H is formed just before its product and
-    dropped after it, so H is never held whole; a block's width is a
-    multiple of 4 and its size at most about _BLOCK_ENTRIES. Each entry of
-    the result is the one the single-threaded product of the whole H
-    computes.
+
+def _product(H: np.ndarray, v: np.ndarray, left: bool) -> np.ndarray:
+    """v @ H (`left`) or H @ v, one column (row) block of H at a time.
+
+    A block is a slice of H, of a width that is a multiple of 4 and at most
+    about _BLOCK_ENTRIES entries. Each entry of the result is the one the
+    single-threaded product of the whole H computes.
     """
-    inner = p.shape[0] if left else p.shape[1]
-    out = np.empty(p.shape[1] if left else p.shape[0])
+    inner = H.shape[0] if left else H.shape[1]
+    out = np.empty(H.shape[1] if left else H.shape[0])
     width = max(4, _BLOCK_ENTRIES // inner // 4 * 4)
     for s in range(0, out.size, width):
         if left:
-            block = g[:, s:s + width] * p[:, s:s + width]
-            np.matmul(v, block, out=out[s:s + width])
+            np.matmul(v, H[:, s:s + width], out=out[s:s + width])
         else:
-            block = g[s:s + width] * p[s:s + width]
-            np.matmul(block, v, out=out[s:s + width])
+            np.matmul(H[s:s + width], v, out=out[s:s + width])
     return out
 
 
@@ -149,14 +157,13 @@ def quantized_kernels(model: FilterModel, observations) -> list[np.ndarray]:
     """Observation-weighted transition kernels H_k[i, j] = g_k p_k[i, j],
     one (N_{k-1}, N_k) matrix per step k = 1..n."""
     y = _check_observations(observations, model.steps)
-    return [_likelihood(model, y, k) * model.transitions[k - 1]
-            for k in range(1, model.steps + 1)]
+    return [_kernel(model, y, k) for k in range(1, model.steps + 1)]
 
 
 def forward_filter(model: FilterModel, observations) -> FilterState:
     """Forward recursion pi_k = pi_{k-1} H_k with per-step renormalization.
 
-    H_k is applied in blocks, one step at a time, and never held whole.
+    H_k is formed one step at a time and applied in column blocks.
     Raises DegenerateObservationError when the un-normalized mass vanishes.
     """
     y = _check_observations(observations, model.steps)
@@ -164,8 +171,7 @@ def forward_filter(model: FilterModel, observations) -> FilterState:
     weights = [pi]
     log_masses = [0.0]
     for k in range(1, model.steps + 1):
-        pi = _apply(_likelihood(model, y, k), model.transitions[k - 1], pi,
-                    left=True)
+        pi = _product(_kernel(model, y, k), pi, left=True)
         mass = pi.sum()
         if not np.isfinite(mass) or mass <= 0.0:
             raise DegenerateObservationError(k)
@@ -182,8 +188,8 @@ def backward_value(model: FilterModel, observations, terminal):
     Returns (u0, log_scale, log_u_minus_1): u0 on the initial grid scaled so
     that the true vector is u0 * exp(log_scale), and the signed log of
     u_{-1} = initial . u0, i.e. the un-normalized filter applied to the
-    terminal function. log_u_minus_1 is (sign, log|value|). H_k is applied
-    in blocks, one step at a time, last step first.
+    terminal function. log_u_minus_1 is (sign, log|value|). H_k is formed
+    one step at a time, last step first, and applied in row blocks.
     """
     y = _check_observations(observations, model.steps)
     u = np.asarray(terminal, dtype=float)
@@ -191,8 +197,7 @@ def backward_value(model: FilterModel, observations, terminal):
         raise InputError("terminal values must live on the last grid")
     log_scale = 0.0
     for k in range(model.steps, 0, -1):
-        u = _apply(_likelihood(model, y, k), model.transitions[k - 1], u,
-                   left=False)
+        u = _product(_kernel(model, y, k), u, left=False)
         peak = np.abs(u).max()
         if peak > 0.0 and (peak > 1e100 or peak < 1e-100):
             u = u / peak
@@ -299,16 +304,22 @@ def _gaussian_cell_masses(grid: Grid, mean: float, std: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _gaussian_ar1_rows(prev: Grid, nxt: Grid, a: float, b: float) -> np.ndarray:
-    """Row i = exact law of a x_i + b eps over the Voronoi cells of `nxt`.
+def _gaussian_ar1_rows(prev: Grid, nxt: Grid, a: float, b: float,
+                       weight: Optional[np.ndarray] = None,
+                       what: str = "transition rows") -> np.ndarray:
+    """Row i = exact law of a x_i + b eps over the Voronoi cells of `nxt`,
+    checked as `_check_probabilities` checks a stored matrix, then times
+    `weight` (an array of the result's shape, such as the read-only view
+    that `_likelihood` returns) if one is given.
 
     Filled in row blocks, so that the only full-size array is the result;
     each row gets the bytes of the whole-matrix expression, as its values
-    and its pairwise sum are the same. A matrix of more than one block of
-    _BLOCK_ENTRIES is split into blocks of _BLOCK_ENTRIES / threads, one
-    thread per CPU, in a pool that is joined before the call returns (a
-    pool that outlived it would be a dead pool in a forked child); the
-    ufuncs release the GIL, and no row depends on the split.
+    and its pairwise sum are the same, and the weighted rows those of
+    `weight * rows`. A matrix of more than one block of _BLOCK_ENTRIES is
+    split into blocks of _BLOCK_ENTRIES / threads, one thread per CPU, in a
+    pool that is joined before the call returns or raises (a pool that
+    outlived it would be a dead pool in a forked child); the ufuncs release
+    the GIL, and no row depends on the split.
     """
     edges = _voronoi_edges(nxt.points[:, 0])
     centers = a * prev.points[:, 0]
@@ -326,6 +337,9 @@ def _gaussian_ar1_rows(prev: Grid, nxt: Grid, a: float, b: float) -> np.ndarray:
         block = rows[s:s + height]
         np.subtract(z[:, 1:], z[:, :-1], out=block)
         block /= block.sum(axis=1, keepdims=True)
+        _check_probabilities(block, block.shape, what)
+        if weight is not None:
+            block *= weight[s:s + height]
 
     if threads > 1:
         with ThreadPoolExecutor(threads) as pool:
@@ -349,10 +363,13 @@ class _ExactRows(Sequence):
 
     def __getitem__(self, k: int) -> np.ndarray:
         k = range(len(self))[k]  # IndexError past the end ends iteration
-        rows = _gaussian_ar1_rows(self.layers[k], self.layers[k + 1],
-                                  self.a, self.b)
-        _check_probabilities(rows, rows.shape, f"transition {k}")
-        return rows
+        return self.weighted(k)
+
+    def weighted(self, k: int,
+                 weight: Optional[np.ndarray] = None) -> np.ndarray:
+        """Matrix k times `weight`, in the buffer that holds its rows."""
+        return _gaussian_ar1_rows(self.layers[k], self.layers[k + 1],
+                                  self.a, self.b, weight, f"transition {k}")
 
 
 def builtin_models(name: str, steps: int = 10) -> ScalarFilterModel:

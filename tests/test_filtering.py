@@ -1,6 +1,8 @@
 import itertools
 import math
+import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -340,21 +342,48 @@ def test_exact_rows_do_not_depend_on_the_thread_count(size, monkeypatch):
     assert pools == [2, 3]
 
 
-@pytest.mark.parametrize("name, sizes", [
-    ("linear-gaussian", [12, 30, 30, 25, 40, 30]),
-    ("sin-cube", [12, 30, 30, 25, 40, 30]),
+def _of_next(k, xp, yp, xn, yn):
+    return np.exp(-0.5 * (yn[0] - xn[..., 0]) ** 2)
+
+
+def _of_both(k, xp, yp, xn, yn):
+    return np.exp(-0.5 * (yn[0] - yp[0] - 0.5 * xn[..., 0]
+                          - 0.3 * np.sin(xp[..., 0])) ** 2)
+
+
+@pytest.mark.parametrize("name, sizes, likelihood", [
+    ("linear-gaussian", [12, 30, 30, 25, 40, 30], None),
+    ("sin-cube", [12, 30, 30, 25, 40, 30], None),
     # large enough for OpenBLAS to thread a full matrix-vector product
-    ("sin-cube", [2000] * 3)],
-    ids=["linear-gaussian", "sin-cube", "sin-cube-N2000"])
-def test_step_kernels_equal_precomputed_kernels(name, sizes):
+    ("sin-cube", [2000] * 3, None),
+    # the weight fused into uneven row blocks over threads, for a
+    # likelihood of shape (1, N_k) and one of shape (N_{k-1}, N_k)
+    ("sin-cube", [2001] * 3, _of_next),
+    ("sin-cube", [2001] * 3, _of_both)],
+    ids=["linear-gaussian", "sin-cube", "sin-cube-N2000",
+         "sin-cube-N2001-x_next", "sin-cube-N2001-x_prev-x_next"])
+def test_step_kernels_equal_precomputed_kernels(name, sizes, likelihood):
     spec = builtin_models(name, steps=len(sizes) - 1)
     fm = spec.build_filter(sizes)
     _, y = spec.simulate(seed=4)
-    kernels = quantized_kernels(fm, y)
+    if likelihood is None:
+        kernels = quantized_kernels(fm, y)
+        product = lambda H, v, left: v @ H if left else H @ v
+    else:
+        # the kernels g * p of the stored matrices; a whole product at
+        # N=2001 is threaded by OpenBLAS and gives other bytes than the
+        # single-threaded one, which the blocked product gives
+        stored = FilterModel(fm.layers, fm.initial, list(fm.transitions),
+                             likelihood)
+        kernels = quantized_kernels(stored, y)
+        fm = FilterModel(fm.layers, fm.initial, fm.transitions, likelihood)
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(quantized_kernels(fm, y), kernels))
+        product = filtering._product
     # reference recursions over the precomputed kernels
     pi, weights, log_masses = fm.initial.copy(), [fm.initial], [0.0]
     for H in kernels:
-        pi = pi @ H
+        pi = product(H, pi, True)
         mass = pi.sum()
         pi = pi / mass
         weights.append(pi)
@@ -366,7 +395,7 @@ def test_step_kernels_equal_precomputed_kernels(name, sizes):
     terminal = fm.layers[-1].points[:, 0] ** 2
     u_ref, log_scale_ref = terminal, 0.0
     for H in reversed(kernels):
-        u_ref = H @ u_ref
+        u_ref = product(H, u_ref, False)
         peak = np.abs(u_ref).max()
         if peak > 0.0 and (peak > 1e100 or peak < 1e-100):
             u_ref = u_ref / peak
@@ -374,6 +403,43 @@ def test_step_kernels_equal_precomputed_kernels(name, sizes):
     u, log_scale, _ = backward_value(fm, y, terminal)
     assert u.tobytes() == u_ref.tobytes()
     assert log_scale == log_scale_ref
+
+
+@pytest.mark.parametrize("size", [2000, 50],
+                         ids=["blocks-over-threads", "one-block"])
+def test_exact_rows_check_fails_inside_the_row_threads(size, monkeypatch):
+    """A row block whose cdf decreases fails its check in the thread that
+    fills it: the step is named, no numpy warning is emitted and the pool
+    is joined before the error is raised."""
+    spec = builtin_models("sin-cube", steps=2)
+    fm = spec.build_filter([size] * 3)
+    _, y = spec.simulate(seed=3)
+    real, lock, calls = filtering.ndtr, threading.Lock(), []
+
+    def ndtr(z, out):
+        real(z, out=out)
+        with lock:
+            calls.append(None)
+            first = len(calls) == 1
+        if first:
+            out[:, -2] = 0.0  # the cdf falls before the last edge
+        return out
+
+    monkeypatch.setattr(filtering, "ndtr", ndtr)
+    runs = [(quantized_kernels, 0), (forward_filter, 0),
+            (lambda m, y: backward_value(m, y, np.ones(size)), 1)]
+    for run, step in runs:
+        calls.clear()
+        threads = threading.active_count()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InputError, match=f"transition {step} must "
+                               "be nonnegative with rows summing to 1"):
+                run(fm, y)
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+        assert threading.active_count() == threads
+        assert len(calls) > 1 if size == 2000 else len(calls) == 1
 
 
 def test_exact_filter_peak_memory_flat_in_steps():
@@ -391,6 +457,24 @@ def test_exact_filter_peak_memory_flat_in_steps():
 
     small, large = peak(2), peak(8)
     assert large <= 1.5 * small, (small, large)
+
+
+def test_exact_filter_step_memory_is_one_kernel_and_one_block():
+    """Beyond its N=2000 kernel (32 MB), a step holds the threads' scratch
+    (_BLOCK_ENTRIES floats, 2 MiB) and their masks (_BLOCK_ENTRIES bytes);
+    a check of the whole matrix would add a 4 MB mask. Measured about
+    2.47 MB over the kernel; the bound leaves 0.68 MB."""
+    spec = builtin_models("sin-cube", steps=2)
+    _, y = spec.simulate(seed=1)
+    fm = spec.build_filter([2000] * 3)
+    tracemalloc.start()
+    try:
+        forward_filter(fm, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    over = peak - 2000 * 2000 * 8
+    assert over < 12 * filtering._BLOCK_ENTRIES, over
 
 
 def test_huge_observation_noise_recovers_prior():

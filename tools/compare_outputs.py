@@ -33,9 +33,11 @@ dtype, shape and bytes:
   forward_filter weights on one sin-cube observation path at N=150 (n=10)
   and at N=2000 (n=3), and backward_value's u and log_scale on the N=2000
   model (large enough for OpenBLAS to thread a full matrix-vector
-  product); the same on a FilterModel with stored transitions (sizes
-  1500, 1200, 1700) and a likelihood of both x_prev and x_next, so that
-  each step's kernel has several column and row blocks;
+  product); the same on the exact N=2001 model (n=2) given a likelihood
+  of both x_prev and x_next, which weights its rows in the row threads,
+  and on a FilterModel with stored transitions (sizes 1500, 1200, 1700)
+  and such a likelihood, so that each step's kernel has several column
+  and row blocks;
 - the bid-ask and multidim points' y0 and z0 at small sizes, and the layer
   grids that the bid-ask and multidim d=2 points pass to
   estimate_companions;
@@ -231,6 +233,18 @@ def _outputs(workdir) -> dict:
     u, log_scale, _ = backward_value(fm, y, fm.layers[-1].points[:, 0] ** 2)
     out["filter-exact/sin-cube/N=2000/backward/u"] = u
     out["filter-exact/sin-cube/N=2000/backward/log_scale"] = np.array(log_scale)
+    spec = builtin_models("sin-cube", steps=2)
+    _, y = spec.simulate(7)
+    fm = spec.build_filter([2001] * 3)
+    fm = FilterModel(
+        layers=fm.layers, initial=fm.initial, transitions=fm.transitions,
+        likelihood=lambda k, xp, yp, xn, yn: np.exp(
+            -0.5 * (yn[0] - yp[0] - 0.5 * xn[..., 0] - 0.3 * xp[..., 0]) ** 2))
+    for k, w in enumerate(forward_filter(fm, y).weights):
+        out[f"filter-exact-weighted/N=2001/weights/{k}"] = w
+    u, log_scale, _ = backward_value(fm, y, fm.layers[-1].points[:, 0] ** 2)
+    out["filter-exact-weighted/N=2001/backward/u"] = u
+    out["filter-exact-weighted/N=2001/backward/log_scale"] = np.array(log_scale)
     rng = np.random.default_rng(21)
     sizes = (1500, 1200, 1700)
     transitions = [rng.random((a, b)) + 0.05
