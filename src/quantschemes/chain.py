@@ -76,7 +76,9 @@ def brownian(dim: int = 1) -> DiffusionModel:
     return DiffusionModel(
         dim, dim, lambda t, x: np.zeros_like(x),
         lambda t, x: np.broadcast_to(np.eye(dim), x.shape + (dim,)),
-        [0.0] * dim)
+        # a dim below 1 is DiffusionModel's InputError; [0.0] * dim would
+        # raise OverflowError below -2**63
+        [0.0] * max(dim, 0))
 
 
 MODELS = {"gbm": gbm, "ou": ou, "brownian": brownian}

@@ -138,8 +138,11 @@ class StopCriteria:
     stationarity_tolerance: float = 1e-6
 
     def __post_init__(self):
-        if (self.max_iterations <= 0 or self.relative_distortion_tolerance <= 0
-                or self.stationarity_tolerance <= 0):
+        it = self.max_iterations
+        if isinstance(it, bool) or not isinstance(it, (int, np.integer)):
+            raise InputError("max_iterations must be an integer")
+        if not (it > 0 and self.relative_distortion_tolerance > 0
+                and self.stationarity_tolerance > 0):  # nan too
             raise InputError("stop criteria must be strictly positive")
 
 
@@ -474,17 +477,19 @@ def lloyd(initial: Grid, source: SampleSource, stop: StopCriteria = StopCriteria
     cells are re-seeded near a sample of the most populated cell. Returns
     (grid with empirical weights, final DistortionReport, iterations).
 
-    In 1-D the batch is sorted once per run and each sweep's cells come
-    from the grid's Voronoi edges (`_sorted_sweep`); in d >= 2 the first
-    sweep is a full `assign` and each later one searches again only the
-    samples whose cell can have changed (`_certified`). Either way every
-    sweep's cells, and so the results, are those of a full `assign`. A
-    batch whose width is not the grid's dimension, or with a row that is
+    In every dimension the first sweep is a full `assign` and each later
+    one searches again only the samples whose cell can have changed
+    (`_certified`; a 1-D run builds no kd-tree), so every sweep's cells,
+    and the results, are those of a full `assign`. A run ends after
+    `max_iterations` sweeps, or at a sweep with no empty cell that lowers
+    the distortion by at most its relative tolerance (zero after zero
+    included) and would move no point beyond its stationarity tolerance.
+    A batch whose width is not the grid's dimension, or with a row that is
     not finite, raises InputError, and a finite batch whose squared norms
-    overflow NumericError, before any sweep. A
-    batch with fewer distinct rows than grid points raises InputError after
-    the first sweep that leaves a cell empty (a sweep that leaves none has
-    proven N distinct rows).
+    overflow NumericError, before any sweep. A batch with fewer distinct
+    rows than grid points raises InputError after the first sweep that
+    leaves a cell empty (a sweep that leaves none has proven N distinct
+    rows).
 
     A sweep whose distortion rises by more than 1e-12 of the last one plus
     (T_prev + T) / 4 raises ConvergenceError, where T = `_tie_tol(pts, far)`
@@ -512,8 +517,6 @@ def lloyd(initial: Grid, source: SampleSource, stop: StopCriteria = StopCriteria
     xx, far = _batch_norms(batch)
     jitter = 1e-6 * batch.std(axis=0)
     rng = np.random.default_rng(0)
-    if initial.dim == 1:
-        rows = _sorted_rows(batch)
     prev = prev_tol = None
     it = 0
     idx = distinct = None
@@ -522,16 +525,12 @@ def lloyd(initial: Grid, source: SampleSource, stop: StopCriteria = StopCriteria
         # norm and every step of it rounds monotonically, so T is at least
         # every row's
         tol = float(_tie_tol(pts, far)[0])
-        if initial.dim == 1:
-            idx, d2, counts = _sorted_sweep(Grid(pts), batch, xx, rows, tol)
-            sums = np.bincount(idx, weights=batch[:, 0], minlength=n)[:, None]
+        if idx is None:
+            idx, d2 = assign(Grid(pts), batch)
         else:
-            if idx is None:
-                idx, d2 = assign(Grid(pts), batch)
-            else:
-                idx, d2 = _certified(Grid(pts), batch, xx, idx, tol,
-                                     _neighbours(pts))
-            counts, sums = cell_sums(idx, n, batch)
+            idx, d2 = _certified(Grid(pts), batch, xx, idx, tol,
+                                 _neighbours(pts))
+        counts, sums = cell_sums(idx, n, batch)
         value = float(d2.mean())
         if (prev is not None
                 and value - prev > 1e-12 * prev + (prev_tol + tol) / 4):
@@ -557,8 +556,8 @@ def lloyd(initial: Grid, source: SampleSource, stop: StopCriteria = StopCriteria
             moved = np.linalg.norm(means - pts, axis=1)
             allowed = stop.stationarity_tolerance * (
                 1.0 + np.linalg.norm(pts, axis=1))
-            if (prev is not None
-                    and prev - value < stop.relative_distortion_tolerance * prev
+            rel = stop.relative_distortion_tolerance
+            if (prev is not None and prev - value <= rel * prev
                     and np.all(moved <= allowed)):
                 break
         pts = means
@@ -588,85 +587,6 @@ def _batch_norms(batch: np.ndarray):
             raise InputError("sample batch must be finite")
         raise NumericError("squared norms of Lloyd's sample batch overflow")
     return xx, batch.take([int(np.argmax(xx))], axis=0)
-
-
-def _sorted_rows(batch: np.ndarray):
-    """A 1-D Lloyd batch sorted once per run: its rows' argsort perm, each
-    row's position in it (rank[perm[i]] = i) and the sorted values
-    xs = batch[perm, 0]. Equal rows take one cell, so their order in perm
-    changes no result; the default sort is about six times faster than a
-    stable one on 2e4 rows."""
-    perm = np.argsort(batch[:, 0])
-    rank = np.empty_like(perm)
-    rank[perm] = np.arange(perm.size)
-    return perm, rank, batch[:, 0].take(perm)
-
-
-def _sorted_sweep(grid: Grid, batch: np.ndarray, xx: np.ndarray, rows,
-                  tol: float):
-    """`assign(grid, batch)` of a 1-D Lloyd sweep, and its cell counts, from
-    the batch sorted once per run (`rows`, from `_sorted_rows`); `xx` is
-    the rows' `_sq_norm` and `tol` a T at least every row's `_tie_tol`.
-
-    Sorted cell j of the grid lies between its inner Voronoi edges m_j and
-    m_{j+1} (`_sorted_cells`), so the rows of xs between the positions of
-    two consecutive edges take that cell, and the counts are the
-    differences of those positions. Around each inner edge m between
-    sorted points at computed spacing p, the window [m - w, m + w] with
-    w = T / (2 p) (1 + 8 eps) + 2 eps R (R = max |c|), each step rounded
-    and the ends clamped to the edges on either side, holds every row for
-    which that edge is not proven clear; its rows go to the exact search
-    (`_search_assign`). d2 is `_sq_dist`'s expression for each row's cell
-    (`_cell_d2`), in the batch's own row order, so it has the bytes
-    `assign` returns.
-
-    Proof that a row x outside every window, with m_j <= x < m_{j+1}, has
-    sorted point j as the scan's unique argmin: the window at m_j starts
-    at or below m_j and ends at fl(m_j + w) or at m_{j+1} > x, so x lies
-    above fl(m_j + w). Let mu be the exact midpoint at m_j and p' the
-    exact spacing there. The exact gap to the point below, and to every
-    point further down, is 2 p' (x - mu) or more. The sum fl(m_j + w)
-    rounds by at most eps/2 (R + w); m_j is within eps R / 2 of mu
-    (`_sorted_search`); w is at least (h + 2 eps R)(1 - eps/2) for the
-    rounded h = fl(T / fl(2 p)) (1 + 8 eps). So
-    x - mu >= h (1 - eps) + eps R (1 - 2 eps) >= h (1 - eps).
-    2 p is exact, the spacing rounds to at most p' (1 + eps/2) and the
-    quotient and the product round once each, so h >= T / (2 p')
-    (1 + 6 eps), and 2 p' (x - mu) > T. The same holds above m_{j+1}. A
-    gap over T, at least the row's own tolerance, fixes the scan's argmin.
-    Near underflow, T / (2 p) >= T / (4 R) >= 2 sqrt(eps tiny) is normal,
-    and the 4 eps h to spare covers the 2^-1075 that halving m_j or
-    rounding 2 eps R may lose. T is finite only when R^2 is, so 2 p does
-    not overflow; T / (2 p) is inf at a duplicated point (p = 0) and
-    taken as inf where it is nan (T = inf), so that window holds every
-    row of the two cells beside it.
-    """
-    c = grid.points
-    perm, rank, xs = rows
-    order, s, edges, spacing = _sorted_cells(c)
-    inner = edges[1:-1]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        w = tol / (2.0 * spacing[1:-1])
-        w *= 1.0 + 8 * _EPS
-        w += 2 * _EPS * max(-s[0], s[-1])
-        w[~(w < np.inf)] = np.inf
-        lo = np.searchsorted(xs, np.maximum(inner - w, edges[:-2]))
-        hi = np.searchsorted(xs, np.minimum(inner + w, edges[2:]),
-                             side="right")
-    sizes = np.diff(np.concatenate(([0], np.searchsorted(xs, inner),
-                                    [xs.size])))
-    idx = np.repeat(order, sizes).take(rank)
-    counts = np.empty(c.shape[0], dtype=np.int64)
-    counts[order] = sizes
-    wide = np.flatnonzero(hi > lo)
-    if wide.size:
-        near = perm.take(np.unique(np.concatenate(
-            [np.arange(lo[k], hi[k]) for k in wide])))
-        cells = _search_assign(grid, batch.take(near, axis=0))[0]
-        counts -= np.bincount(idx.take(near), minlength=c.shape[0])
-        counts += np.bincount(cells, minlength=c.shape[0])
-        idx[near] = cells
-    return idx, _cell_d2(c, batch, xx, idx), counts
 
 
 def _cell_d2(c: np.ndarray, batch: np.ndarray, xx: np.ndarray,

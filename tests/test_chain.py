@@ -30,7 +30,7 @@ def test_model_shape_validation():
     with pytest.raises(InputError):
         DiffusionModel(2, 1, lambda t, x: x,
                        lambda t, x: np.ones(x.shape + (1,)), [0.0])
-    for dim in (0, -2):
+    for dim in (0, -2, -10 ** 20):
         with pytest.raises(InputError, match="dimensions must be >= 1"):
             brownian(dim)
     with pytest.raises(InputError, match="dimensions must be >= 1"):

@@ -289,7 +289,7 @@ def test_cli_chain_ou_and_unknown_model(tmp_path, capsys):
 
 def test_cli_chain_dimension_below_one(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    for dim in (0, -1):
+    for dim in (0, -1, -10 ** 20):
         cfg.write_text(json.dumps({"model": "brownian", "dim": dim, "n": 2,
                                    "sample_budget": 100, "mc_paths": 100,
                                    "grid_size": 2}))

@@ -64,6 +64,16 @@ def test_stop_criteria_validation():
         StopCriteria(max_iterations=0)
     with pytest.raises(InputError):
         StopCriteria(relative_distortion_tolerance=-1.0)
+    # nan passes a `<= 0` test, and Lloyd then never converges
+    with pytest.raises(InputError):
+        StopCriteria(relative_distortion_tolerance=float("nan"))
+    with pytest.raises(InputError):
+        StopCriteria(stationarity_tolerance=float("nan"))
+    # a count that `range` refuses, or a bool, is not an iteration cap
+    for bad in (2.5, 3.0, True, "3"):
+        with pytest.raises(InputError, match="must be an integer"):
+            StopCriteria(max_iterations=bad)
+    assert StopCriteria(max_iterations=np.int64(3)).max_iterations == 3
 
 
 def test_sample_source_modes():
@@ -616,7 +626,7 @@ def test_lloyd_rejects_a_batch_of_another_width(grid_dim, batch_dim,
     def refused(*args):
         raise AssertionError("swept")
 
-    for name in ("assign", "_sorted_sweep", "_certified"):
+    for name in ("assign", "_certified"):
         monkeypatch.setattr(grids, name, refused)
     rng = np.random.default_rng(3)
     with pytest.raises(InputError, match="batch dimension mismatch"):
@@ -677,32 +687,12 @@ def test_lloyd_converges_far_from_origin(offset):
     assert far.value == pytest.approx(near.value, rel=0.01)
 
 
-def test_lloyd_raises_when_a_sweep_raises_the_distortion(monkeypatch):
-    """In 1-D every sweep, the first included, is a `_sorted_sweep`."""
-    batch = np.random.default_rng(13).standard_normal((4000, 1))
-    sorted_sweep = grids._sorted_sweep
-    sweeps = []
-
-    def worse_third_sweep(grid, rows, xx, sorted_rows, tol):
-        idx, d2, counts = sorted_sweep(grid, rows, xx, sorted_rows, tol)
-        sweeps.append(len(sweeps) + 1)
-        if sweeps[-1] == 3:  # every row to another cell
-            idx = (idx + 1) % grid.size
-            d2 = grids._sq_dist(rows, grid.points.take(idx, axis=0))
-            counts = np.bincount(idx, minlength=grid.size)
-        return idx, d2, counts
-
-    monkeypatch.setattr(grids, "_sorted_sweep", worse_third_sweep)
-    with pytest.raises(ConvergenceError, match="distortion increased"):
-        lloyd(Grid(batch[:10]), SampleSource.from_batch(batch))
-    assert sweeps == [1, 2, 3]
-
-
+@pytest.mark.parametrize("d", [1, 2])
 def test_lloyd_raises_when_a_bounded_sweep_raises_the_distortion(
-        monkeypatch):
-    """In d >= 2 sweep 1 is a full `assign` and the later ones go through
+        d, monkeypatch):
+    """In every d sweep 1 is a full `assign` and the later ones go through
     `_certified`."""
-    batch = np.random.default_rng(13).standard_normal((4000, 2))
+    batch = np.random.default_rng(13).standard_normal((4000, d))
     certified = grids._certified
     sweeps = []
 
@@ -718,6 +708,21 @@ def test_lloyd_raises_when_a_bounded_sweep_raises_the_distortion(
     with pytest.raises(ConvergenceError, match="distortion increased"):
         lloyd(Grid(batch[:10]), SampleSource.from_batch(batch))
     assert sweeps == [2, 3]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_lloyd_stops_at_zero_distortion(d):
+    """A batch of the grid's own N distinct rows, repeated, has distortion
+    0 from the first sweep on: the second sweep lowers it by 0, which is
+    within any relative tolerance of 0, so the run stops there instead of
+    using up its iterations."""
+    rows = np.random.default_rng(21).standard_normal((3, d))
+    batch = np.repeat(rows, 4, axis=0)
+    grid, report, it = lloyd(Grid(rows), SampleSource.from_batch(batch))
+    assert it == 2
+    assert report.value == 0.0
+    assert np.array_equal(grid.points, rows)
+    assert np.array_equal(grid.weights, np.full(3, 1 / 3))
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -766,8 +771,8 @@ def _lloyd_reference(initial, batch, stop):
             moved = np.linalg.norm(means - pts, axis=1)
             allowed = stop.stationarity_tolerance * (
                 1.0 + np.linalg.norm(pts, axis=1))
-            if (prev is not None
-                    and prev - value < stop.relative_distortion_tolerance * prev
+            rel = stop.relative_distortion_tolerance
+            if (prev is not None and prev - value <= rel * prev
                     and np.all(moved <= allowed)):
                 break
         pts = means
@@ -920,9 +925,10 @@ def _exact_sq(x, y):
 @pytest.mark.parametrize("kind", ["distinct", "duplicate", "one-point"])
 def test_bounded_assign_matches_assign(d, offset, kind, monkeypatch):
     """The bounded searches of Lloyd's sweeps and of `assign`'s table path
-    return `assign`'s index and d2 bytes: in 1-D `_sorted_sweep`
-    (`_check_sorted_sweep`), and in every d `_certified` for correct,
-    stale, random and all-wrong candidates. With a zero reach, so that no
+    (`_certified`) return `assign`'s index and d2 bytes for correct, stale,
+    random and all-wrong candidates; in 1-D the batch also holds rows on
+    every Voronoi edge and up to four ulps either side of it
+    (`_edge_rows`). With a zero reach, so that no
     row is settled by its neighbour list (`_settle`), every row it keeps
     has an exact gap to each other point above the row's own near-tie
     tolerance; and each keep threshold, at the separations and at the
@@ -934,7 +940,7 @@ def test_bounded_assign_matches_assign(d, offset, kind, monkeypatch):
         c[5] = c[2]
     batch = _bounded_batch(c, rng)
     if d == 1:
-        _check_sorted_sweep(c, batch, monkeypatch)
+        batch = np.vstack([batch, _edge_rows(c, 4)])
     grid = Grid(c)
     expect_idx, expect_d2 = assign(grid, batch)
     candidates = _candidates(c, batch, expect_idx, rng)
@@ -980,47 +986,6 @@ def test_bounded_assign_matches_assign(d, offset, kind, monkeypatch):
             assert sq > T_ and (t_ + T_) * 4 * sq <= (sq - T_) ** 2
 
 
-def _check_sorted_sweep(c, batch, monkeypatch):
-    """`_sorted_sweep` of a 1-D batch gives `assign`'s index and d2 bytes
-    and its counts. Every row that it places from the edges alone, without
-    `_search_assign`, has an exact gap to each other point above the
-    sweep's T, which is at least the row's own tolerance."""
-    grid = Grid(c)
-    expect_idx, expect_d2 = assign(grid, batch)
-    xx, far = grids._batch_norms(batch)
-    T = _tie_tol(c, far)[0]
-    rows = grids._sorted_rows(batch)
-    idx, d2, counts = grids._sorted_sweep(grid, batch, xx, rows, T)
-    assert idx.tobytes() == expect_idx.tobytes()
-    assert d2.tobytes() == expect_d2.tobytes()
-    assert np.array_equal(counts, np.bincount(expect_idx, minlength=len(c)))
-
-    searched = []
-    searched_rows = grids._search_assign
-
-    def recording(g, p):
-        searched.append(p[:, 0])
-        return searched_rows(g, p)
-
-    monkeypatch.setattr(grids, "_search_assign", recording)
-    grids._sorted_sweep(grid, batch, xx, rows, T)
-    # equal rows are searched together or not at all
-    placed = np.flatnonzero(~np.isin(batch[:, 0], np.concatenate(
-        searched + [np.empty(0)])))
-    tol = _tie_tol(c, batch)
-    assert np.all(tol <= T)
-    for m in placed:
-        a = idx[m]
-        gaps = (grids._sq_norm(c - batch[m])
-                - grids._sq_norm(c[a] - batch[m]))
-        gaps[a] = np.inf
-        # a gap of 16 tolerances is far beyond rounding: check the rest
-        for b in np.flatnonzero(gaps < 16 * T):
-            exact = _exact_sq(batch[m], c[b]) - _exact_sq(batch[m], c[a])
-            assert exact > Fraction(T), (m, a, b)
-    return placed.size
-
-
 def _edge_rows(c, ulps):
     """Rows on every Voronoi edge of the 1-D grid c, `ulps` ulps either
     side of each, and on the grid points."""
@@ -1036,33 +1001,12 @@ def _edge_rows(c, ulps):
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
-@pytest.mark.parametrize("kind", ["two-point", "lattice", "gaussian"])
-def test_sorted_sweep_on_edges(offset, kind, monkeypatch):
-    """`_sorted_sweep` on rows on the Voronoi edges, within four ulps of
-    them, on the grid points and duplicated, of a two-point grid, an
-    integer lattice (exact ties) and a Gaussian grid, near the origin and
-    far from it: `assign`'s bytes and counts, and every row that it
-    places from the edges alone proven. Near the origin, rows of a
-    Gaussian batch away from the edges need no search (far from it the
-    near-tie tolerance, and so each window, is wide)."""
-    rng = np.random.default_rng(int(math.log10(offset + 1)))
-    c = {"two-point": np.array([[-0.3], [0.9]]),
-         "lattice": np.arange(8.0)[::-1, None],
-         "gaussian": rng.normal(size=(30, 1))}[kind]
-    c = c + offset
-    edges = _edge_rows(c, 4)
-    batch = np.vstack([edges, edges, c.mean() + rng.normal(size=(2000, 1))])
-    placed = _check_sorted_sweep(c, rng.permutation(batch), monkeypatch)
-    if offset == 0.0:
-        assert placed > 2000 - 100
-
-
-@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
-def test_lloyd_1d_sorted_sweeps_match_reference(offset, monkeypatch):
+def test_lloyd_1d_sweeps_match_reference(offset, monkeypatch):
     """A 1-D Lloyd run with duplicated rows, rows on the first grid's edges
     and a dead far point that is re-seeded gives the bytes of the
-    full-scan loop, calls `assign` once (the final report) and reaches
-    neither `_certified` nor the kd-tree."""
+    full-scan loop, calls `assign` twice (the first sweep and the final
+    report), takes its other sweeps from `_certified` and never reaches
+    the kd-tree."""
     rng = np.random.default_rng(5)
     init = rng.normal(size=(9, 1))
     batch = rng.normal(size=(600, 1))
@@ -1083,11 +1027,10 @@ def test_lloyd_1d_sorted_sweeps_match_reference(offset, monkeypatch):
         raise AssertionError("reached")
 
     monkeypatch.setattr(grids, "assign", counted)
-    monkeypatch.setattr(grids, "_certified", refused)
     monkeypatch.setattr(grids, "_tree_search", refused)
     grid, report, it = lloyd(Grid(init), SampleSource.from_batch(batch),
                              stop)
-    assert calls == [len(batch)]
+    assert calls == [len(batch), len(batch)]
     assert grid.points.tobytes() == points.tobytes()
     assert grid.weights.tobytes() == weights.tobytes()
     assert report.value == value

@@ -22,7 +22,11 @@ dtype, shape and bytes:
   5e4 batch from seed 12345, the experiment's stop criteria); and 1-D
   runs: an integer lattice with rows on every midpoint (exact ties), a
   batch offset by 1e6 with a dead far point, cut after 1, 2 and 40
-  sweeps, and a batch of 128 rows per grid point (N=50);
+  sweeps, a batch of 128 rows per grid point (N=50), and a 30-point
+  Gaussian grid offset by 1e3 and by 1e6 whose batch holds Gaussian rows
+  and, twice, rows on each of its Voronoi edges and up to 4 ulps either
+  side of it (near-ties, which the bounded sweeps send to the exact
+  search);
 - the layer grids that build_layer_grids returns for gbm as the cli-chain
   benchmark builds it (T=0.25, n=10, N=50) and with n=40 (N=20), both fitted
   to the exact law of each Euler step, and for 2-D Brownian motion (n=3,
@@ -200,6 +204,22 @@ def _outputs(workdir) -> dict:
     batch = np.random.default_rng(18).standard_normal((128 * 50, 1))
     record_lloyd("lloyd/1d-128-rows-per-point", lloyd(
         Grid(batch[:50]), SampleSource.from_batch(batch)))
+    # Gaussian rows plus rows on the first grid's Voronoi edges and up to
+    # 4 ulps either side of each, twice: near-ties at the first sweep
+    rng = np.random.default_rng(19)
+    init, rows = rng.normal(size=(30, 1)), rng.normal(size=(2000, 1))
+    for name, offset in (("1e3", 1e3), ("1e6", 1e6)):
+        s = np.sort(init[:, 0] + offset)
+        edges = [0.5 * (s[:-1] + s[1:])]
+        for side in (-np.inf, np.inf):
+            x = edges[0]
+            for _ in range(4):
+                x = np.nextafter(x, side)
+                edges.append(x)
+        edges = np.concatenate(edges)[:, None]
+        record_lloyd(f"lloyd/1d-edges-offset-{name}", lloyd(
+            Grid(init + offset), SampleSource.from_batch(
+                np.vstack([rows + offset, edges, edges]))))
 
     for N in (10, 150, 2000):
         grid = newton_1d(Law1D.gaussian(), N)
