@@ -130,10 +130,10 @@ def bound_constants(lip_b: float, lip_sigma: float, lip_f: float, lip_h: float,
 
     The 0/0 convention applies to lip_f / kappa0 when both vanish.
     """
-    if min(lip_b, lip_sigma, lip_f, lip_h) < 0:
-        raise InputError("Lipschitz constants must be >= 0")
-    if T <= 0 or n < 1 or n0 < 1 or q < 1:
-        raise InputError("need T > 0, n >= 1, n0 >= 1, q >= 1")
+    if not all(0 <= v < math.inf for v in (lip_b, lip_sigma, lip_f, lip_h)):
+        raise InputError("Lipschitz constants must be finite and >= 0")
+    if not 0 < T < math.inf or n < 1 or n0 < 1 or q < 1:
+        raise InputError("need a finite T > 0, n >= 1, n0 >= 1, q >= 1")
     dt0 = T / n0
     cbs = lip_b + 0.5 * (lip_sigma ** 2 + dt0 * lip_b ** 2)
     kappa0 = cbs + lip_f * (1.0 + lip_f / 2.0)
@@ -159,8 +159,9 @@ def allocate_grid_sizes(coefficients: Sequence[float], total: int,
     bound factor sum_i c_i N_i^{-2/d}.
     """
     c = np.asarray(coefficients, dtype=float)
-    if c.ndim != 1 or c.size == 0 or np.any(c <= 0):
-        raise InputError("coefficients must be a nonempty list of values > 0")
+    if c.ndim != 1 or c.size == 0 or not np.all((c > 0) & (c < np.inf)):
+        raise InputError("coefficients must be a nonempty list of finite "
+                         "values > 0")
     if total < c.size or dim < 1:
         raise InputError("budget must allow at least one point per layer")
     p = dim / (dim + 2.0)

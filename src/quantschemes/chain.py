@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import InputError, NumericError, ParseError
 from .grids import (Grid, Law1D, SampleSource, StopCriteria,
-                    _check_probabilities, _distinct_rows, _newton_residual,
-                    assign, cell_sums, lloyd, newton_1d)
+                    _check_probabilities, _distinct_rows, _is_integer,
+                    _newton_residual, assign, cell_sums, lloyd, newton_1d)
 
 
 @dataclass
@@ -90,6 +90,8 @@ class TimeMesh:
     steps: int
 
     def __post_init__(self):
+        if not _is_integer(self.steps):
+            raise InputError("steps must be an integer")
         if not (np.isfinite(self.horizon) and self.horizon > 0) or self.steps < 1:
             raise InputError("need a finite horizon > 0 and steps >= 1")
 

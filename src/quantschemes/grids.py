@@ -7,10 +7,12 @@ names cell i, and ties always resolve to the smallest index.
 
 `assign` is the one projection entry point. A large call in d <= 3
 guesses each row's cell from a bin table and settles the guess with
-Lloyd's certified tests; the rows those leave, and every other call, take
+Lloyd's certified tests (the keep test, then in d >= 2 a scan of the
+guess's neighbour list); the rows those leave, and every other call, take
 the exact search of the grid's dimension (bisection on the sorted Voronoi
-midpoints in 1-D, a kd-tree in d >= 2). Near-ties go to the exact linear
-scan, which stays as the reference its results are checked against.
+midpoints in 1-D, a kd-tree queried on the calling thread in d >= 2).
+Near-ties go to the exact linear scan, which stays as the reference its
+results are checked against.
 
 Every kd-tree comes from `_kdtree`, which imports `scipy.spatial` at the
 first d >= 2 search: a process whose searches are all 1-D (bid-ask, the
@@ -23,6 +25,7 @@ filter's rows call them.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -46,9 +49,10 @@ _RENORM_WINDOW = 1e-9
 # temporaries stay small whatever the batch.
 _ASSIGN_CHUNK = 65536
 # Uniform bins per grid point of the guess table (`_guess_table`) in
-# d = 1..3, and the rows per grid point a call needs before it is built: on
-# fewer rows, as in Lloyd's re-searches, building it costs more than it
-# saves.
+# d = 1..3, and the rows per grid point a call needs before it is built.
+# The gate guards small calls, on which building the table costs more than
+# it saves (Lloyd's later sweeps go through `_certified`, not `assign`);
+# the tests use its search-only side as a cross-check.
 _TABLE_BINS_PER_POINT = 16
 _TABLE_ROWS_PER_POINT = 128
 # Largest dimension whose `assign` takes the guess table (d = 1..3). On a
@@ -61,11 +65,11 @@ _TABLE_ROWS_PER_POINT = 128
 # the keep test at both radii (`_keep_threshold`) and go to the kd-tree
 # anyway.
 _GUESS_MAX_DIM = 3
-# Length K = min(4 d, 16) of each grid point's neighbour list
-# (`_neighbours`), and the rows per block of `_settle`. On a
-# 5e4-row, N=150 Lloyd run K = 8 settles 96% of the re-searched rows in
-# d=2, K = 12 88% in d=3 and K = 16 71% in d=4; longer lists settle more
-# rows but cost more than the rows they save.
+# Length K = min(4 d, 16) of each grid point's neighbour list in d >= 2
+# (`_neighbours`; 1-D grids have none), and the rows per block of
+# `_settle`. On a 5e4-row, N=150 Lloyd run K = 8 settles 96% of the
+# re-searched rows in d=2, K = 12 88% in d=3 and K = 16 71% in d=4;
+# longer lists settle more rows but cost more than the rows they save.
 _LIST_SIZE_PER_DIM = 4
 _LIST_SIZE_MAX = 16
 _SETTLE_BLOCK = 8192
@@ -138,12 +142,21 @@ class StopCriteria:
     stationarity_tolerance: float = 1e-6
 
     def __post_init__(self):
-        it = self.max_iterations
-        if isinstance(it, bool) or not isinstance(it, (int, np.integer)):
+        if not _is_integer(self.max_iterations):
             raise InputError("max_iterations must be an integer")
-        if not (it > 0 and self.relative_distortion_tolerance > 0
-                and self.stationarity_tolerance > 0):  # nan too
-            raise InputError("stop criteria must be strictly positive")
+        tols = (self.relative_distortion_tolerance,
+                self.stationarity_tolerance)
+        if not (self.max_iterations > 0 and all(
+                isinstance(t, numbers.Real) and t > 0 for t in tols)):
+            raise InputError("stop criteria must be strictly positive "
+                             "numbers")
+
+
+def _is_integer(value) -> bool:
+    """The rule for a count such as `StopCriteria.max_iterations`: an int
+    or numpy integer, and not a bool."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool))
 
 
 class SampleSource:
@@ -181,8 +194,8 @@ def assign(grid: Grid, points: np.ndarray):
     d <= `_GUESS_MAX_DIM` of at least `_TABLE_ROWS_PER_POINT` rows per
     grid point, whose grid spans more than one bin of `_guess_table`, runs
     in row blocks of `_ASSIGN_CHUNK` (`_blocks`): each row's guess from the
-    table is settled by the keep test, the list scan and, for the rows
-    left, the exact search. Any other call takes the exact search alone
+    table is settled by the keep test, the list scan (d >= 2) and, for the
+    rows left, the exact search. Any other call takes the exact search alone
     (`_search_assign`): bisection on the sorted Voronoi midpoints in 1-D, a
     kd-tree query for the two nearest points in d >= 2. A row whose two
     nearest points may lie within the scan's rounding error of each other
@@ -392,13 +405,14 @@ def _kdtree(c: np.ndarray):
 
 def _tree_search(c: np.ndarray, pts: np.ndarray):
     """Candidate indices from a kd-tree, and the squared-distance gap to the
-    second nearest point (nan for rows that are not finite). The query is
-    split over one thread per CPU, which scipy joins before it returns;
-    each row's answer does not depend on the split."""
+    second nearest point (nan for rows that are not finite). The query runs
+    on the calling thread: one thread per CPU cost CPU on a multidim
+    point's small per-sweep queries and saved wall time only on whole
+    d >= 4 calls."""
     finite = np.all(np.isfinite(pts), axis=1)
     idx = np.zeros(pts.shape[0], dtype=np.int64)
     gap = np.full(pts.shape[0], np.nan)
-    dist, ii = _kdtree(c).query(pts[finite], k=2, workers=_cpu_count())
+    dist, ii = _kdtree(c).query(pts[finite], k=2)
     idx[finite] = ii[:, 0]
     gap[finite] = dist[:, 1] ** 2 - dist[:, 0] ** 2
     return idx, gap
@@ -460,8 +474,8 @@ def distortion_and_gradient(grid: Grid,
 def ls_error(grid: Grid, source: SampleSource, s: float) -> float:
     """L^s mean quantization error ((1/M) sum dist^s)^(1/s) over the
     source's batch."""
-    if s <= 0:
-        raise InputError("s must be positive")
+    if not (isinstance(s, numbers.Real) and 0 < s < math.inf):  # nan too
+        raise InputError("s must be a finite number > 0")
     _, d2 = assign(grid, source.batch)
     return float(np.mean(d2 ** (s / 2.0)) ** (1.0 / s))
 
@@ -617,9 +631,9 @@ def _certified(grid: Grid, batch: np.ndarray, xx: np.ndarray,
     A row of candidate a keeps it when d2 is below `_keep_threshold` at
     a's separation (a is the scan's unique argmin); else `_settle` scans
     a's neighbour list when d2 is below it at a's reach (the argmin is in
-    the list); the rest go to the exact search (`_search_assign`). The
-    candidates decide only how many rows each stage takes, never a row's
-    result.
+    the list; a 1-D reach is 0, which passes no row); the rest go to the
+    exact search (`_search_assign`). The candidates decide only how many
+    rows each stage takes, never a row's result.
     """
     c = grid.points
     d2 = _cell_d2(c, batch, xx, idx)
@@ -689,68 +703,41 @@ def _neighbours(c: np.ndarray):
     grid), its neighbour list and its reach r_a: the two radii of
     `_keep_threshold`, and the list `_settle` scans.
 
-    The K + 1 nearest points of each point (K = `_list_size(d)`), by
-    computed distance (`_nearest`), give all three. Row a of the
-    (N, min(N, K)) list holds a's K nearest grid points, a included unless
-    K others coincide with it (then r_a = 0), sorted by grid index; s_a is
-    the second distance. r_a is a lower bound of the exact
-    distance from a to every point outside the list, inf when the list is
-    the whole grid (N <= K). Every such point is at a computed distance of
-    at least D, the (K + 1)-th one. A computed distance is off by a
-    relative (d + 4) eps / 4 (d rounded squares summed, a square root; in
-    1-D one rounded subtraction), plus what the squares lose to underflow,
-    below tiny in all and so below sqrt(tiny) once rooted. So
-    r_a = D (1 - 4 (d + 2) eps) - sqrt(tiny), which rounds by a relative
-    eps / 2 twice and is clamped at 0, is below the exact distance; the
-    shrink is over ten times the distance's rounding, which also covers
-    the rounding of the kd-tree's pruning bounds.
+    In 1-D s_a is the smaller rounded difference to a's sorted neighbours
+    (`_sorted_cells`' spacing), the list holds a alone and r_a = 0, so no
+    row is settled by a list: every row the keep test leaves takes the
+    sorted search. In d >= 2 one kd-tree query for the K + 1 nearest
+    points of each point (K = `_list_size(d)`), by computed distance,
+    gives all three. Row a of the (N, min(N, K)) list holds a's K nearest
+    grid points, a included unless K others coincide with it (then
+    r_a = 0), sorted by grid index; s_a is the second distance. r_a is a
+    lower bound of the exact distance from a to every point outside the
+    list, inf when the list is the whole grid (N <= K; the query then
+    pads with inf). Every such point is at a computed distance of at
+    least D, the (K + 1)-th one. A computed distance is off by a relative
+    (d + 4) eps / 4 (d rounded squares summed, a square root), plus what
+    the squares lose to underflow, below tiny in all and so below
+    sqrt(tiny) once rooted. So r_a = D (1 - 4 (d + 2) eps) - sqrt(tiny),
+    which rounds by a relative eps / 2 twice and is clamped at 0, is below
+    the exact distance; the shrink is over ten times the distance's
+    rounding, which also covers the rounding of the kd-tree's pruning
+    bounds.
     """
     n, d = c.shape
+    if d == 1:
+        order, _, _, spacing = _sorted_cells(c)
+        sep = np.empty(n)
+        sep[order] = np.minimum(spacing[:-1], spacing[1:])
+        return sep, np.arange(n, dtype=np.int64)[:, None], np.zeros(n)
     k = _list_size(d)
-    if n <= k:
-        sep = _nearest(c, 2)[0][:, 1] if n > 1 else np.full(1, np.inf)
-        lists = np.broadcast_to(np.arange(n, dtype=np.int64), (n, n))
-        return sep, lists, np.full(n, np.inf)
-    dist, near = _nearest(c, k + 1)
+    dist, near = _kdtree(c).query(c, k=k + 1)
     reach = dist[:, k] * (1.0 - 4 * (d + 2) * _EPS) - math.sqrt(_TINY)
-    return dist[:, 1], np.sort(near[:, :k], axis=1), np.maximum(reach, 0.0)
-
-
-def _nearest(c: np.ndarray, j: int):
-    """The computed distances from each point of a grid of at least j >= 2
-    points to its j nearest grid points, in increasing order, and their
-    indices: one kd-tree query in d >= 2.
-
-    In 1-D, for each point a, they are the first j of the points within
-    j - 1 sorted positions of a, sorted stably by computed distance
-    |fl(b - a)|; these are the j nearest of the whole grid. Such a window holds at least j points. A
-    point b at sorted offset over j - 1 from a, say above it, has a and the
-    j - 1 points above a in the window, each at a computed distance of at
-    most b's, since rounding is monotone. So the j-th smallest distance in
-    the window is at most b's, and every point outside the first j
-    columns, in the window or not, is at a computed distance of at least
-    the j-th.
-    """
-    if c.shape[1] > 1:
-        return _kdtree(c).query(c, k=j)
-    order, s, _, _ = _sorted_cells(c)
-    n = s.size
-    pos = np.arange(n)[:, None] + np.arange(1 - j, j)
-    inside = (pos >= 0) & (pos < n)
-    np.clip(pos, 0, n - 1, out=pos)
-    dist = np.abs(s.take(pos) - s[:, None])
-    dist[~inside] = np.inf
-    pick = np.argsort(dist, axis=1, kind="stable")[:, :j]
-    dist = np.take_along_axis(dist, pick, axis=1)
-    near = order.take(np.take_along_axis(pos, pick, axis=1))
-    # rows are in sorted order: put row a back at grid index a
-    rank = np.empty_like(order)
-    rank[order] = np.arange(n)
-    return dist.take(rank, axis=0), near.take(rank, axis=0)
+    return (dist[:, 1], np.sort(near[:, :min(n, k)], axis=1),
+            np.maximum(reach, 0.0))
 
 
 def _list_size(d: int) -> int:
-    """K, the length of each grid point's neighbour list."""
+    """K, the length of each grid point's neighbour list in d >= 2."""
     return min(_LIST_SIZE_PER_DIM * d, _LIST_SIZE_MAX)
 
 
@@ -900,6 +887,10 @@ class Law1D:
         Lloyd sweep of a layer of N_{k+1} points on a mixture of N_k costs
         N_k N_{k+1} of each."""
         p, m, s = (np.asarray(a, dtype=float).reshape(-1) for a in (p, m, s))
+        if not (p.size == m.size == s.size > 0):
+            raise InputError("mixture needs p, m and s of one nonzero length")
+        if not np.all((s > 0) & (s < np.inf)):
+            raise InputError("mixture scales s must be finite and > 0")
         last = {}
 
         def values(t):

@@ -158,6 +158,23 @@ def test_bound_constants_validation():
         bound_constants(0, 0, 0, 0, 1.0, 0, 1, 1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: allocate_grid_sizes([math.nan, 1.0], 10, 1),
+    lambda: allocate_grid_sizes([math.inf, 1.0], 10, 1),
+    lambda: bound_constants(math.nan, 0, 0, 0, 1.0, 1, 1, 1),
+    lambda: bound_constants(0, 0, math.nan, 0, 1.0, 1, 1, 1),
+    lambda: bound_constants(0, 0, 0, math.inf, 1.0, 1, 1, 1),
+    lambda: bound_constants(1, 1, 1, 1, math.nan, 1, 1, 1),
+    lambda: bound_constants(1, 1, 1, 1, math.inf, 1, 1, 1),
+], ids=["allocate-nan", "allocate-inf", "lip-b-nan", "lip-f-nan",
+        "lip-h-inf", "T-nan", "T-inf"])
+def test_nan_and_inf_inputs_are_rejected(call):
+    """nan passes a `< 0` or `<= 0` test: each of these raises InputError
+    instead of returning nan constants or sizes of -2**63."""
+    with pytest.raises(InputError):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # grid-size allocation
 # ---------------------------------------------------------------------------

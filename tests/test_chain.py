@@ -67,6 +67,15 @@ def test_time_mesh():
             TimeMesh(horizon, 4)
 
 
+@pytest.mark.parametrize("steps", [2.5, 3.0, True, "3", None])
+def test_time_mesh_steps_must_be_an_integer(steps):
+    """`steps` follows `StopCriteria.max_iterations`' rule: a non-integer
+    or a bool raises InputError when the mesh is built, not at `.times`."""
+    with pytest.raises(InputError, match="must be an integer"):
+        TimeMesh(1.0, steps)
+    assert TimeMesh(1.0, np.int64(3)).times.size == 4
+
+
 # ---------------------------------------------------------------------------
 # Euler simulation
 # ---------------------------------------------------------------------------

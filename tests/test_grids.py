@@ -76,6 +76,21 @@ def test_stop_criteria_validation():
     assert StopCriteria(max_iterations=np.int64(3)).max_iterations == 3
 
 
+@pytest.mark.parametrize("call", [
+    lambda: StopCriteria(relative_distortion_tolerance="x"),
+    lambda: StopCriteria(stationarity_tolerance=None),
+    lambda: ls_error(Grid([[0.0]]), SampleSource.from_batch([[1.0]]),
+                     float("nan")),
+    lambda: ls_error(Grid([[0.0]]), SampleSource.from_batch([[1.0]]),
+                     float("inf")),
+], ids=["tolerance-str", "tolerance-none", "ls-error-nan", "ls-error-inf"])
+def test_numeric_settings_reject_nan_and_non_numbers(call):
+    """A non-number or nan passes no `> 0` test by accident: each raises
+    InputError, not a raw TypeError or a nan result."""
+    with pytest.raises(InputError):
+        call()
+
+
 def test_sample_source_modes():
     batch = SampleSource.from_batch([[1.0, 2.0]])
     assert batch.is_batch and batch.batch.shape == (1, 2)
@@ -213,36 +228,6 @@ def test_assign_table_matches_scan_oracle(monkeypatch, oracle_test):
     go through the keep test and the list scan too."""
     monkeypatch.setattr(grids, "_TABLE_ROWS_PER_POINT", 0)
     oracle_test()
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_tree_search_does_not_depend_on_the_worker_count(d, monkeypatch):
-    """One kd-tree worker and four give the same candidates and gaps, on
-    rows at grid points, at midpoints of pairs and not finite."""
-    workers = []
-    build = grids._kdtree
-
-    class Recording:
-        def __init__(self, c):
-            self.tree = build(c)
-
-        def query(self, *args, **kwargs):
-            workers.append(kwargs["workers"])
-            return self.tree.query(*args, **kwargs)
-
-    monkeypatch.setattr(grids, "_kdtree", Recording)
-    rng = np.random.default_rng(d)
-    c = rng.standard_normal((60, d))
-    pts = np.vstack([rng.standard_normal((20_000, d)), c,
-                     0.5 * (c[:-1] + c[1:])])
-    pts[::997, d - 1] = np.nan
-    found = []
-    for cpus in (1, 4):
-        monkeypatch.setattr(grids, "_cpu_count", lambda: cpus)
-        idx, gap = grids._tree_search(c, pts)
-        found.append((idx.tobytes(), gap.tobytes()))
-    assert workers == [1, 4]
-    assert found[1] == found[0]
 
 
 def test_assign_1d_blocks_equal_row_by_row():
@@ -1039,10 +1024,89 @@ def test_lloyd_1d_sweeps_match_reference(offset, monkeypatch):
     assert it == ref_it
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+def test_1d_rows_left_by_the_keep_test_take_the_sorted_search(offset,
+                                                               monkeypatch):
+    """1-D grids have no neighbour lists: with `_settle` refusing any row,
+    a table-path `assign` on a grid with a duplicated point and a Lloyd
+    run give the scan's bytes, on rows at every Voronoi edge and up to
+    four ulps either side of it (`_edge_rows`); the rows the keep test
+    leaves reach the sorted search."""
+    settle, search = grids._settle, grids._search_assign
+    searched = []
+
+    def refusing(c, batch, xx, rows, *args):
+        assert rows.size == 0, "a 1-D row was settled by a list"
+        settle(c, batch, xx, rows, *args)
+
+    def counted(grid, pts):
+        searched.append(len(pts))
+        return search(grid, pts)
+
+    monkeypatch.setattr(grids, "_settle", refusing)
+    monkeypatch.setattr(grids, "_search_assign", counted)
+    rng = np.random.default_rng(29)
+    c = offset + rng.normal(size=(12, 1))
+    c[5] = c[2]
+    pts = rng.permutation(np.vstack([
+        _edge_rows(c, 4), offset + rng.normal(size=(128 * 12, 1))]))
+    assert len(pts) >= grids._TABLE_ROWS_PER_POINT * len(c)
+    idx, d2 = assign(Grid(c), pts)
+    ref_idx, ref_d2 = _scan_assign(Grid(c), pts)
+    assert idx.tobytes() == ref_idx.tobytes()
+    assert d2.tobytes() == ref_d2.tobytes()
+    assert sum(searched) > 0
+
+    init = np.delete(c, 5, axis=0)
+    batch = rng.permutation(np.vstack([offset + rng.normal(size=(600, 1)),
+                                       _edge_rows(init, 4)]))
+    stop = StopCriteria(max_iterations=40)
+    points, weights, value, gradient, counts, ref_it = _lloyd_reference(
+        init, batch, stop)
+    grid, report, it = lloyd(Grid(init), SampleSource.from_batch(batch),
+                             stop)
+    assert grid.points.tobytes() == points.tobytes()
+    assert grid.weights.tobytes() == weights.tobytes()
+    assert report.value == value
+    assert report.gradient.tobytes() == gradient.tobytes()
+    assert np.array_equal(report.cell_counts, counts)
+    assert it == ref_it
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+@pytest.mark.parametrize("kind", ["distinct", "duplicate", "one-point"])
+def test_1d_separation_bounds_the_nearest_distance(kind, offset):
+    """The 1-D separation of `_neighbours` is the smallest rounded
+    difference to another grid point, and at most the exact nearest
+    distance over 1 - eps / 2 (the rounding of one difference; the keep
+    test allows a relative (d + 2) eps): 0 on a duplicated point and inf
+    on a one-point grid. Each list holds its own point, at reach 0."""
+    rng = np.random.default_rng(int(math.log10(offset + 1)))
+    n = 1 if kind == "one-point" else 40
+    c = offset + rng.normal(size=(n, 1))
+    if kind == "duplicate":
+        c[5] = c[2]
+    sep, lists, reach = grids._neighbours(c)
+    assert np.array_equal(lists, np.arange(n)[:, None])
+    assert (reach == 0).all()
+    exact = [Fraction(v) for v in c[:, 0]]
+    shrink = 1 - Fraction(np.finfo(float).eps) / 2
+    for a in range(n):
+        others = [b for b in range(n) if b != a]
+        if not others:
+            assert sep[a] == np.inf
+            continue
+        assert sep[a] == min(abs(c[b, 0] - c[a, 0]) for b in others)
+        nearest = min(abs(exact[b] - exact[a]) for b in others)
+        assert Fraction(sep[a]) * shrink <= nearest, a
+    if kind == "duplicate":
+        assert sep[2] == sep[5] == 0
+
+
 def _settle_grid(d, offset, kind, rng):
-    """Grid of a `_settle` case: K points (each list is the whole grid), 40
-    points with a duplicated one, an integer lattice (exact ties inside
-    each list) or 60 points."""
+    """Grid of a `_settle` case: K points (in d >= 2 each list is the whole
+    grid), 40 points with a duplicated one, an integer lattice (exact ties
+    inside each list) or 60 points."""
     k = grids._list_size(d)
     if kind == "lattice":
         side = {1: 12, 2: 5, 3: 3, 4: 3}[d]
@@ -1069,7 +1133,8 @@ def test_settle_matches_scan(d, offset, kind):
     more than half the row's near-tie tolerance; and each reach r_a is at
     most the exact distance from a to every point outside a's list. Where
     the lists reach well beyond the near-tie distance, the threshold
-    passes most rows of correct candidates."""
+    passes most rows of correct candidates. A 1-D grid has no lists: each
+    holds its own point at reach 0, and no row is settled."""
     rng = np.random.default_rng(d * 1000 + int(math.log10(offset + 1)))
     c = _settle_grid(d, offset, kind, rng)
     n = len(c)
@@ -1082,7 +1147,10 @@ def test_settle_matches_scan(d, offset, kind):
     _, lists, reach = grids._neighbours(c)
     outside = np.ones((n, n), dtype=bool)
     np.put_along_axis(outside, lists, False, axis=1)
-    assert (reach == np.inf).all() == (n <= grids._list_size(d))
+    whole = d > 1 and n <= grids._list_size(d)
+    assert (reach == np.inf).all() == whole
+    if d == 1:
+        assert lists.shape == (n, 1) and (reach == 0).all()
     for a in range(n):
         for b in np.flatnonzero(outside[a]):
             assert Fraction(reach[a]) ** 2 <= _exact_sq(c[a], c[b]), (a, b)
@@ -1094,11 +1162,13 @@ def test_settle_matches_scan(d, offset, kind):
         settled, left = np.flatnonzero(listed), np.flatnonzero(~listed)
         grids._settle(c, batch, xx, settled, idx, d2, lists)
         assert np.array_equal(idx[left], cand[left]), name
-        if n <= grids._list_size(d):
+        if whole:
             assert left.size == 0, name
+        elif d == 1:
+            assert settled.size == 0, name
         elif name == "correct" and np.median(reach) > 3 * math.sqrt(T):
-            # the threshold needs r_a > 2 sqrt(d2 + T): at 1e6 a 1-D
-            # grid's reach is about sqrt(T), and few rows can be settled
+            # the threshold needs r_a > 2 sqrt(d2 + T): where the reaches
+            # are near sqrt(T), few rows can be settled
             assert settled.size > len(batch) // 2, name
         assert idx[settled].tobytes() == expect_idx[settled].tobytes(), name
         assert d2[settled].tobytes() == expect_d2[settled].tobytes(), name
@@ -1221,6 +1291,22 @@ def test_newton_singular_system():
     law = Law1D(density=zero, cdf=zero, first_moment=zero, mean=3.0)
     with pytest.raises(ConvergenceError, match="singular Newton system"):
         newton_1d(law, 3)
+
+
+@pytest.mark.parametrize("p, m, s", [
+    ([1.0], [0.0, 1.0], [1.0]),
+    ([0.5, 0.5], [0.0, 1.0], [1.0]),
+    ([], [], []),
+    ([0.5, 0.5], [0.0, 1.0], [1.0, 0.0]),
+    ([0.5, 0.5], [0.0, 1.0], [1.0, -1.0]),
+    ([0.5, 0.5], [0.0, 1.0], [1.0, np.inf]),
+    ([0.5, 0.5], [0.0, 1.0], [1.0, np.nan]),
+])
+def test_gaussian_mixture_rejects_malformed_components(p, m, s):
+    """p, m and s of unequal length, or a scale that is not finite and
+    > 0, raise InputError when the law is built, not at its first cdf."""
+    with pytest.raises(InputError):
+        Law1D.gaussian_mixture(p, m, s)
 
 
 def test_gaussian_mixture_matches_quadrature():

@@ -68,8 +68,13 @@ dtype, shape and bytes:
   layers;
 - 1-D assign calls of at least 128 rows per grid point (the same path): on
   a 40-point Gaussian grid with a duplicated point, for rows on its points,
-  on the midpoints of pairs and at random, and on an unsorted 30-point
-  integer lattice for rows on every midpoint (exact ties) and point.
+  on the midpoints of pairs and at random; on an unsorted 30-point
+  integer lattice for rows on every midpoint (exact ties) and point; and
+  on a 40-point Gaussian grid with two duplicated points, whose rows near
+  them fail the keep test at separation 0 and take the sorted search;
+- a d=4 assign call of 1e5 random rows plus rows on the points and on
+  midpoints of pairs, on a 150-point grid: a whole call that takes the
+  kd-tree alone, queried on the calling thread.
 
 Only public names that both trees share are used. Each differing output
 is listed with the number of differing entries and their largest absolute
@@ -473,6 +478,24 @@ def _outputs(workdir) -> dict:
             ("1d-table-lattice", Grid(lattice), np.concatenate([
                 np.arange(-1.0, 30.0) + 0.5,
                 0.5 * rng.integers(-4, 62, size=128 * 30)])[:, None])):
+        idx, d2 = assign(grid, pts)
+        out[f"assign/{name}/index"] = idx
+        out[f"assign/{name}/d2"] = d2
+
+    # a 1-D table-path call on a grid with two duplicated points, whose
+    # rows fail the keep test at separation 0 and take the sorted search;
+    # and a whole d=4 call of 1e5 rows, which takes the kd-tree alone
+    rng = np.random.default_rng(21)
+    c1 = rng.standard_normal((40, 1))
+    c1[17], c1[29] = c1[3], c1[11]
+    c4 = rng.standard_normal((150, 4))
+    for name, grid, pts in (
+            ("1d-table-two-duplicates", Grid(c1), rng.permutation(np.vstack([
+                c1, 0.5 * (c1[:-1] + c1[1:]), c1[[3, 11]] + 1e-3,
+                rng.standard_normal((128 * 40, 1))]))),
+            ("d4-whole-call", Grid(c4), np.vstack([
+                c4, 0.5 * (c4[:-1] + c4[1:]),
+                rng.standard_normal((100_000, 4))]))):
         idx, d2 = assign(grid, pts)
         out[f"assign/{name}/index"] = idx
         out[f"assign/{name}/d2"] = d2
